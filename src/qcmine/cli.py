@@ -146,9 +146,23 @@ def config_connectives(config):
 _REQUIRED_FIELDS = ("question_id", "title", "tags", "accepted_answer_html")
 
 
+def _type_error(record: dict) -> str | None:
+    """Why a record's fields have the wrong JSON type, or None."""
+    for name in ("title", "accepted_answer_html"):
+        if not isinstance(record[name], str):
+            return f"{name} must be a string"
+    tags = record["tags"]
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        return "tags must be a list of strings"
+    if not isinstance(record.get("question_body_html", ""), (str, type(None))):
+        return "question_body_html must be a string or null"
+    return None
+
+
 def read_dump(path):
-    """Yield (record, error) pairs; malformed lines yield
-    (None, DumpParseError) so callers can count skips without aborting."""
+    """Yield (record, error) pairs; malformed lines, including records whose
+    fields have the wrong JSON type, yield (None, DumpParseError) so callers
+    can count skips without aborting."""
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             if not line.strip():
@@ -158,6 +172,9 @@ def read_dump(path):
             except json.JSONDecodeError as exc:
                 yield None, DumpParseError(f"line {line_no}: {exc}")
                 continue
+            if not isinstance(record, dict):
+                yield None, DumpParseError(f"line {line_no}: record is not a JSON object")
+                continue
             missing = [k for k in _REQUIRED_FIELDS if k not in record]
             if missing:
                 yield None, DumpParseError(f"line {line_no}: missing fields {missing}")
@@ -166,6 +183,10 @@ def read_dump(path):
                 record["question_id"] = int(record["question_id"])
             except (TypeError, ValueError):
                 yield None, DumpParseError(f"line {line_no}: non-integer question_id")
+                continue
+            problem = _type_error(record)
+            if problem:
+                yield None, DumpParseError(f"line {line_no}: {problem}")
                 continue
             yield record, None
 
@@ -183,12 +204,19 @@ def read_annotation_csv(path) -> dict[int, dict[int, int]]:
     """CSV (question_id, code_position, label) -> {qid: {position: label}}."""
     labels: dict[int, dict[int, int]] = {}
     with open(path, encoding="utf-8", newline="") as f:
-        for row in csv.reader(f):
+        reader = csv.reader(f)
+        for row in reader:
             if not row or not row[0].strip() or not row[0].strip().lstrip("-").isdigit():
                 continue  # header or blank
-            qid, pos, label = int(row[0]), int(row[1]), int(row[2])
+            where = f"{path}:{reader.line_num}"
+            if len(row) < 3:
+                raise ValueError(f"{where}: expected question_id,code_position,label, got {row}")
+            try:
+                qid, pos, label = int(row[0]), int(row[1]), int(row[2])
+            except ValueError:
+                raise ValueError(f"{where}: non-integer field in {row}") from None
             if label not in (0, 1):
-                raise ValueError(f"{path}: label must be 0/1, got {label}")
+                raise ValueError(f"{where}: label must be 0/1, got {label}")
             labels.setdefault(qid, {})[pos] = label
     return labels
 
@@ -294,6 +322,11 @@ def mine(
     pair directly; multi-code answers go through the agreement ensemble,
     with unanimous label-1 blocks mined, unanimous label-0 dropped, and
     disagreements recorded in an abstentions sidecar.
+
+    Multi-code answers are collected until they hold ``INFERENCE_CHUNK``
+    instances, and each voter then runs once over the whole chunk. Output
+    that follows a waiting answer waits with it, so lines are written in
+    dump order.
     """
     config = config or load_config()
     language = config_language(config)
@@ -311,6 +344,10 @@ def mine(
         "ensemble_rejections": 0,
         "abstentions": 0,
     }
+    # In dump order: pair lines, and (qid, title, instances) of multi-code
+    # answers waiting for the ensemble.
+    pending: list = []
+    n_pending = 0
     abstention_path = str(out_path) + ".abstentions.jsonl"
     with open(out_path, "w", encoding="utf-8") as out, open(
         abstention_path, "w", encoding="utf-8"
@@ -346,41 +383,61 @@ def mine(
 
             if len(code_blocks) == 1:
                 pair = MinedPair(qid, title, code_blocks[0].raw, 1, Provenance.SINGLE_CODE)
-                out.write(pair.to_json() + "\n")
+                line = pair.to_json() + "\n"
+                if pending:
+                    pending.append(line)
+                else:
+                    out.write(line)
                 report["single_code_pairs"] += 1
                 continue
 
             tokenize_sequence(answer_seq, language)
-            for inst in extract_instances(title, answer_seq, None, language):
-                decision = train_eval.ensemble(biv, text, code, inst)
-                if decision.decision is Decision.LABEL1:
-                    pair = MinedPair(
-                        qid,
-                        title,
-                        inst.raw_code,
-                        inst.position,
-                        Provenance.ENSEMBLE_MINED,
-                        score=decision.scores[0],
-                    )
-                    out.write(pair.to_json() + "\n")
-                    report["ensemble_pairs"] += 1
-                elif decision.decision is Decision.LABEL0:
-                    report["ensemble_rejections"] += 1
-                else:
-                    abstain_out.write(
-                        json.dumps(
-                            {
-                                "question_id": qid,
-                                "position": inst.position,
-                                "votes": list(decision.votes),
-                                "scores": list(decision.scores),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                    report["abstentions"] += 1
+            instances = extract_instances(title, answer_seq, None, language)
+            pending.append((qid, title, instances))
+            n_pending += len(instances)
+            if n_pending >= train_eval.INFERENCE_CHUNK:
+                _flush(pending, (biv, text, code), out, abstain_out, report)
+                n_pending = 0
+        _flush(pending, (biv, text, code), out, abstain_out, report)
     return report
+
+
+def _flush(pending, voters, out, abstain_out, report) -> None:
+    """Decide every waiting answer with one batched ensemble call, then
+    write all waiting output in dump order and empty ``pending``."""
+    instances = [inst for item in pending if isinstance(item, tuple) for inst in item[2]]
+    decisions = iter(train_eval.ensemble_batch(*voters, instances))
+    for item in pending:
+        if isinstance(item, str):
+            out.write(item)
+            continue
+        qid, title, answer_instances = item
+        for inst in answer_instances:
+            decision = next(decisions)
+            if decision.decision is Decision.LABEL1:
+                pair = MinedPair(
+                    qid, title, inst.raw_code, inst.position, Provenance.ENSEMBLE_MINED,
+                    score=decision.scores[0],
+                )
+                out.write(pair.to_json() + "\n")
+                report["ensemble_pairs"] += 1
+            elif decision.decision is Decision.LABEL0:
+                report["ensemble_rejections"] += 1
+            else:
+                abstain_out.write(
+                    json.dumps(
+                        {
+                            "question_id": qid,
+                            "position": inst.position,
+                            "votes": list(decision.votes),
+                            "scores": list(decision.scores),
+                        },
+                        sort_keys=True,
+                    )
+                    + "\n"
+                )
+                report["abstentions"] += 1
+    pending.clear()
 
 
 def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
@@ -615,8 +672,7 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
         bundle = LinearBundle.load(checkpoint_path)
         preds = [bundle.predict(inst)[0] for inst in instances]
     else:
-        model = models.load_model(checkpoint_path)
-        preds = [models.predict_label(model, inst)[0] for inst in instances]
+        preds = train_eval.predict_labels(models.load_model(checkpoint_path), instances)
 
     first_preds, all_preds = [], []
     for record, err in read_dump(dump_path):
@@ -647,13 +703,13 @@ def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, con
     instances, _ = load_labeled_instances(dump_path, read_annotation_csv(labels_csv), language)
     decided_preds, decided_golds = [], []
     abstained = 0
-    for inst in instances:
-        decision = train_eval.ensemble(biv, text, code, inst)
-        if decision.decision is Decision.ABSTAIN:
-            abstained += 1
-        else:
-            decided_preds.append(decision.decision.value)
-            decided_golds.append(inst.label)
+    for chunk in train_eval.chunked(instances):
+        for inst, decision in zip(chunk, train_eval.ensemble_batch(biv, text, code, chunk)):
+            if decision.decision is Decision.ABSTAIN:
+                abstained += 1
+            else:
+                decided_preds.append(decision.decision.value)
+                decided_golds.append(inst.label)
     coverage = len(decided_preds) / len(instances) if instances else 0.0
     decided = (
         evaluate(decided_preds, decided_golds).to_dict() if decided_preds else Metrics().to_dict()

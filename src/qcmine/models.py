@@ -27,8 +27,11 @@ from .nn_core import (
     bigru_encode,
     concat,
     dense,
+    dense_rows,
     embedding_row,
+    gru_final_states,
     softmax,
+    softmax_rows,
 )
 from .post_parser import CodeContextInstance
 from .vocab_embed import CODEBLOCK_TOKEN, Vocabulary, load_embeddings
@@ -290,15 +293,22 @@ def _code_block_vec(model: ModelParameters, inst: CodeContextInstance) -> Node:
     return v_c
 
 
+def _check_inputs(model: ModelParameters, instances) -> None:
+    if model.word_vocab is None or model.word_vocab.size == 0:
+        raise VocabMissing("model has no word vocabulary")
+    for inst in instances:
+        if not inst.code_tokens:
+            raise EmptyCode(f"instance at position {inst.position} has no code tokens")
+
+
 def forward_graph(model: ModelParameters, inst: CodeContextInstance):
     """Build the prediction graph for one instance.
 
-    Returns (logits node, code-representation node z).
+    Returns (logits node, code-representation node z). Training
+    differentiates through this tape; inference uses ``predict_scores``,
+    and the tape is its reference.
     """
-    if model.word_vocab is None or model.word_vocab.size == 0:
-        raise VocabMissing("model has no word vocabulary")
-    if not inst.code_tokens:
-        raise EmptyCode(f"instance at position {inst.position} has no code tokens")
+    _check_inputs(model, [inst])
     v = model.config.variant
 
     if v in _HIERARCHICAL or v is Variant.BIV_HFF:
@@ -332,17 +342,167 @@ def forward_graph(model: ModelParameters, inst: CodeContextInstance):
     return logits, z
 
 
+# --------------------------------------------------------------------------
+# Tape-free batched inference
+# --------------------------------------------------------------------------
+
+
+def _bigru_ends(x: np.ndarray, lengths, gru: BiGru) -> np.ndarray:
+    """[last forward state, first backward state] of each sequence, where
+    the sequences are consecutive runs of ``lengths`` rows of ``x``."""
+    stops = np.cumsum(lengths, dtype=np.intp)
+    spans = np.column_stack([stops - lengths, stops])
+    return np.hstack([
+        gru_final_states(x, spans, gru.fwd),
+        gru_final_states(x, spans, gru.bwd, reverse=True),
+    ])
+
+
+def _token_vectors(model: ModelParameters, token_lists, vocab, emb: Node, gru: BiGru) -> np.ndarray:
+    """One encoder vector per token list. Each distinct non-empty list is
+    encoded once; empty lists get the learned empty-block vector, or zeros
+    in variants without one."""
+    keys = [tuple(tokens) for tokens in token_lists]
+    distinct = list(dict.fromkeys(k for k in keys if k))
+    d = 2 * model.config.d_token_gru
+    empty = model.empty_block.value if model.empty_block is not None else np.zeros(d)
+    vectors = np.empty((len(distinct) + 1, d))
+    if distinct:
+        ids = [vocab.lookup_all(k) for k in distinct]
+        vectors[:-1] = _bigru_ends(emb.value[np.concatenate(ids)], [len(k) for k in distinct], gru)
+    vectors[-1] = empty
+    row = {k: i for i, k in enumerate(distinct)}
+    return vectors[[row[k] if k else len(distinct) for k in keys]]
+
+
+def _block_vectors(model: ModelParameters, instances):
+    """(s_pre, s_post, c) of a batch, B rows each; the text blocks are None
+    for CODE_HNN, which reads no context.
+
+    Text blocks, titles and the constant <codeblock> sequence share one
+    word-encoder call whenever they share its weights, so each distinct one
+    is encoded once per batch.
+    """
+    v = model.config.variant
+    n = len(instances)
+    word_lists = []
+    if v is not Variant.CODE_HNN:
+        word_lists += [inst.pre_tokens for inst in instances]
+        word_lists += [inst.post_tokens for inst in instances]
+    shared_question = v in _USES_QUESTION and model.question_token is None
+    if shared_question:
+        word_lists += [inst.question_tokens for inst in instances]
+    if v is Variant.TEXT_HNN:
+        word_lists.append([CODEBLOCK_TOKEN])
+    words = _token_vectors(model, word_lists, model.word_vocab, model.word_emb, model.text_token)
+    s_pre, s_post = (None, None) if v is Variant.CODE_HNN else (words[:n], words[n : 2 * n])
+
+    if v is Variant.TEXT_HNN:
+        return s_pre, s_post, np.repeat(words[-1:], n, axis=0)
+    c = _token_vectors(
+        model, [inst.code_tokens for inst in instances],
+        model.code_vocab, model.code_emb, model.code_token,
+    )
+    if v in _USES_QUESTION:
+        if shared_question:
+            question = words[-n:]
+        else:
+            question = _token_vectors(
+                model, [inst.question_tokens for inst in instances],
+                model.word_vocab, model.word_emb, model.question_token,
+            )
+        c = dense_rows(np.hstack([question, c]), model.fusion)
+    return s_pre, s_post, c
+
+
+def _bigru_at(x: np.ndarray, starts, code_at, stops, gru: BiGru) -> np.ndarray:
+    """Bidirectional states at row ``code_at`` of each sequence
+    ``starts:stops`` of ``x``: the forward state after reading up to it and
+    the backward state after reading back down to it."""
+    return np.hstack([
+        gru_final_states(x, np.column_stack([starts, code_at + 1]), gru.fwd),
+        gru_final_states(x, np.column_stack([code_at, stops]), gru.bwd, reverse=True),
+    ])
+
+
+def _forward_batch(model: ModelParameters, instances):
+    """Logits (B x 2) and code representations z of a batch of instances.
+
+    Same formulas as ``forward_graph``, computed on plain arrays: every
+    token-level encoder runs once over the distinct blocks of the batch, and
+    the sequence-level GRUs run batched over instances.
+    """
+    _check_inputs(model, instances)
+    v = model.config.variant
+    n = len(instances)
+    if v is Variant.TEXT_RNN:
+        vocab = model.word_vocab
+        ids = [
+            vocab.lookup_all(inst.pre_tokens) + vocab.lookup_all([CODEBLOCK_TOKEN])
+            + vocab.lookup_all(inst.post_tokens)
+            for inst in instances
+        ]
+        x = model.word_emb.value[np.concatenate(ids)]
+        pre = np.array([len(inst.pre_tokens) for inst in instances], dtype=np.intp)
+        lengths = np.array([len(row) for row in ids], dtype=np.intp)
+        stops = np.cumsum(lengths)
+        starts = stops - lengths
+        z = _bigru_at(x, starts, starts + pre, stops, model.text_token)
+    elif v is Variant.BIV_RNN:
+        words, codes = model.word_emb.value, model.code_emb.value
+        wv, cv = model.word_vocab, model.code_vocab
+        x = np.concatenate([
+            part
+            for inst in instances
+            for part in (
+                words[wv.lookup_all(inst.pre_tokens)],
+                codes[cv.lookup_all(inst.code_tokens)],
+                words[wv.lookup_all(inst.post_tokens)],
+            )
+        ])
+        lengths = [len(i.pre_tokens) + len(i.code_tokens) + len(i.post_tokens) for i in instances]
+        z = _bigru_ends(x, lengths, model.text_token)
+    else:
+        s_pre, s_post, c = _block_vectors(model, instances)
+        if v is Variant.CODE_HNN:
+            z = c
+        elif v is Variant.BIV_HFF:
+            z = dense_rows(np.hstack([s_pre, c, s_post]), model.block_ff)
+        else:
+            x = np.stack([s_pre, c, s_post], axis=1).reshape(3 * n, -1)
+            starts = 3 * np.arange(n)
+            z = _bigru_at(x, starts, starts + 1, starts + 3, model.block)
+    return dense_rows(z, model.output), z
+
+
+def predict_scores(model: ModelParameters, instances) -> np.ndarray:
+    """p(solution) of each instance, from one tape-free batched forward.
+
+    Numeric contract: every score is within 1e-12 of
+    ``softmax(forward_graph(model, inst)[0].value)[1]``, and the labels
+    (``label_of``) are the same.
+    """
+    if not instances:
+        return np.zeros(0)
+    logits, _ = _forward_batch(model, instances)
+    return softmax_rows(logits)[:, 1]
+
+
+def label_of(score: float) -> int:
+    """Label 1 iff p(solution) >= 0.5."""
+    return 1 if score >= 0.5 else 0
+
+
 def forward(model: ModelParameters, inst: CodeContextInstance):
     """Solution probabilities [p0, p1] and the code representation."""
-    logits, z = forward_graph(model, inst)
-    return softmax(logits.value), z.value
+    logits, z = _forward_batch(model, [inst])
+    return softmax(logits[0]), z[0]
 
 
 def predict_label(model: ModelParameters, inst: CodeContextInstance):
-    """Label 1 iff p(solution) >= 0.5; returns (label, score)."""
-    y, _ = forward(model, inst)
-    score = float(y[1])
-    return (1 if score >= 0.5 else 0), score
+    """(label, score) of one instance; see ``predict_scores``."""
+    score = float(predict_scores(model, [inst])[0])
+    return label_of(score), score
 
 
 # --------------------------------------------------------------------------

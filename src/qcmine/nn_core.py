@@ -1,10 +1,13 @@
 """Differentiable building blocks on a minimal reverse-mode tape.
 
-Everything is double precision and unbatched: each op takes vectors (or a
-matrix parameter), returns a Node carrying its value, and records a closure
-that routes the incoming gradient to its parents. ``backward`` replays the
-tape once per loss; parameter gradients accumulate across calls until
-``zero_grad``, which is what mini-batch averaging relies on.
+Everything is double precision. The tape ops are unbatched: each takes
+vectors (or a matrix parameter), returns a Node carrying its value, and
+records a closure that routes the incoming gradient to its parents.
+``backward`` replays the tape once per loss; parameter gradients accumulate
+across calls until ``zero_grad``, which is what mini-batch averaging relies
+on. Training uses the tape. Inference uses the tape-free batched kernels
+(``gru_final_states``, ``dense_rows``, ``softmax_rows``), which compute the
+same formulas on plain arrays and match the tape up to float rounding.
 
 The GRU follows the convention where the update gate u weighs the previous
 state: h = u*h_prev + (1-u)*h_tilde, so u near 1 memorizes the past.
@@ -113,12 +116,9 @@ def concat(*nodes: Node) -> Node:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +239,59 @@ def bigru_encode(xs, fwd: GruParams, bwd: GruParams):
     return fwd_states[-1], bwd_states[0], list(zip(fwd_states, bwd_states))
 
 
+def gru_final_states(x: np.ndarray, spans, p: GruParams, reverse: bool = False) -> np.ndarray:
+    """Final states of a GRU run over many sequences at once, without a tape.
+
+    ``x`` holds input rows (N x d_x). Sequence i is rows ``spans[i][0]`` up
+    to ``spans[i][1] - 1``, read last row first when ``reverse``. Every run
+    starts from a zero state. Returns a B x d_h array in span order.
+
+    The sequences are sorted by length, longest first, and packed time-major,
+    so the sequences still running at step t are a prefix of the batch and
+    no padded step is computed. The input projections x [W_r; W_u; W] + b of
+    all steps are one matmul; each step then multiplies only the state, and
+    r and u come from one sigmoid call. Same formulas as ``gru_step``.
+    """
+    spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
+    lengths = spans[:, 1] - spans[:, 0]
+    if (lengths < 1).any():
+        raise EmptySequence("gru_final_states needs at least one input vector per sequence")
+    d_x, d_h = p.d_x, p.d_h
+    if x.ndim != 2 or x.shape[1] != d_x:
+        raise ShapeMismatch(f"expected rows of {d_x} inputs, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("x contains NaN or Inf")
+
+    order = np.argsort(-lengths, kind="stable")
+    first = spans[order, 1] - 1 if reverse else spans[order, 0]
+    step = -1 if reverse else 1
+    # running[t]: how many sequences are longer than t steps
+    steps = lengths.max(initial=0)
+    running = len(order) - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]
+    rows = np.concatenate([first[:n] + step * t for t, n in enumerate(running)] or [first[:0]])
+
+    w_r, w_u, w = p.w_r.value, p.w_u.value, p.w.value
+    w_x = np.concatenate([w_r[:, :d_x], w_u[:, :d_x], w[:, :d_x]])
+    b = np.concatenate([p.b_r.value, p.b_u.value, p.b.value])
+    u_ru = np.concatenate([w_r[:, d_x:], w_u[:, d_x:]]).T
+    u_c = w[:, d_x:].T
+    proj = x[rows] @ w_x.T + b
+
+    h = np.zeros((len(order), d_h))
+    start = 0
+    for n in running:
+        a = proj[start : start + n]
+        start += n
+        h_prev = h[:n]
+        ru = _sigmoid(a[:, : 2 * d_h] + h_prev @ u_ru)
+        r, u = ru[:, :d_h], ru[:, d_h:]
+        h_tilde = np.tanh(a[:, 2 * d_h :] + (r * h_prev) @ u_c)
+        h[:n] = u * h_prev + (1.0 - u) * h_tilde
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
 # --------------------------------------------------------------------------
 # Dense / softmax
 # --------------------------------------------------------------------------
@@ -284,10 +337,27 @@ def dense(x, p: DenseParams) -> Node:
     return out
 
 
+def dense_rows(x: np.ndarray, p: DenseParams) -> np.ndarray:
+    """``dense`` on every row of ``x`` at once, without a tape."""
+    if x.ndim != 2 or x.shape[1] != p.w.value.shape[1]:
+        raise ShapeMismatch(f"dense expects rows of {p.w.value.shape[1]}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("x contains NaN or Inf")
+    a = x @ p.w.value.T + p.b.value
+    return np.tanh(a) if p.activation == TANH else a
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """``softmax`` of every row."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_xent(logits, gold: int):

@@ -37,11 +37,6 @@ def default_keywords() -> list[str]:
     return _DEFAULT_KEYWORDS
 
 
-def load_keywords(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return sorted({line.strip().lower() for line in f if line.strip() and not line.startswith("#")})
-
-
 @dataclass
 class QuestionFeatures:
     keyword_flags: dict[str, bool] = field(default_factory=dict)

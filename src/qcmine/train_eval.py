@@ -141,14 +141,32 @@ def combine_votes(votes) -> Decision:
     return Decision.ABSTAIN
 
 
+# Instances per batched forward. Each GRU step multiplies the states of the
+# whole batch at once, so larger batches spread numpy's per-call cost over
+# more instances; the bound keeps the working set small.
+INFERENCE_CHUNK = 128
+
+
+def chunked(items):
+    """Consecutive slices of at most INFERENCE_CHUNK items."""
+    for start in range(0, len(items), INFERENCE_CHUNK):
+        yield items[start : start + INFERENCE_CHUNK]
+
+
+def ensemble_batch(biv, text, code, instances) -> list[EnsembleDecision]:
+    """``ensemble`` of every instance, with one batched forward per voter."""
+    scores = [models_mod.predict_scores(model, instances) for model in (biv, text, code)]
+    decisions = []
+    for triple in zip(*scores):
+        triple = tuple(float(s) for s in triple)
+        votes = tuple(models_mod.label_of(s) for s in triple)
+        decisions.append(EnsembleDecision(combine_votes(votes), votes, triple))
+    return decisions
+
+
 def ensemble(biv, text, code, inst: CodeContextInstance) -> EnsembleDecision:
     """Predict only on unanimous votes of the three models, else abstain."""
-    votes, scores = [], []
-    for model in (biv, text, code):
-        label, score = models_mod.predict_label(model, inst)
-        votes.append(label)
-        scores.append(score)
-    return EnsembleDecision(combine_votes(votes), tuple(votes), tuple(scores))
+    return ensemble_batch(biv, text, code, [inst])[0]
 
 
 # --------------------------------------------------------------------------
@@ -193,9 +211,17 @@ def _epoch_pass(model, instances, order, batch_size, adam, freeze_embeddings=Fal
     return total_loss / len(order)
 
 
+def predict_labels(model, instances) -> list[int]:
+    """Labels of every instance, batched in chunks."""
+    return [
+        models_mod.label_of(score)
+        for chunk in chunked(instances)
+        for score in models_mod.predict_scores(model, chunk)
+    ]
+
+
 def evaluate_model(model, instances) -> Metrics:
-    preds = [models_mod.predict_label(model, inst)[0] for inst in instances]
-    return evaluate(preds, [inst.label for inst in instances])
+    return evaluate(predict_labels(model, instances), [inst.label for inst in instances])
 
 
 def train(

@@ -1,10 +1,15 @@
+import importlib.util
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import SOLUTION_HTML, build_workspace
-from qcmine import cli
-from qcmine.models import CheckpointMismatch, load_model, predict_label
+from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
+from qcmine import cli, train_eval
+from qcmine.models import CheckpointMismatch, forward_graph, load_model, predict_label
+from qcmine.nn_core import softmax
 from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
 from qcmine.tokenize import Language
 
@@ -43,6 +48,68 @@ class TestParseCommand:
         assert report["skipped"] == 2  # malformed json + missing fields
         first = json.loads(out.read_text().splitlines()[0])
         assert [b["kind"] for b in first["blocks"]] == ["text", "code", "text", "code", "text"]
+
+
+WRONG_TYPED = [
+    dump_record(500, "How to frob", None, SINGLE_HTML),
+    dump_record(501, "How to frob", ["python"], None),
+    dump_record(502, 5, ["python"], SINGLE_HTML),
+    dump_record(503, "How to frob", ["python", 3], SINGLE_HTML),
+    dump_record(504, "How to frob", ["python"], SINGLE_HTML, question_html=7),
+    [1, 2],
+    7,
+    "question_id title tags accepted_answer_html",
+]
+
+
+@pytest.fixture(scope="module")
+def bad_dump(ws):
+    """The workspace dump with wrong-typed records mixed in."""
+    path = ws["root"] / "bad_dump.jsonl"
+    lines = ws["dump"].read_text().splitlines(keepends=True)
+    for i, record in enumerate(WRONG_TYPED):
+        lines.insert(3 * i, json.dumps(record) + "\n")
+    path.write_text("".join(lines))
+    return path
+
+
+class TestWrongTypedRecords:
+    def test_parse_skips_and_counts(self, bad_dump, ws, capsys):
+        cli.main(["parse", "--dump", str(bad_dump), "--out", str(ws["root"] / "bad_blocks.jsonl")])
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"parsed": 28, "skipped": 2 + len(WRONG_TYPED)}
+
+    def test_mine_skips_and_counts(self, bad_dump, ws, mined):
+        _, clean = mined
+        report = cli.mine(
+            bad_dump, ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"],
+            ws["filter"], ws["root"] / "bad_pairs.jsonl", cli.load_config(ws["config"]),
+        )
+        assert report["records"] == clean["records"] + len(WRONG_TYPED)
+        assert report["parse_errors"] == clean["parse_errors"] + len(WRONG_TYPED)
+        for key in clean:
+            if key not in ("records", "parse_errors"):
+                assert report[key] == clean[key], key
+
+    def test_null_question_body_still_read(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        record = dump_record(1, "How to frob", ["python"], SINGLE_HTML, question_html=None)
+        path.write_text(json.dumps(record) + "\n")
+        assert [err for _, err in cli.read_dump(path)] == [None]
+
+
+class TestAnnotationCsv:
+    @pytest.mark.parametrize("row", ["101,1", "101", "101,x,1", "101,1,1.5"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"question_id,code_position,label\n100,1,1\n{row}\n")
+        with pytest.raises(ValueError, match=rf"labels\.csv:3: "):
+            cli.read_annotation_csv(path)
+
+    def test_good_rows(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("question_id,code_position,label\n100,1,1\n100,2,0\n\n101,1,0\n")
+        assert cli.read_annotation_csv(path) == {100: {1: 1, 2: 0}, 101: {1: 0}}
 
 
 class TestFilter:
@@ -208,6 +275,107 @@ class TestMine:
                 ws["dump"], ws["text_hnn"], ws["text_hnn"], ws["code_hnn"],
                 ws["filter"], ws["root"] / "nope.jsonl", cli.load_config(ws["config"]),
             )
+
+
+def tape_ensemble_batch(biv, text, code, instances):
+    """The ensemble computed one instance at a time on the training tape."""
+    decisions = []
+    for inst in instances:
+        scores = tuple(
+            float(softmax(forward_graph(m, inst)[0].value)[1]) for m in (biv, text, code)
+        )
+        votes = tuple(1 if s >= 0.5 else 0 for s in scores)
+        decisions.append(
+            train_eval.EnsembleDecision(train_eval.combine_votes(votes), votes, scores)
+        )
+    return decisions
+
+
+def chunk_dump(path, seed=0):
+    """Multi-code how-to answers with more blocks than one inference chunk,
+    interleaved with single-code, non-how-to, off-domain and malformed
+    records."""
+    rng = random.Random(seed)
+    texts = ["You can try this approach", "The output is", "works fine", "frob it", ""]
+    codes = ["print(alpha)\nbeta = compute(1)", "&gt;&gt;&gt; run(2)\n42", "x = frob(y)"]
+    lines = []
+    for i in range(100):
+        html = "".join(
+            f"<p>{rng.choice(texts)}</p><pre><code>{rng.choice(codes)}</code></pre>"
+            for _ in range(rng.randint(2, 4))
+        ) + f"<p>{rng.choice(texts)}</p>"
+        lines.append(json.dumps(dump_record(1000 + i, f"How to frob the {i} widget", ["python"], html)))
+        kind = i % 5
+        if kind == 0:
+            lines.append(json.dumps(dump_record(2000 + i, f"How to unfrob {i}", ["python"], SINGLE_HTML)))
+        elif kind == 1:
+            lines.append(json.dumps(dump_record(3000 + i, f"Why does {i} explode", ["python"], SOLUTION_HTML)))
+        elif kind == 2:
+            lines.append(json.dumps(dump_record(4000 + i, "How to join", ["sql"], SOLUTION_HTML)))
+        elif kind == 3:
+            lines.append("{broken")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestChunkedMining:
+    def test_matches_per_instance_tape(self, ws, tmp_path, monkeypatch):
+        dump = tmp_path / "dump.jsonl"
+        chunk_dump(dump)
+        args = (dump, ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"], ws["filter"])
+        config = cli.load_config(ws["config"])
+        report = cli.mine(*args, tmp_path / "batched.jsonl", config)
+        decided = report["ensemble_pairs"] + report["ensemble_rejections"] + report["abstentions"]
+        assert decided > 2 * train_eval.INFERENCE_CHUNK
+        assert report["ensemble_pairs"] and report["abstentions"] and report["single_code_pairs"]
+
+        # reference: every answer decided on its own, on the tape, in dump order
+        monkeypatch.setattr(train_eval, "INFERENCE_CHUNK", 1)
+        monkeypatch.setattr(train_eval, "ensemble_batch", tape_ensemble_batch)
+        assert cli.mine(*args, tmp_path / "tape.jsonl", config) == report
+
+        for suffix, key in (("", "score"), (".abstentions.jsonl", "scores")):
+            got = (tmp_path / f"batched.jsonl{suffix}").read_text().splitlines()
+            want = (tmp_path / f"tape.jsonl{suffix}").read_text().splitlines()
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                g, w = json.loads(g), json.loads(w)
+                g_scores, w_scores = g.pop(key), w.pop(key)
+                if key == "score":
+                    g_scores, w_scores = [g_scores], [w_scores]
+                assert g == w
+                assert [a is None for a in g_scores] == [b is None for b in w_scores]
+                assert all(a is None or abs(a - b) <= 1e-12 for a, b in zip(g_scores, w_scores))
+
+
+class TestBenchHooks:
+    """The benchmark patches these public names; mining must run unchanged
+    under both its timer and its tracer."""
+
+    def load_bench(self):
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        sys.path.insert(0, str(bench))
+        try:
+            spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.path.remove(str(bench))
+        return module
+
+    def test_mine_under_clock_and_trace_patches(self, ws, tmp_path):
+        run = self.load_bench()
+        args = (ws["dump"], ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"], ws["filter"])
+        config = cli.load_config(ws["config"])
+        expected = cli.mine(*args, tmp_path / "plain.jsonl", config)
+        rec = run.tracing.Recorder()
+        with rec.installed(run.clock_patches(run.hostclock.HostClock("numpy"))):
+            assert cli.mine(*args, tmp_path / "clock.jsonl", config) == expected
+        with rec.installed(run.full_patches(rec)):
+            assert cli.mine(*args, tmp_path / "traced.jsonl", config) == expected
+        assert rec.spans
+        plain = (tmp_path / "plain.jsonl").read_bytes()
+        assert (tmp_path / "clock.jsonl").read_bytes() == plain
+        assert (tmp_path / "traced.jsonl").read_bytes() == plain
 
 
 class TestMergeAndStats:

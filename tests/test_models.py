@@ -15,9 +15,10 @@ from qcmine.models import (
     init_model,
     load_model,
     predict_label,
+    predict_scores,
     save_model,
 )
-from qcmine.nn_core import softmax_xent
+from qcmine.nn_core import NonFiniteInput, softmax, softmax_xent
 from qcmine.post_parser import CodeContextInstance
 from qcmine.vocab_embed import build_vocab
 
@@ -154,6 +155,81 @@ class TestForward:
         model.empty_block.value[...] += 0.5
         y2, _ = forward(model, inst)
         assert not np.array_equal(y1, y2)
+
+
+def mixed_batch(rng):
+    """Instances of varying lengths with empty pre, post and question
+    blocks, unknown tokens, shared blocks and repeated instances."""
+    pool_w, pool_c = WORDS + ["qqq-unknown"], CODE + ["WWW-unknown"]
+
+    def pick(pool, lo, hi):
+        return [rng.choice(pool) for _ in range(rng.randint(lo, hi))]
+
+    shared_block = pick(WORDS, 3, 6)
+    insts = []
+    for i in range(30):
+        insts.append(
+            CodeContextInstance(
+                question_tokens=[] if i % 7 == 0 else pick(pool_w, 1, 6),
+                pre_tokens=shared_block if i % 5 == 0 else pick(pool_w, 0, 12),
+                code_tokens=pick(pool_c, 1, 20),
+                post_tokens=[] if i % 3 == 0 else pick(pool_w, 0, 12),
+                position=1 + i % 4,
+            )
+        )
+    return insts + insts[:4]
+
+
+class TestBatchedInference:
+    """predict_scores against the training tape, the reference."""
+
+    @pytest.mark.parametrize(
+        "variant,shared",
+        [(v, True) for v in Variant]
+        + [(v, False) for v in (Variant.BIV_HNN, Variant.CODE_HNN, Variant.BIV_HFF)],
+    )
+    def test_matches_tape(self, vocabs, variant, shared):
+        model = init_model(
+            tiny_cfg(variant, seed=4, d_token_gru=5, d_block=6, share_text_question_encoder=shared),
+            *vocabs,
+        )
+        bias_rng = np.random.default_rng(2)
+        for node in model.params.values():
+            if node.value.ndim == 1:  # biases start at zero; move them
+                node.value[...] = bias_rng.uniform(-1, 1, node.value.shape)
+        insts = mixed_batch(random.Random(23))
+        scores = predict_scores(model, insts)
+        reference = np.array([softmax(forward_graph(model, i)[0].value)[1] for i in insts])
+        np.testing.assert_allclose(scores, reference, rtol=0, atol=1e-12)
+        assert list(scores >= 0.5) == list(reference >= 0.5)
+        for inst, ref in zip(insts[:5], reference):
+            label, score = predict_label(model, inst)
+            assert abs(score - ref) <= 1e-12 and label == int(ref >= 0.5)
+            y, z = forward(model, inst)
+            logits, z_ref = forward_graph(model, inst)
+            np.testing.assert_allclose(y, softmax(logits.value), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(z, z_ref.value, rtol=0, atol=1e-12)
+
+    def test_empty_batch(self, vocabs):
+        model = init_model(tiny_cfg(), *vocabs)
+        assert predict_scores(model, []).shape == (0,)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_nan_embedding_row_rejected(self, vocabs, variant):
+        wv, cv = vocabs
+        model = init_model(tiny_cfg(variant), wv, cv)
+        model.word_emb.value[wv.lookup("try")] = np.nan
+        insts = mixed_batch(random.Random(1))
+        insts.append(CodeContextInstance(["try"], ["try"], ["VAR"], ["try"], position=1))
+        with pytest.raises(NonFiniteInput):
+            predict_scores(model, insts)
+
+    def test_empty_code_rejected(self, vocabs):
+        model = init_model(tiny_cfg(), *vocabs)
+        insts = mixed_batch(random.Random(1))
+        insts.append(CodeContextInstance(["how"], ["try"], [], ["works"], position=1))
+        with pytest.raises(EmptyCode):
+            predict_scores(model, insts)
 
 
 class TestVariantInvariances:

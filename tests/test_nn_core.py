@@ -19,12 +19,15 @@ from qcmine.nn_core import (
     bigru_encode,
     concat,
     dense,
+    dense_rows,
     embedding_row,
     glorot_init,
+    gru_final_states,
     gru_step,
     init_dense,
     init_gru,
     softmax,
+    softmax_rows,
     softmax_xent,
     tensor_from_obj,
     tensor_to_obj,
@@ -142,6 +145,63 @@ class TestBigruEncode:
             bigru_encode([], p, p)
 
 
+class TestGruFinalStates:
+    """The batched kernel against chains of the tape's gru_step."""
+
+    def random_gru(self, rng, d_x, d_h):
+        p = init_gru(d_x, d_h, rng)
+        for node in (p.b_r, p.b_u, p.b):
+            node.value[...] = rng.uniform(-1, 1, d_h)
+        return p
+
+    def chain(self, x, start, stop, p, reverse):
+        h = Node(np.zeros(p.d_h))
+        for i in (range(stop - 1, start - 1, -1) if reverse else range(start, stop)):
+            h = gru_step(x[i], h, p)
+        return h.value
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_gru_step_chains(self, reverse):
+        rng = np.random.default_rng(8)
+        p = self.random_gru(rng, 3, 4)
+        x = rng.uniform(-2, 2, (30, 3))
+        # unsorted lengths, ties, a one-step sequence, overlapping spans
+        spans = [(0, 4), (4, 13), (13, 14), (14, 30), (2, 6), (20, 29)]
+        got = gru_final_states(x, spans, p, reverse=reverse)
+        assert got.shape == (len(spans), 4)
+        for row, (start, stop) in zip(got, spans):
+            np.testing.assert_allclose(row, self.chain(x, start, stop, p, reverse), rtol=0, atol=1e-14)
+
+    def test_empty_batch(self):
+        p = zero_gru(2, 3)
+        assert gru_final_states(np.zeros((0, 2)), np.zeros((0, 2)), p).shape == (0, 3)
+
+    def test_empty_sequence_rejected(self):
+        p = zero_gru(2, 3)
+        with pytest.raises(EmptySequence):
+            gru_final_states(np.ones((3, 2)), [(0, 2), (2, 2)], p)
+
+    def test_non_finite_rejected(self):
+        p = zero_gru(2, 3)
+        x = np.ones((3, 2))
+        x[1, 0] = np.inf
+        with pytest.raises(NonFiniteInput):
+            gru_final_states(x, [(0, 3)], p)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            gru_final_states(np.ones((3, 5)), [(0, 3)], zero_gru(2, 3))
+
+    def test_saturated_gates_stay_finite(self):
+        # the branch-free sigmoid must not overflow at extreme pre-activations
+        p = zero_gru(1, 1)
+        p.w_r.value[...] = p.w_u.value[...] = p.w.value[...] = 1e3
+        x = np.array([[1e3], [-1e3], [1e3]])
+        with np.errstate(over="raise"):
+            got = gru_final_states(x, [(0, 3)], p)
+        np.testing.assert_allclose(got, [self.chain(x, 0, 3, p, False)], atol=1e-14)
+
+
 class TestDense:
     def test_identity(self):
         p = DenseParams(Node(np.eye(3)), Node(np.zeros(3)), LINEAR)
@@ -169,6 +229,20 @@ class TestDense:
         p = DenseParams(Node(np.zeros((2, 3))), Node(np.zeros(2)), LINEAR)
         with pytest.raises(ShapeMismatch):
             dense(np.zeros(4), p)
+        with pytest.raises(ShapeMismatch):
+            dense_rows(np.zeros((2, 4)), p)
+
+    @pytest.mark.parametrize("activation", [TANH, LINEAR])
+    def test_rows_match_dense_and_softmax(self, activation):
+        rng = np.random.default_rng(6)
+        p = init_dense(4, 2, activation, rng)
+        p.b.value[...] = rng.uniform(-1, 1, 2)
+        x = rng.uniform(-3, 3, (7, 4))
+        y = dense_rows(x, p)
+        probs = softmax_rows(y)
+        for i in range(len(x)):
+            np.testing.assert_allclose(y[i], dense(x[i], p).value, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(probs[i], softmax(y[i]))
 
 
 class TestSoftmaxXent:
