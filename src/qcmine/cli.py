@@ -2,8 +2,8 @@
 
 Subcommands: parse, filter-train, filter, train, eval, ensemble-eval,
 mine, stats, merge. A JSON config file (sections: tokenize, vocab, model,
-train, mine) carries everything not given as a flag. The dump is JSON
-Lines, one record per question:
+train) carries everything not given as a flag. The dump is JSON Lines, one
+record per question:
 
     {"question_id": int, "title": str, "tags": [str],
      "question_body_html": str, "accepted_answer_html": str}
@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -107,7 +108,6 @@ DEFAULT_CONFIG = {
         "linear_epochs": 30,
         "linear_lr": 0.1,
     },
-    "mine": {},
 }
 
 
@@ -148,22 +148,34 @@ _REQUIRED_FIELDS = ("question_id", "title", "tags", "accepted_answer_html")
 
 def _type_error(record: dict) -> str | None:
     """Why a record's fields have the wrong JSON type, or None."""
+    qid = record["question_id"]
+    # bool is an int to Python, and floats (7.9, NaN, Infinity) are not ids
+    if isinstance(qid, bool) or not isinstance(qid, (int, str)):
+        return "question_id must be an integer or a numeric string"
     for name in ("title", "accepted_answer_html"):
         if not isinstance(record[name], str):
             return f"{name} must be a string"
     tags = record["tags"]
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         return "tags must be a list of strings"
-    if not isinstance(record.get("question_body_html", ""), (str, type(None))):
+    body = record.get("question_body_html", "")
+    if not isinstance(body, (str, type(None))):
         return "question_body_html must be a string or null"
+    try:
+        # A lone surrogate (a "\ud800" escape, or a byte that is not UTF-8)
+        # cannot be written to the UTF-8 outputs.
+        for text in (record["title"], record["accepted_answer_html"], body or "", *tags):
+            text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "text is not valid Unicode"
     return None
 
 
 def read_dump(path):
     """Yield (record, error) pairs; malformed lines, including records whose
-    fields have the wrong JSON type, yield (None, DumpParseError) so callers
-    can count skips without aborting."""
-    with open(path, encoding="utf-8") as f:
+    fields have the wrong JSON type or are not valid UTF-8, yield
+    (None, DumpParseError) so callers can count skips without aborting."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, 1):
             if not line.strip():
                 continue
@@ -179,16 +191,48 @@ def read_dump(path):
             if missing:
                 yield None, DumpParseError(f"line {line_no}: missing fields {missing}")
                 continue
-            try:
-                record["question_id"] = int(record["question_id"])
-            except (TypeError, ValueError):
-                yield None, DumpParseError(f"line {line_no}: non-integer question_id")
-                continue
             problem = _type_error(record)
+            if problem is None:
+                try:
+                    record["question_id"] = int(record["question_id"])
+                except ValueError:
+                    problem = "non-integer question_id"
             if problem:
                 yield None, DumpParseError(f"line {line_no}: {problem}")
                 continue
             yield record, None
+
+
+def read_answers(path, report, skip=None):
+    """Yield (record, parsed accepted answer) for each usable dump record.
+
+    The one path from a dump line to a parsed answer. Adds to ``report``:
+    ``records`` per line, ``parse_errors`` per malformed record or empty
+    answer, and the key ``skip(record)`` returns for a record it drops
+    before its answer is parsed (None keeps the record).
+    """
+    for record, err in read_dump(path):
+        report["records"] += 1
+        if err:
+            report["parse_errors"] += 1
+            continue
+        reason = skip(record) if skip else None
+        if reason:
+            report[reason] += 1
+            continue
+        try:
+            seq = parse_answer_post(record["accepted_answer_html"], record["question_id"])
+        except EmptyPost:
+            report["parse_errors"] += 1
+            continue
+        yield record, seq
+
+
+def _unlabeled(*label_maps):
+    """A ``read_answers`` skip test that drops questions no label map names."""
+    return lambda record: (
+        None if any(record["question_id"] in m for m in label_maps) else "not_labeled"
+    )
 
 
 def domain_matches(tags, language: Language) -> bool:
@@ -200,34 +244,42 @@ def domain_matches(tags, language: Language) -> bool:
     return False
 
 
-def read_annotation_csv(path) -> dict[int, dict[int, int]]:
-    """CSV (question_id, code_position, label) -> {qid: {position: label}}."""
-    labels: dict[int, dict[int, int]] = {}
+def _csv_rows(path):
+    """Yield ("file:line", row) for each row whose first field is an
+    integer; a header and blank rows are skipped."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         for row in reader:
-            if not row or not row[0].strip() or not row[0].strip().lstrip("-").isdigit():
-                continue  # header or blank
-            where = f"{path}:{reader.line_num}"
-            if len(row) < 3:
-                raise ValueError(f"{where}: expected question_id,code_position,label, got {row}")
-            try:
-                qid, pos, label = int(row[0]), int(row[1]), int(row[2])
-            except ValueError:
-                raise ValueError(f"{where}: non-integer field in {row}") from None
-            if label not in (0, 1):
-                raise ValueError(f"{where}: label must be 0/1, got {label}")
-            labels.setdefault(qid, {})[pos] = label
+            if row and row[0].strip().lstrip("-").isdigit():
+                yield f"{path}:{reader.line_num}", row
+
+
+def read_annotation_csv(path) -> dict[int, dict[int, int]]:
+    """CSV (question_id, code_position, label) -> {qid: {position: label}}."""
+    labels: dict[int, dict[int, int]] = {}
+    for where, row in _csv_rows(path):
+        if len(row) < 3:
+            raise ValueError(f"{where}: expected question_id,code_position,label, got {row}")
+        try:
+            qid, pos, label = int(row[0]), int(row[1]), int(row[2])
+        except ValueError:
+            raise ValueError(f"{where}: non-integer field in {row}") from None
+        if label not in (0, 1):
+            raise ValueError(f"{where}: label must be 0/1, got {label}")
+        labels.setdefault(qid, {})[pos] = label
     return labels
 
 
 def read_question_labels_csv(path) -> dict[int, question_filter.QuestionLabel]:
+    """CSV (question_id, label) with labels howto/other -> {qid: label}."""
     out = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        for row in csv.reader(f):
-            if not row or not row[0].strip().lstrip("-").isdigit():
-                continue
+    for where, row in _csv_rows(path):
+        if len(row) < 2:
+            raise ValueError(f"{where}: expected question_id,label, got {row}")
+        try:
             out[int(row[0])] = question_filter.QuestionLabel(row[1].strip().lower())
+        except ValueError:
+            raise ValueError(f"{where}: label must be howto or other, got {row[1]!r}") from None
     return out
 
 
@@ -238,38 +290,36 @@ def _parse_or_empty(html: str, qid: int) -> BlockSequence:
         return BlockSequence(qid, [Block(BlockKind.TEXT, "")])
 
 
+def _question_features(record, answer_seq, keywords=None):
+    """The question filter's features of one dump record."""
+    question_seq = _parse_or_empty(record.get("question_body_html", ""), record["question_id"])
+    return question_filter.featurize_question(record["title"], question_seq, answer_seq, keywords)
+
+
 # --------------------------------------------------------------------------
 # Dataset assembly
 # --------------------------------------------------------------------------
 
 
-def load_labeled_instances(dump_path, labels_by_qid, language: Language):
-    """Extract labeled instances for training/evaluation.
+def load_labeled_instances(dump_path, label_maps, language: Language):
+    """Extract labeled instances for training/evaluation in one pass.
 
-    Returns (instances, report). Positions without an adopted label are
-    dropped; label positions that do not exist raise PositionMismatch.
+    ``label_maps`` is a list of {qid: {position: label}} maps; returns one
+    instance list per map. Positions without a label are dropped; label
+    positions that do not exist raise PositionMismatch.
     """
-    instances = []
-    report = {"records": 0, "parse_errors": 0, "matched_questions": 0}
-    for record, err in read_dump(dump_path):
-        report["records"] += 1
-        if err:
-            report["parse_errors"] += 1
-            continue
+    out = [[] for _ in label_maps]
+    for record, seq in read_answers(dump_path, Counter(), _unlabeled(*label_maps)):
         qid = record["question_id"]
-        if qid not in labels_by_qid:
-            continue
-        try:
-            seq = parse_answer_post(record["accepted_answer_html"], qid)
-        except EmptyPost:
-            report["parse_errors"] += 1
-            continue
-        report["matched_questions"] += 1
         tokenize_sequence(seq, language)
-        for inst in extract_instances(record["title"], seq, labels_by_qid[qid], language):
-            if inst.label is not None:
-                instances.append(inst)
-    return instances, report
+        for instances, labels in zip(out, label_maps):
+            if qid in labels:
+                instances.extend(
+                    inst
+                    for inst in extract_instances(record["title"], seq, labels[qid], language)
+                    if inst.label is not None
+                )
+    return out
 
 
 def build_vocabs(instances, min_count: int = 1):
@@ -348,39 +398,27 @@ def mine(
     # answers waiting for the ensemble.
     pending: list = []
     n_pending = 0
+
+    def off_domain(record):
+        return None if domain_matches(record["tags"], language) else "domain_skipped"
+
     abstention_path = str(out_path) + ".abstentions.jsonl"
     with open(out_path, "w", encoding="utf-8") as out, open(
         abstention_path, "w", encoding="utf-8"
     ) as abstain_out:
-        for record, err in read_dump(dump_path):
-            report["records"] += 1
-            if err:
-                report["parse_errors"] += 1
-                continue
-            if not domain_matches(record["tags"], language):
-                report["domain_skipped"] += 1
-                continue
-            qid = record["question_id"]
-            title = record["title"]
-            try:
-                answer_seq = parse_answer_post(record["accepted_answer_html"], qid)
-            except EmptyPost:
-                report["parse_errors"] += 1
-                continue
+        for record, answer_seq in read_answers(dump_path, report, off_domain):
             code_blocks = answer_seq.code_blocks()
             if not code_blocks:
                 report["no_code"] += 1
                 continue
 
-            question_seq = _parse_or_empty(record.get("question_body_html", ""), qid)
-            feats = question_filter.featurize_question(
-                title, question_seq, answer_seq, qfilter.keywords
-            )
+            feats = _question_features(record, answer_seq, qfilter.keywords)
             label, _ = question_filter.classify_question(feats, qfilter)
             if label is not question_filter.QuestionLabel.HOW_TO:
                 report["non_howto"] += 1
                 continue
 
+            qid, title = record["question_id"], record["title"]
             if len(code_blocks) == 1:
                 pair = MinedPair(qid, title, code_blocks[0].raw, 1, Provenance.SINGLE_CODE)
                 line = pair.to_json() + "\n"
@@ -448,13 +486,7 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
     """
     labels = read_annotation_csv(annotated_csv)
     posts: dict[int, tuple[str, list[str]]] = {}
-    for record, err in read_dump(dump_path):
-        if err or record["question_id"] not in labels:
-            continue
-        try:
-            seq = parse_answer_post(record["accepted_answer_html"], record["question_id"])
-        except EmptyPost:
-            continue
+    for record, seq in read_answers(dump_path, Counter(), _unlabeled(labels)):
         posts[record["question_id"]] = (
             record["title"],
             [b.raw for b in seq.code_blocks()],
@@ -545,8 +577,9 @@ def _variant_config(config: dict, variant: str | None = None) -> VariantConfig:
 
 def train_neural(dump_path, train_csv, valid_csv, config, variant=None, out_path=None):
     language = config_language(config)
-    train_insts, _ = load_labeled_instances(dump_path, read_annotation_csv(train_csv), language)
-    valid_insts, _ = load_labeled_instances(dump_path, read_annotation_csv(valid_csv), language)
+    train_insts, valid_insts = load_labeled_instances(
+        dump_path, [read_annotation_csv(train_csv), read_annotation_csv(valid_csv)], language
+    )
     word_vocab, code_vocab = build_vocabs(train_insts, config["vocab"]["min_count"])
     cfg = _variant_config(config, variant)
     model = models.init_model(
@@ -575,20 +608,13 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None):
     """Train the LR / SVM baseline, including the Python CodeClass
     sub-classifier harvested from the same dump."""
     language = config_language(config)
-    train_insts, _ = load_labeled_instances(dump_path, read_annotation_csv(train_csv), language)
+    (train_insts,) = load_labeled_instances(dump_path, [read_annotation_csv(train_csv)], language)
     section = config["train"]
     connectives = config_connectives(config)
 
     codeclass_model = None
     if language is Language.PYTHON:
-        sequences = []
-        for record, err in read_dump(dump_path):
-            if err:
-                continue
-            try:
-                sequences.append(parse_answer_post(record["accepted_answer_html"], record["question_id"]))
-            except EmptyPost:
-                continue
+        sequences = (seq for _, seq in read_answers(dump_path, Counter()))
         corpus = baselines.harvest_codeclass_corpus(sequences, seed=section["seed"])
         if len({label for _, label in corpus}) == 2:
             streams = [(normalize_code(raw, language), label) for raw, label in corpus]
@@ -662,8 +688,7 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     """Evaluate any checkpoint (neural or linear) plus the two heuristics
     on a labeled set."""
     language = config_language(config)
-    labels = read_annotation_csv(labels_csv)
-    instances, _ = load_labeled_instances(dump_path, labels, language)
+    (instances,) = load_labeled_instances(dump_path, [read_annotation_csv(labels_csv)], language)
     golds = [inst.label for inst in instances]
 
     with open(checkpoint_path, encoding="utf-8") as f:
@@ -674,24 +699,13 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     else:
         preds = train_eval.predict_labels(models.load_model(checkpoint_path), instances)
 
-    first_preds, all_preds = [], []
-    for record, err in read_dump(dump_path):
-        if err or record["question_id"] not in labels:
-            continue
-        try:
-            seq = parse_answer_post(record["accepted_answer_html"], record["question_id"])
-        except EmptyPost:
-            continue
-        by_pos = labels[record["question_id"]]
-        sf = train_eval.select_first(seq)
-        sa = train_eval.select_all(seq)
-        for pos in sorted(by_pos):
-            first_preds.append(sf[pos - 1])
-            all_preds.append(sa[pos - 1])
+    # The heuristics of train_eval.select_first / select_all, which depend
+    # only on a block's position.
+    first_preds = [1 if inst.position == 1 else 0 for inst in instances]
     return {
         "model": evaluate(preds, golds).to_dict(),
         "select_first": evaluate(first_preds, golds).to_dict(),
-        "select_all": evaluate(all_preds, golds).to_dict(),
+        "select_all": evaluate([1] * len(instances), golds).to_dict(),
         "instances": len(instances),
     }
 
@@ -700,7 +714,7 @@ def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, con
     """Agreement-ensemble coverage and quality on a labeled set."""
     language = config_language(config)
     biv, text, code = _load_ensemble(biv_path, text_path, code_path)
-    instances, _ = load_labeled_instances(dump_path, read_annotation_csv(labels_csv), language)
+    (instances,) = load_labeled_instances(dump_path, [read_annotation_csv(labels_csv)], language)
     decided_preds, decided_golds = [], []
     abstained = 0
     for chunk in train_eval.chunked(instances):
@@ -727,18 +741,14 @@ def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, con
 # --------------------------------------------------------------------------
 
 
-def cmd_parse(args):
-    n_ok = n_err = 0
+# Each cmd_* takes the parsed arguments and the loaded config and returns
+# the JSON report that ``main`` prints.
+
+
+def cmd_parse(args, config):
+    report = Counter()
     with open(args.out, "w", encoding="utf-8") as out:
-        for record, err in read_dump(args.dump):
-            if err:
-                n_err += 1
-                continue
-            try:
-                seq = parse_answer_post(record["accepted_answer_html"], record["question_id"])
-            except EmptyPost:
-                n_err += 1
-                continue
+        for record, seq in read_answers(args.dump, report):
             out.write(
                 json.dumps(
                     {
@@ -751,13 +761,10 @@ def cmd_parse(args):
                 )
                 + "\n"
             )
-            n_ok += 1
-    print(json.dumps({"parsed": n_ok, "skipped": n_err}))
-    return 0
+    return {"parsed": report["records"] - report["parse_errors"], "skipped": report["parse_errors"]}
 
 
-def cmd_filter_train(args):
-    config = load_config(args.config)
+def cmd_filter_train(args, config):
     labels = read_question_labels_csv(args.labels)
     section = config["train"]
     labeled = []
@@ -765,9 +772,7 @@ def cmd_filter_train(args):
         if err or record["question_id"] not in labels:
             continue
         answer_seq = _parse_or_empty(record["accepted_answer_html"], record["question_id"])
-        question_seq = _parse_or_empty(record.get("question_body_html", ""), record["question_id"])
-        feats = question_filter.featurize_question(record["title"], question_seq, answer_seq)
-        labeled.append((feats, labels[record["question_id"]]))
+        labeled.append((_question_features(record, answer_seq), labels[record["question_id"]]))
     model = question_filter.train_question_filter(
         labeled, l2=section["l2"], epochs=section["linear_epochs"],
         lr=section["linear_lr"], seed=section["seed"],
@@ -778,22 +783,19 @@ def cmd_filter_train(args):
         for f, _ in labeled
     ]
     golds = [1 if lab is question_filter.QuestionLabel.HOW_TO else 0 for _, lab in labeled]
-    print(json.dumps({"train_metrics": evaluate(preds, golds).to_dict(), "questions": len(labeled)}))
-    return 0
+    return {"train_metrics": evaluate(preds, golds).to_dict(), "questions": len(labeled)}
 
 
-def cmd_filter(args):
+def cmd_filter(args, config):
     model = question_filter.QuestionFilterModel.load(args.model)
-    n = 0
+    report = {"classified": 0, "skipped": 0}
     with open(args.out, "w", encoding="utf-8") as out:
         for record, err in read_dump(args.dump):
             if err:
+                report["skipped"] += 1
                 continue
             answer_seq = _parse_or_empty(record["accepted_answer_html"], record["question_id"])
-            question_seq = _parse_or_empty(record.get("question_body_html", ""), record["question_id"])
-            feats = question_filter.featurize_question(
-                record["title"], question_seq, answer_seq, model.keywords
-            )
+            feats = _question_features(record, answer_seq, model.keywords)
             label, prob = question_filter.classify_question(feats, model)
             out.write(
                 json.dumps(
@@ -802,145 +804,81 @@ def cmd_filter(args):
                 )
                 + "\n"
             )
-            n += 1
-    print(json.dumps({"classified": n}))
-    return 0
+            report["classified"] += 1
+    return report
 
 
-def cmd_train(args):
-    config = load_config(args.config)
-    apply_tokenize_config(config)
+def cmd_train(args, config):
     variant = args.variant or config["model"]["variant"]
     if variant in ("lr", "svm"):
         kind = baselines.LOGISTIC if variant == "lr" else baselines.HINGE_SVM
         bundle = train_linear_baseline(args.dump, args.train_labels, config, kind, args.out)
-        if args.valid_labels:
-            language = config_language(config)
-            insts, _ = load_labeled_instances(
-                args.dump, read_annotation_csv(args.valid_labels), language
-            )
-            preds = [bundle.predict(inst)[0] for inst in insts]
-            print(json.dumps({"valid_metrics": evaluate(preds, [i.label for i in insts]).to_dict()}))
-        else:
-            print(json.dumps({"trained": variant}))
-        return 0
+        if not args.valid_labels:
+            return {"trained": variant}
+        (insts,) = load_labeled_instances(
+            args.dump, [read_annotation_csv(args.valid_labels)], config_language(config)
+        )
+        preds = [bundle.predict(inst)[0] for inst in insts]
+        return {"valid_metrics": evaluate(preds, [i.label for i in insts]).to_dict()}
     if not args.valid_labels:
         raise SystemExit("neural training requires --valid-labels")
     _, history = train_neural(
         args.dump, args.train_labels, args.valid_labels, config, variant, args.out
     )
-    last = history[-1]
     best = max(history, key=lambda h: h.valid.f1)
-    print(
-        json.dumps(
-            {
-                "epochs": last.epoch,
-                "best_epoch": best.epoch,
-                "best_valid": best.valid.to_dict(),
-            }
-        )
-    )
-    return 0
-
-
-def cmd_eval(args):
-    config = load_config(args.config)
-    apply_tokenize_config(config)
-    print(json.dumps(evaluate_checkpoint(args.dump, args.labels, args.checkpoint, config)))
-    return 0
-
-
-def cmd_ensemble_eval(args):
-    config = load_config(args.config)
-    apply_tokenize_config(config)
-    print(
-        json.dumps(
-            ensemble_evaluate(args.dump, args.labels, args.biv, args.text, args.code, config)
-        )
-    )
-    return 0
-
-
-def cmd_mine(args):
-    config = load_config(args.config)
-    apply_tokenize_config(config)
-    report = mine(args.dump, args.biv, args.text, args.code, args.filter_model, args.out, config)
-    print(json.dumps(report, sort_keys=True))
-    return 0
-
-
-def cmd_stats(args):
-    config = load_config(args.config)
-    apply_tokenize_config(config)
-    print(json.dumps(dataset_stats(args.dataset, config_language(config)), sort_keys=True))
-    return 0
-
-
-def cmd_merge(args):
-    report = merge_annotated(args.mined, args.annotated, args.dump, args.out)
-    print(json.dumps(report, sort_keys=True))
-    return 0
+    return {
+        "epochs": history[-1].epoch,
+        "best_epoch": best.epoch,
+        "best_valid": best.valid.to_dict(),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcmine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *specs):
+    def add(name, fn, required, optional=("--config",)):
         p = sub.add_parser(name)
-        for flags, kwargs in specs:
-            p.add_argument(flags, **kwargs)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        for flag in optional:
+            p.add_argument(flag, default=None)
         p.set_defaults(fn=fn)
-        return p
 
-    opt_config = ("--config", {"default": None})
-    add("parse", cmd_parse, ("--dump", {"required": True}), ("--out", {"required": True}), opt_config)
+    add("parse", cmd_parse, ["--dump", "--out"])
+    add("filter-train", cmd_filter_train, ["--dump", "--labels", "--out"])
+    add("filter", cmd_filter, ["--dump", "--model", "--out"])
     add(
-        "filter-train", cmd_filter_train,
-        ("--dump", {"required": True}), ("--labels", {"required": True}),
-        ("--out", {"required": True}), opt_config,
+        "train", cmd_train, ["--dump", "--train-labels", "--out"],
+        ["--valid-labels", "--variant", "--config"],
     )
     add(
-        "filter", cmd_filter,
-        ("--dump", {"required": True}), ("--model", {"required": True}),
-        ("--out", {"required": True}), opt_config,
+        "eval", lambda a, c: evaluate_checkpoint(a.dump, a.labels, a.checkpoint, c),
+        ["--dump", "--labels", "--checkpoint"],
     )
     add(
-        "train", cmd_train,
-        ("--dump", {"required": True}), ("--train-labels", {"required": True}),
-        ("--valid-labels", {"default": None}), ("--variant", {"default": None}),
-        ("--out", {"required": True}), opt_config,
+        "ensemble-eval",
+        lambda a, c: ensemble_evaluate(a.dump, a.labels, a.biv, a.text, a.code, c),
+        ["--dump", "--labels", "--biv", "--text", "--code"],
     )
     add(
-        "eval", cmd_eval,
-        ("--dump", {"required": True}), ("--labels", {"required": True}),
-        ("--checkpoint", {"required": True}), opt_config,
+        "mine", lambda a, c: mine(a.dump, a.biv, a.text, a.code, a.filter_model, a.out, c),
+        ["--dump", "--biv", "--text", "--code", "--filter-model", "--out"],
     )
+    add("stats", lambda a, c: dataset_stats(a.dataset, config_language(c)), ["--dataset"])
     add(
-        "ensemble-eval", cmd_ensemble_eval,
-        ("--dump", {"required": True}), ("--labels", {"required": True}),
-        ("--biv", {"required": True}), ("--text", {"required": True}),
-        ("--code", {"required": True}), opt_config,
-    )
-    add(
-        "mine", cmd_mine,
-        ("--dump", {"required": True}), ("--biv", {"required": True}),
-        ("--text", {"required": True}), ("--code", {"required": True}),
-        ("--filter-model", {"required": True}), ("--out", {"required": True}),
-        opt_config,
-    )
-    add("stats", cmd_stats, ("--dataset", {"required": True}), opt_config)
-    add(
-        "merge", cmd_merge,
-        ("--mined", {"required": True}), ("--annotated", {"required": True}),
-        ("--dump", {"required": True}), ("--out", {"required": True}),
+        "merge", lambda a, c: merge_annotated(a.mined, a.annotated, a.dump, a.out),
+        ["--mined", "--annotated", "--dump", "--out"], optional=(),
     )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    config = load_config(getattr(args, "config", None))  # merge takes no --config
+    apply_tokenize_config(config)
+    print(json.dumps(args.fn(args, config), sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

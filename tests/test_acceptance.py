@@ -429,16 +429,9 @@ def test_criterion_8_reference_quality(language, f1_target, coverage_target, tmp
 
         from qcmine.train_eval import evaluate_model
 
-        train_insts, _ = cli.load_labeled_instances(
-            paths["dump.jsonl"], cli.read_annotation_csv(paths["train.csv"]),
-            cli.config_language(base),
-        )
-        valid_insts, _ = cli.load_labeled_instances(
-            paths["dump.jsonl"], cli.read_annotation_csv(paths["valid.csv"]),
-            cli.config_language(base),
-        )
-        test_insts, _ = cli.load_labeled_instances(
-            paths["dump.jsonl"], cli.read_annotation_csv(paths["test.csv"]),
+        train_insts, valid_insts, test_insts = cli.load_labeled_instances(
+            paths["dump.jsonl"],
+            [cli.read_annotation_csv(paths[name]) for name in ("train.csv", "valid.csv", "test.csv")],
             cli.config_language(base),
         )
         word_vocab, code_vocab = cli.build_vocabs(train_insts)

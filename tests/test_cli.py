@@ -1,10 +1,14 @@
+import contextlib
 import importlib.util
+import io
 import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
 from qcmine import cli, train_eval
@@ -56,6 +60,7 @@ WRONG_TYPED = [
     dump_record(502, 5, ["python"], SINGLE_HTML),
     dump_record(503, "How to frob", ["python", 3], SINGLE_HTML),
     dump_record(504, "How to frob", ["python"], SINGLE_HTML, question_html=7),
+    dump_record(505, "How to \ud800 frob", ["python"], SINGLE_HTML),
     [1, 2],
     7,
     "question_id title tags accepted_answer_html",
@@ -97,6 +102,36 @@ class TestWrongTypedRecords:
         path.write_text(json.dumps(record) + "\n")
         assert [err for _, err in cli.read_dump(path)] == [None]
 
+    def test_bytes_that_are_not_utf8_skipped(self, tmp_path, capsys):
+        path = tmp_path / "dump.jsonl"
+        record = json.dumps(dump_record(1, "How to frob", ["python"], SINGLE_HTML))
+        path.write_bytes(record.replace("frob", "fr\xffob").encode("latin-1") + b"\n\xff\n")
+        cli.main(["parse", "--dump", str(path), "--out", str(tmp_path / "blocks.jsonl")])
+        assert json.loads(capsys.readouterr().out) == {"parsed": 0, "skipped": 2}
+
+
+class TestQuestionIds:
+    """A question id is a JSON integer or a string int() accepts."""
+
+    def one_record_dump(self, tmp_path, raw_id):
+        path = tmp_path / "dump.jsonl"
+        record = json.dumps(dump_record(0, "How to frob", ["python"], SINGLE_HTML))
+        path.write_text(record.replace('"question_id": 0', f'"question_id": {raw_id}') + "\n")
+        return path
+
+    @pytest.mark.parametrize("raw", ["true", "false", "7.9", "7.0", "NaN", "Infinity", "-Infinity"])
+    def test_refused_and_counted(self, tmp_path, capsys, raw):
+        path = self.one_record_dump(tmp_path, raw)
+        [(record, err)] = cli.read_dump(path)
+        assert record is None and "question_id" in str(err)
+        cli.main(["parse", "--dump", str(path), "--out", str(tmp_path / "blocks.jsonl")])
+        assert json.loads(capsys.readouterr().out) == {"parsed": 0, "skipped": 1}
+
+    @pytest.mark.parametrize("raw", ["7", '"7"', '" 7 "'])
+    def test_accepted(self, tmp_path, raw):
+        [(record, err)] = cli.read_dump(self.one_record_dump(tmp_path, raw))
+        assert err is None and record["question_id"] == 7
+
 
 class TestAnnotationCsv:
     @pytest.mark.parametrize("row", ["101,1", "101", "101,x,1", "101,1,1.5"])
@@ -112,10 +147,28 @@ class TestAnnotationCsv:
         assert cli.read_annotation_csv(path) == {100: {1: 1, 2: 0}, 101: {1: 0}}
 
 
+class TestQuestionLabelCsv:
+    @pytest.mark.parametrize("row", ["101", "101,maybe", "101,"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "qlabels.csv"
+        path.write_text(f"question_id,label\n100,howto\n{row}\n")
+        with pytest.raises(ValueError, match=r"qlabels\.csv:3: "):
+            cli.read_question_labels_csv(path)
+
+    def test_good_rows(self, tmp_path):
+        path = tmp_path / "qlabels.csv"
+        path.write_text("question_id,label\n100,howto\n\n101, Other\n")
+        assert cli.read_question_labels_csv(path) == {
+            100: cli.question_filter.QuestionLabel.HOW_TO,
+            101: cli.question_filter.QuestionLabel.NON_HOW_TO,
+        }
+
+
 class TestFilter:
     def test_filter_learns_howto_keyword(self, ws, capsys):
         out = ws["root"] / "filtered.jsonl"
         cli.main(["filter", "--dump", str(ws["dump"]), "--model", str(ws["filter"]), "--out", str(out)])
+        assert json.loads(capsys.readouterr().out) == {"classified": 28, "skipped": 2}
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         by_qid = {r["question_id"]: r["label"] for r in rows}
         assert by_qid[100] == "howto"
@@ -144,6 +197,28 @@ class TestTrainEval:
         assert report["select_all"]["recall"] == 1.0
         assert report["select_all"]["precision"] == 0.5
         assert report["select_first"]["f1"] == 1.0  # position 1 is always the solution here
+
+    def test_eval_heuristics_match_train_eval(self, ws, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"  # position 1 of 110 and 112 unlabeled
+        labels.write_text("question_id,code_position,label\n110,2,0\n111,1,1\n111,2,0\n112,2,1\n")
+        cli.main(
+            [
+                "eval", "--dump", str(ws["dump"]), "--labels", str(labels),
+                "--checkpoint", str(ws["biv_hnn"]), "--config", str(ws["config"]),
+            ]
+        )
+        report = json.loads(capsys.readouterr().out)
+        records = {r["question_id"]: r for r, err in cli.read_dump(ws["dump"]) if not err}
+        first, every, golds = [], [], []
+        for qid, by_pos in cli.read_annotation_csv(labels).items():
+            seq = parse_answer_post(records[qid]["accepted_answer_html"], qid)
+            for pos, label in sorted(by_pos.items()):
+                first.append(train_eval.select_first(seq)[pos - 1])
+                every.append(train_eval.select_all(seq)[pos - 1])
+                golds.append(label)
+        assert report["instances"] == 4
+        assert report["select_first"] == train_eval.evaluate(first, golds).to_dict()
+        assert report["select_all"] == train_eval.evaluate(every, golds).to_dict()
 
     def test_linear_bundle_persists_connectives(self, ws, tmp_path):
         bundle = cli.train_linear_baseline(
@@ -345,6 +420,101 @@ class TestChunkedMining:
                 assert g == w
                 assert [a is None for a in g_scores] == [b is None for b in w_scores]
                 assert all(a is None or abs(a - b) <= 1e-12 for a, b in zip(g_scores, w_scores))
+
+
+class TestReadsDumpOnce:
+    def test_each_command_reads_the_dump_once(self, ws, tmp_path, monkeypatch):
+        reads = []
+        read_dump = cli.read_dump
+
+        def counting(path):
+            reads.append(path)
+            return read_dump(path)
+
+        monkeypatch.setattr(cli, "read_dump", counting)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"d_embed": 4, "d_token_gru": 3, "d_block": 3},
+            "train": {"batch_size": 8, "max_epochs": 1},
+        }))
+        dump, out = str(ws["dump"]), str(tmp_path / "out.jsonl")
+        voters = ["--biv", str(ws["biv_hnn"]), "--text", str(ws["text_hnn"]), "--code", str(ws["code_hnn"])]
+        commands = {
+            "parse": ["parse", "--dump", dump, "--out", out],
+            "filter": ["filter", "--dump", dump, "--model", str(ws["filter"]), "--out", out],
+            "filter-train": [
+                "filter-train", "--dump", dump, "--labels", str(ws["qlabels"]),
+                "--out", str(tmp_path / "filter.json"),
+            ],
+            "eval": ["eval", "--dump", dump, "--labels", str(ws["valid"]),
+                     "--checkpoint", str(ws["biv_hnn"])],
+            "ensemble-eval": ["ensemble-eval", "--dump", dump, "--labels", str(ws["valid"]), *voters],
+            "mine": ["mine", "--dump", dump, *voters, "--filter-model", str(ws["filter"]), "--out", out],
+            "merge": ["merge", "--mined", out, "--annotated", str(ws["train"]), "--dump", dump,
+                      "--out", str(tmp_path / "merged.jsonl")],
+            "train": ["train", "--dump", dump, "--train-labels", str(ws["train"]),
+                      "--valid-labels", str(ws["valid"]), "--variant", "biv_hnn",
+                      "--out", str(tmp_path / "biv.json"), "--config", str(config)],
+        }
+        for name, argv in commands.items():
+            reads.clear()
+            cli.main(argv)
+            assert reads == [dump], name
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()  # floats include NaN and Infinity
+    | st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+GOOD_FIELDS = {
+    "question_id": st.integers(1, 50) | st.just("7"),
+    "title": st.sampled_from(["How to frob the widget", "Why does it explode"]),
+    "tags": st.sampled_from([["python"], ["sql"]]),
+    "question_body_html": st.just("<p>context</p>"),
+    "accepted_answer_html": st.sampled_from([SOLUTION_HTML, SINGLE_HTML, "<p>no code</p>"]),
+}
+
+
+@st.composite
+def dump_lines(draw):
+    """A dump line: mostly records whose fields are well formed, arbitrary
+    JSON values or missing; also other JSON values and text that is not JSON."""
+    kind = draw(st.sampled_from(["record", "record", "record", "value", "text"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "text":
+        return "{" + draw(st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\r\n")))
+    record = {}
+    for name, good in GOOD_FIELDS.items():
+        field = draw(st.sampled_from(["good"] * 5 + ["any", "missing"]))
+        if field != "missing":
+            record[name] = draw(good if field == "good" else JSON_VALUES)
+    return json.dumps(record)
+
+
+class TestFuzzedDump:
+    @settings(max_examples=50, deadline=None)
+    @given(lines=st.lists(dump_lines(), min_size=1, max_size=12))
+    def test_commands_finish_and_count_every_line(self, ws, lines):
+        dump = ws["root"] / "fuzz_dump.jsonl"
+        dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = str(ws["root"] / "fuzz_out.jsonl")
+        voters = ["--biv", str(ws["biv_hnn"]), "--text", str(ws["text_hnn"]), "--code", str(ws["code_hnn"])]
+
+        def run(*argv):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                cli.main([*argv, "--dump", str(dump), "--out", out])
+            return json.loads(buf.getvalue())
+
+        parsed = run("parse")
+        assert parsed["parsed"] + parsed["skipped"] == len(lines)
+        classified = run("filter", "--model", str(ws["filter"]))
+        assert classified["classified"] + classified["skipped"] == len(lines)
+        mined = run("mine", *voters, "--filter-model", str(ws["filter"]), "--config", str(ws["config"]))
+        assert mined["records"] == len(lines)
 
 
 class TestBenchHooks:
