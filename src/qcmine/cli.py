@@ -510,20 +510,29 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
 
     report = {"mined_kept": 0, "mined_replaced": 0, "annotated_added": len(annotated)}
     with open(out_path, "w", encoding="utf-8") as out:
-        with open(mined_path, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                pair = MinedPair.from_json(line)
-                if (pair.question_id, pair.position) in annotated:
-                    report["mined_replaced"] += 1
-                    continue
-                out.write(pair.to_json() + "\n")
-                report["mined_kept"] += 1
+        for pair in read_pairs(mined_path):
+            if (pair.question_id, pair.position) in annotated:
+                report["mined_replaced"] += 1
+                continue
+            out.write(pair.to_json() + "\n")
+            report["mined_kept"] += 1
         for key in sorted(annotated):
             out.write(annotated[key].to_json() + "\n")
     report["total"] = report["mined_kept"] + report["annotated_added"]
     return report
+
+
+def read_pairs(path):
+    """The MinedPair of every non-blank line of a pairs file. A line that
+    is not a pair raises a ValueError naming ``file:line``."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                yield MinedPair.from_json(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: not a mined pair: {exc!r}") from exc
 
 
 def dataset_stats(dataset_path, language: Language = Language.PYTHON) -> dict:
@@ -534,19 +543,15 @@ def dataset_stats(dataset_path, language: Language = Language.PYTHON) -> dict:
     code_tokens = 0
     distinct_q: set[str] = set()
     distinct_c: set[str] = set()
-    with open(dataset_path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            pair = MinedPair.from_json(line)
-            n += 1
-            by_provenance[pair.provenance.value] += 1
-            q_toks = tokenize_text(pair.title).tokens
-            c_toks = normalize_code(pair.code, language).tokens
-            question_tokens += len(q_toks)
-            code_tokens += len(c_toks)
-            distinct_q.update(q_toks)
-            distinct_c.update(c_toks)
+    for pair in read_pairs(dataset_path):
+        n += 1
+        by_provenance[pair.provenance.value] += 1
+        q_toks = tokenize_text(pair.title).tokens
+        c_toks = normalize_code(pair.code, language).tokens
+        question_tokens += len(q_toks)
+        code_tokens += len(c_toks)
+        distinct_q.update(q_toks)
+        distinct_c.update(c_toks)
     return {
         "pairs": n,
         "by_provenance": by_provenance,
@@ -604,11 +609,18 @@ def train_neural(dump_path, train_csv, valid_csv, config, variant=None, out_path
     return model, history
 
 
-def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None):
+def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, valid_csv=None):
     """Train the LR / SVM baseline, including the Python CodeClass
-    sub-classifier harvested from the same dump."""
+    sub-classifier harvested from the same dump.
+
+    Returns the bundle and, when ``valid_csv`` is given, the validation
+    instances, read in the same pass as the training ones (else None).
+    """
     language = config_language(config)
-    (train_insts,) = load_labeled_instances(dump_path, [read_annotation_csv(train_csv)], language)
+    csvs = [train_csv] + ([valid_csv] if valid_csv else [])
+    train_insts, *valid = load_labeled_instances(
+        dump_path, [read_annotation_csv(path) for path in csvs], language
+    )
     section = config["train"]
     connectives = config_connectives(config)
 
@@ -641,7 +653,7 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None):
     bundle = LinearBundle(linear, registry, codeclass_model, connectives)
     if out_path:
         bundle.save(out_path)
-    return bundle
+    return bundle, (valid[0] if valid else None)
 
 
 @dataclass
@@ -812,12 +824,11 @@ def cmd_train(args, config):
     variant = args.variant or config["model"]["variant"]
     if variant in ("lr", "svm"):
         kind = baselines.LOGISTIC if variant == "lr" else baselines.HINGE_SVM
-        bundle = train_linear_baseline(args.dump, args.train_labels, config, kind, args.out)
-        if not args.valid_labels:
-            return {"trained": variant}
-        (insts,) = load_labeled_instances(
-            args.dump, [read_annotation_csv(args.valid_labels)], config_language(config)
+        bundle, insts = train_linear_baseline(
+            args.dump, args.train_labels, config, kind, args.out, args.valid_labels
         )
+        if insts is None:
+            return {"trained": variant}
         preds = [bundle.predict(inst)[0] for inst in insts]
         return {"valid_metrics": evaluate(preds, [i.label for i in insts]).to_dict()}
     if not args.valid_labels:
@@ -830,6 +841,7 @@ def cmd_train(args, config):
         "epochs": history[-1].epoch,
         "best_epoch": best.epoch,
         "best_valid": best.valid.to_dict(),
+        "history": [h.to_dict() for h in history],
     }
 
 

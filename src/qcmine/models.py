@@ -24,14 +24,13 @@ from .nn_core import (
     DenseParams,
     GruParams,
     Node,
-    bigru_encode,
+    bigru_encode,  # noqa: F401  unused here; bench/run.py traces models.bigru_encode by name
     concat,
-    dense,
     dense_rows,
-    embedding_row,
     gru_final_states,
     softmax,
     softmax_rows,
+    take_rows,
 )
 from .post_parser import CodeContextInstance
 from .vocab_embed import CODEBLOCK_TOKEN, Vocabulary, load_embeddings
@@ -246,51 +245,8 @@ def init_model(
 
 
 # --------------------------------------------------------------------------
-# Forward passes
+# Forward pass
 # --------------------------------------------------------------------------
-
-
-def _encode_ids(ids, emb: Node, gru: BiGru):
-    xs = [embedding_row(emb, i) for i in ids]
-    return bigru_encode(xs, gru.fwd, gru.bwd)
-
-
-def _encode_concat(ids, emb, gru) -> Node:
-    f, b, _ = _encode_ids(ids, emb, gru)
-    return concat(f, b)
-
-
-def _text_block_vec(model: ModelParameters, tokens) -> Node:
-    if not tokens:
-        return model.empty_block
-    ids = model.word_vocab.lookup_all(tokens)
-    return _encode_concat(ids, model.word_emb, model.text_token)
-
-
-def _question_vec(model: ModelParameters, tokens) -> Node:
-    encoder = model.question_token or model.text_token
-    if not tokens:
-        if model.empty_block is not None:
-            return model.empty_block
-        return Node(np.zeros(2 * model.config.d_token_gru))
-    ids = model.word_vocab.lookup_all(tokens)
-    return _encode_concat(ids, model.word_emb, encoder)
-
-
-def _code_block_vec(model: ModelParameters, inst: CodeContextInstance) -> Node:
-    """Token-level code representation c_i for the variant."""
-    v = model.config.variant
-    if v is Variant.TEXT_HNN:
-        # code masked by the unified CODEBLOCK vector, learned through the
-        # text encoder's one-step pass
-        ids = model.word_vocab.lookup_all([CODEBLOCK_TOKEN])
-        return _encode_concat(ids, model.word_emb, model.text_token)
-    code_ids = model.code_vocab.lookup_all(inst.code_tokens)
-    v_c = _encode_concat(code_ids, model.code_emb, model.code_token)
-    if v in _USES_QUESTION:
-        v_q = _question_vec(model, inst.question_tokens)
-        return dense(concat(v_q, v_c), model.fusion)
-    return v_c
 
 
 def _check_inputs(model: ModelParameters, instances) -> None:
@@ -301,136 +257,95 @@ def _check_inputs(model: ModelParameters, instances) -> None:
             raise EmptyCode(f"instance at position {inst.position} has no code tokens")
 
 
-def forward_graph(model: ModelParameters, inst: CodeContextInstance):
-    """Build the prediction graph for one instance.
-
-    Returns (logits node, code-representation node z). Training
-    differentiates through this tape; inference uses ``predict_scores``,
-    and the tape is its reference.
-    """
-    _check_inputs(model, [inst])
-    v = model.config.variant
-
-    if v in _HIERARCHICAL or v is Variant.BIV_HFF:
-        s_pre = _text_block_vec(model, inst.pre_tokens)
-        s_post = _text_block_vec(model, inst.post_tokens)
-        c = _code_block_vec(model, inst)
-        if v is Variant.BIV_HFF:
-            z = dense(concat(s_pre, c, s_post), model.block_ff)
-        else:
-            _, _, states = bigru_encode([s_pre, c, s_post], model.block.fwd, model.block.bwd)
-            z = concat(*states[1])  # bidirectional states at the code position
-    elif v is Variant.CODE_HNN:
-        z = _code_block_vec(model, inst)
-    elif v is Variant.TEXT_RNN:
-        word_ids = (
-            model.word_vocab.lookup_all(inst.pre_tokens)
-            + model.word_vocab.lookup_all([CODEBLOCK_TOKEN])
-            + model.word_vocab.lookup_all(inst.post_tokens)
-        )
-        _, _, states = _encode_ids(word_ids, model.word_emb, model.text_token)
-        z = concat(*states[len(inst.pre_tokens)])
-    elif v is Variant.BIV_RNN:
-        xs = [embedding_row(model.word_emb, i) for i in model.word_vocab.lookup_all(inst.pre_tokens)]
-        xs += [embedding_row(model.code_emb, i) for i in model.code_vocab.lookup_all(inst.code_tokens)]
-        xs += [embedding_row(model.word_emb, i) for i in model.word_vocab.lookup_all(inst.post_tokens)]
-        f, b, _ = bigru_encode(xs, model.text_token.fwd, model.text_token.bwd)
-        z = concat(f, b)
-    else:
-        raise ConfigInvalid(f"unhandled variant {v}")
-    logits = dense(z, model.output)
-    return logits, z
-
-
-# --------------------------------------------------------------------------
-# Tape-free batched inference
-# --------------------------------------------------------------------------
-
-
-def _bigru_ends(x: np.ndarray, lengths, gru: BiGru) -> np.ndarray:
+def _bigru_ends(x: Node, lengths, gru: BiGru, grad: bool) -> Node:
     """[last forward state, first backward state] of each sequence, where
     the sequences are consecutive runs of ``lengths`` rows of ``x``."""
     stops = np.cumsum(lengths, dtype=np.intp)
     spans = np.column_stack([stops - lengths, stops])
-    return np.hstack([
-        gru_final_states(x, spans, gru.fwd),
-        gru_final_states(x, spans, gru.bwd, reverse=True),
-    ])
+    return concat(
+        gru_final_states(x, spans, gru.fwd, grad=grad),
+        gru_final_states(x, spans, gru.bwd, reverse=True, grad=grad),
+    )
 
 
-def _token_vectors(model: ModelParameters, token_lists, vocab, emb: Node, gru: BiGru) -> np.ndarray:
-    """One encoder vector per token list. Each distinct non-empty list is
-    encoded once; empty lists get the learned empty-block vector, or zeros
-    in variants without one."""
-    keys = [tuple(tokens) for tokens in token_lists]
-    distinct = list(dict.fromkeys(k for k in keys if k))
+def _bigru_at(x: Node, starts, code_at, stops, gru: BiGru, grad: bool) -> Node:
+    """Bidirectional states at row ``code_at`` of each sequence
+    ``starts:stops`` of ``x``: the forward state after reading up to it and
+    the backward state after reading back down to it."""
+    return concat(
+        gru_final_states(x, np.column_stack([starts, code_at + 1]), gru.fwd, grad=grad),
+        gru_final_states(x, np.column_stack([code_at, stops]), gru.bwd, reverse=True, grad=grad),
+    )
+
+
+def _token_vectors(model: ModelParameters, groups, vocab, emb: Node, gru: BiGru, grad: bool):
+    """One encoder-vector node per group of token lists, a row per list.
+
+    Each distinct non-empty list of all groups is encoded once; empty lists
+    get the learned empty-block vector, or zeros in variants without one.
+    """
+    keys = [[tuple(tokens) for tokens in group] for group in groups]
+    distinct = list(dict.fromkeys(k for group in keys for k in group if k))
     d = 2 * model.config.d_token_gru
-    empty = model.empty_block.value if model.empty_block is not None else np.zeros(d)
-    vectors = np.empty((len(distinct) + 1, d))
     if distinct:
-        ids = [vocab.lookup_all(k) for k in distinct]
-        vectors[:-1] = _bigru_ends(emb.value[np.concatenate(ids)], [len(k) for k in distinct], gru)
-    vectors[-1] = empty
+        ids = np.concatenate([vocab.lookup_all(k) for k in distinct])
+        ends = _bigru_ends(take_rows(emb, ids), [len(k) for k in distinct], gru, grad)
+    else:
+        ends = Node(np.zeros((0, d)))
+    empty = model.empty_block if model.empty_block is not None else Node(np.zeros(d))
     row = {k: i for i, k in enumerate(distinct)}
-    return vectors[[row[k] if k else len(distinct) for k in keys]]
+    return [take_rows(ends, [row[k] if k else -1 for k in group], fill=empty) for group in keys]
 
 
-def _block_vectors(model: ModelParameters, instances):
-    """(s_pre, s_post, c) of a batch, B rows each; the text blocks are None
-    for CODE_HNN, which reads no context.
+def _block_vectors(model: ModelParameters, instances, grad: bool):
+    """(s_pre, s_post, c) nodes of a batch, B rows each; the text blocks are
+    None for CODE_HNN, which reads no context.
 
     Text blocks, titles and the constant <codeblock> sequence share one
     word-encoder call whenever they share its weights, so each distinct one
     is encoded once per batch.
     """
     v = model.config.variant
-    n = len(instances)
-    word_lists = []
+    groups = []
     if v is not Variant.CODE_HNN:
-        word_lists += [inst.pre_tokens for inst in instances]
-        word_lists += [inst.post_tokens for inst in instances]
+        groups += [[inst.pre_tokens for inst in instances], [inst.post_tokens for inst in instances]]
     shared_question = v in _USES_QUESTION and model.question_token is None
     if shared_question:
-        word_lists += [inst.question_tokens for inst in instances]
+        groups.append([inst.question_tokens for inst in instances])
     if v is Variant.TEXT_HNN:
-        word_lists.append([CODEBLOCK_TOKEN])
-    words = _token_vectors(model, word_lists, model.word_vocab, model.word_emb, model.text_token)
-    s_pre, s_post = (None, None) if v is Variant.CODE_HNN else (words[:n], words[n : 2 * n])
-
+        # code masked by the unified CODEBLOCK vector, learned through the
+        # text encoder's one-step pass
+        groups.append([[CODEBLOCK_TOKEN]] * len(instances))
+    words = _token_vectors(
+        model, groups, model.word_vocab, model.word_emb, model.text_token, grad
+    )
+    s_pre, s_post = (None, None) if v is Variant.CODE_HNN else words[:2]
     if v is Variant.TEXT_HNN:
-        return s_pre, s_post, np.repeat(words[-1:], n, axis=0)
-    c = _token_vectors(
-        model, [inst.code_tokens for inst in instances],
-        model.code_vocab, model.code_emb, model.code_token,
+        return s_pre, s_post, words[-1]
+    (c,) = _token_vectors(
+        model, [[inst.code_tokens for inst in instances]],
+        model.code_vocab, model.code_emb, model.code_token, grad,
     )
     if v in _USES_QUESTION:
         if shared_question:
-            question = words[-n:]
+            question = words[-1]
         else:
-            question = _token_vectors(
-                model, [inst.question_tokens for inst in instances],
-                model.word_vocab, model.word_emb, model.question_token,
+            (question,) = _token_vectors(
+                model, [[inst.question_tokens for inst in instances]],
+                model.word_vocab, model.word_emb, model.question_token, grad,
             )
-        c = dense_rows(np.hstack([question, c]), model.fusion)
+        c = dense_rows(concat(question, c), model.fusion)
     return s_pre, s_post, c
 
 
-def _bigru_at(x: np.ndarray, starts, code_at, stops, gru: BiGru) -> np.ndarray:
-    """Bidirectional states at row ``code_at`` of each sequence
-    ``starts:stops`` of ``x``: the forward state after reading up to it and
-    the backward state after reading back down to it."""
-    return np.hstack([
-        gru_final_states(x, np.column_stack([starts, code_at + 1]), gru.fwd),
-        gru_final_states(x, np.column_stack([code_at, stops]), gru.bwd, reverse=True),
-    ])
+def _forward_batch(model: ModelParameters, instances, grad: bool = False):
+    """Logits (B x 2) and code representations z of a batch, as tape nodes.
 
-
-def _forward_batch(model: ModelParameters, instances):
-    """Logits (B x 2) and code representations z of a batch of instances.
-
-    Same formulas as ``forward_graph``, computed on plain arrays: every
-    token-level encoder runs once over the distinct blocks of the batch, and
-    the sequence-level GRUs run batched over instances.
+    This is the one forward of every variant, for training and inference.
+    Every token-level encoder runs once over the distinct blocks of the
+    batch, and the sequence-level GRUs run batched over instances, so the
+    graph has a few dozen nodes whatever the token lengths. ``grad`` keeps
+    what the GRU backward needs; inference leaves it off.
     """
     _check_inputs(model, instances)
     v = model.config.variant
@@ -442,50 +357,56 @@ def _forward_batch(model: ModelParameters, instances):
             + vocab.lookup_all(inst.post_tokens)
             for inst in instances
         ]
-        x = model.word_emb.value[np.concatenate(ids)]
+        x = take_rows(model.word_emb, np.concatenate(ids))
         pre = np.array([len(inst.pre_tokens) for inst in instances], dtype=np.intp)
         lengths = np.array([len(row) for row in ids], dtype=np.intp)
         stops = np.cumsum(lengths)
         starts = stops - lengths
-        z = _bigru_at(x, starts, starts + pre, stops, model.text_token)
+        z = _bigru_at(x, starts, starts + pre, stops, model.text_token, grad)
     elif v is Variant.BIV_RNN:
-        words, codes = model.word_emb.value, model.code_emb.value
+        words, codes = model.word_emb, model.code_emb
         wv, cv = model.word_vocab, model.code_vocab
-        x = np.concatenate([
-            part
+        x = concat(*[
+            take_rows(emb, vocab.lookup_all(tokens))
             for inst in instances
-            for part in (
-                words[wv.lookup_all(inst.pre_tokens)],
-                codes[cv.lookup_all(inst.code_tokens)],
-                words[wv.lookup_all(inst.post_tokens)],
+            for emb, vocab, tokens in (
+                (words, wv, inst.pre_tokens), (codes, cv, inst.code_tokens), (words, wv, inst.post_tokens)
             )
-        ])
+        ], axis=0)
         lengths = [len(i.pre_tokens) + len(i.code_tokens) + len(i.post_tokens) for i in instances]
-        z = _bigru_ends(x, lengths, model.text_token)
+        z = _bigru_ends(x, lengths, model.text_token, grad)
     else:
-        s_pre, s_post, c = _block_vectors(model, instances)
+        s_pre, s_post, c = _block_vectors(model, instances, grad)
         if v is Variant.CODE_HNN:
             z = c
         elif v is Variant.BIV_HFF:
-            z = dense_rows(np.hstack([s_pre, c, s_post]), model.block_ff)
+            z = dense_rows(concat(s_pre, c, s_post), model.block_ff)
         else:
-            x = np.stack([s_pre, c, s_post], axis=1).reshape(3 * n, -1)
+            # rows pre_i, c_i, post_i of each instance in turn
+            x = take_rows(concat(s_pre, c, s_post, axis=0), np.arange(3 * n).reshape(3, n).T.ravel())
             starts = 3 * np.arange(n)
-            z = _bigru_at(x, starts, starts + 1, starts + 3, model.block)
+            z = _bigru_at(x, starts, starts + 1, starts + 3, model.block, grad)
     return dense_rows(z, model.output), z
+
+
+def forward_graph(model: ModelParameters, inst: CodeContextInstance):
+    """The prediction graph of one instance: (logits node of shape (2,),
+    code-representation node z)."""
+    logits, z = _forward_batch(model, [inst], grad=True)
+    return take_rows(logits, 0), take_rows(z, 0)
 
 
 def predict_scores(model: ModelParameters, instances) -> np.ndarray:
     """p(solution) of each instance, from one tape-free batched forward.
 
-    Numeric contract: every score is within 1e-12 of
-    ``softmax(forward_graph(model, inst)[0].value)[1]``, and the labels
+    Numeric contract: every score is within 1e-12 of the same instance's
+    score from a per-timestep ``gru_step`` graph, and the labels
     (``label_of``) are the same.
     """
     if not instances:
         return np.zeros(0)
     logits, _ = _forward_batch(model, instances)
-    return softmax_rows(logits)[:, 1]
+    return softmax_rows(logits.value)[:, 1]
 
 
 def label_of(score: float) -> int:
@@ -496,7 +417,7 @@ def label_of(score: float) -> int:
 def forward(model: ModelParameters, inst: CodeContextInstance):
     """Solution probabilities [p0, p1] and the code representation."""
     logits, z = _forward_batch(model, [inst])
-    return softmax(logits[0]), z[0]
+    return softmax(logits.value[0]), z.value[0]
 
 
 def predict_label(model: ModelParameters, inst: CodeContextInstance):
@@ -513,16 +434,36 @@ _CHECKPOINT_FORMAT = "qcmine-checkpoint-v1"
 
 
 def save_model(model: ModelParameters, path) -> None:
-    obj = {
+    """Write the checkpoint as ``json.dump(obj, sort_keys=True,
+    ensure_ascii=False)`` would, but one tensor row at a time, so no
+    parameter is ever held as a Python list in full."""
+    head = {
         "format": _CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "config_hash": model.config.hash(),
         "word_vocab": model.word_vocab.token_to_id,
         "code_vocab": model.code_vocab.token_to_id,
-        "params": {name: nn_core.tensor_to_obj(n.value) for name, n in model.params.items()},
     }
+
+    def dumps(obj) -> str:
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, ensure_ascii=False)
+        f.write("{")
+        for i, key in enumerate(sorted([*head, "params"])):
+            f.write((", " if i else "") + dumps(key) + ": ")
+            if key != "params":
+                f.write(dumps(head[key]))
+                continue
+            f.write("{")
+            for j, name in enumerate(sorted(model.params)):
+                arr = model.params[name].value
+                f.write((", " if j else "") + dumps(name) + ': {"data": [')
+                for k, row in enumerate(arr.reshape(-1, arr.shape[-1]) if arr.size else ()):
+                    f.write((", " if k else "") + json.dumps(row.tolist())[1:-1])
+                f.write('], "shape": ' + dumps(list(arr.shape)) + "}")
+            f.write("}")
+        f.write("}")
 
 
 def load_model(path) -> ModelParameters:

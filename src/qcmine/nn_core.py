@@ -1,13 +1,18 @@
 """Differentiable building blocks on a minimal reverse-mode tape.
 
-Everything is double precision. The tape ops are unbatched: each takes
-vectors (or a matrix parameter), returns a Node carrying its value, and
-records a closure that routes the incoming gradient to its parents.
-``backward`` replays the tape once per loss; parameter gradients accumulate
-across calls until ``zero_grad``, which is what mini-batch averaging relies
-on. Training uses the tape. Inference uses the tape-free batched kernels
-(``gru_final_states``, ``dense_rows``, ``softmax_rows``), which compute the
-same formulas on plain arrays and match the tape up to float rounding.
+Everything is double precision. Each op takes Nodes (or arrays), returns a
+Node carrying its value, and records a closure that routes the incoming
+gradient to its parents. ``backward`` replays the tape once per loss;
+parameter gradients accumulate across calls until ``zero_grad``, which is
+what mini-batch averaging relies on.
+
+The model's graph is built from row-level ops, so a whole slice of
+instances is a handful of nodes: ``take_rows`` (embedding gathers and row
+selections), ``concat``, ``dense_rows``, ``softmax_xent_rows`` and
+``gru_final_states``, one node per GRU run over many sequences. The
+per-vector ops (``gru_step``, ``bigru_encode``, ``dense``, ``softmax_xent``,
+``embedding_row``) compute the same formulas one step at a time; the tests
+use them as the reference.
 
 The GRU follows the convention where the update gate u weighs the previous
 state: h = u*h_prev + (1-u)*h_tilde, so u near 1 memorizes the past.
@@ -64,8 +69,12 @@ def _acc(node: Node, g):
 def backward(loss: Node, seed: float = 1.0) -> None:
     """Reverse-mode sweep from ``loss``, seeding dL/dloss = seed.
 
-    Gradients accumulate into ``.grad`` of every reachable node, so calling
-    this once per instance with seed 1/N yields mean-loss gradients.
+    Gradients accumulate into ``.grad`` of every reachable leaf, so calling
+    this once per instance (or slice) with seed 1/N yields mean-loss
+    gradients. The sweep consumes the graph: once an op has passed its
+    gradient on, its closure and its own gradient are dropped, so saved
+    activations are freed as the sweep goes. Build a new graph for each
+    sweep.
     """
     topo: list[Node] = []
     visited: set[int] = set()
@@ -86,6 +95,7 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     for node in reversed(topo):
         if node.backward_fn is not None:
             node.backward_fn(node.grad)
+            node.backward_fn = node.grad = None
 
 
 def zero_grad(nodes) -> None:
@@ -100,16 +110,44 @@ def _check_vector(x: Node, name: str) -> None:
         raise NonFiniteInput(f"{name} contains NaN or Inf")
 
 
-def concat(*nodes: Node) -> Node:
+def concat(*nodes: Node, axis: int = -1) -> Node:
+    """Join along ``axis``: the last one by default, so vectors chain end to
+    end and matrices side by side; ``axis=0`` stacks rows."""
     nodes = tuple(as_node(n) for n in nodes)
-    sizes = [n.value.shape[0] for n in nodes]
-    out = Node(np.concatenate([n.value for n in nodes]), nodes)
+    cuts = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
+    out = Node(np.concatenate([n.value for n in nodes], axis=axis), nodes)
 
     def backward_fn(g):
-        offset = 0
-        for node, size in zip(nodes, sizes):
-            _acc(node, g[offset : offset + size])
-            offset += size
+        for node, piece in zip(nodes, np.split(g, cuts, axis=axis)):
+            _acc(node, piece)
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def take_rows(x, idx, fill=None) -> Node:
+    """Rows ``idx`` of ``x`` (an int picks one row). With ``fill``, index -1
+    picks the vector ``fill`` instead. The backward scatters the gradient
+    with one ``np.add.at``, so repeated rows accumulate."""
+    x = as_node(x)
+    idx = np.asarray(idx, dtype=np.intp)
+    if fill is None:
+        source, parents = x.value, (x,)
+    else:
+        fill = as_node(fill)
+        source, parents = np.concatenate([x.value, fill.value[None]]), (x, fill)
+    out = Node(source[idx], parents)
+
+    def backward_fn(g):
+        if fill is None:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.value)
+            np.add.at(x.grad, idx, g)
+            return
+        acc = np.zeros_like(source)
+        np.add.at(acc, idx, g)
+        _acc(x, acc[:-1])
+        _acc(fill, acc[-1])
 
     out.backward_fn = backward_fn
     return out
@@ -239,27 +277,44 @@ def bigru_encode(xs, fwd: GruParams, bwd: GruParams):
     return fwd_states[-1], bwd_states[0], list(zip(fwd_states, bwd_states))
 
 
-def gru_final_states(x: np.ndarray, spans, p: GruParams, reverse: bool = False) -> np.ndarray:
-    """Final states of a GRU run over many sequences at once, without a tape.
+def _gate_weights(p: GruParams):
+    """(input weights [W_r; W_u; W] of x, state weights of r and u, state
+    weights of h_tilde), transposed to multiply rows of states."""
+    w_r, w_u, w = p.w_r.value, p.w_u.value, p.w.value
+    d_x = p.d_x
+    w_x = np.concatenate([w_r[:, :d_x], w_u[:, :d_x], w[:, :d_x]])
+    return w_x, np.concatenate([w_r[:, d_x:], w_u[:, d_x:]]).T, w[:, d_x:].T
+
+
+def gru_final_states(x, spans, p: GruParams, reverse: bool = False, grad: bool = True) -> Node:
+    """Final states of a GRU run over many sequences at once, as one node.
 
     ``x`` holds input rows (N x d_x). Sequence i is rows ``spans[i][0]`` up
     to ``spans[i][1] - 1``, read last row first when ``reverse``. Every run
-    starts from a zero state. Returns a B x d_h array in span order.
+    starts from a zero state. The value is a B x d_h array in span order.
 
     The sequences are sorted by length, longest first, and packed time-major,
     so the sequences still running at step t are a prefix of the batch and
     no padded step is computed. The input projections x [W_r; W_u; W] + b of
     all steps are one matmul; each step then multiplies only the state, and
     r and u come from one sigmoid call. Same formulas as ``gru_step``.
+
+    With ``grad`` the node keeps, per step, the previous state, r, u and
+    h_tilde. Its backward runs back through time over the packed prefixes,
+    forms each weight gradient as one matmul over all steps and scatters the
+    input gradient with one ``np.add.at``. Without ``grad`` (inference)
+    nothing is kept and the node has no backward.
     """
+    x = as_node(x)
+    xv = x.value
     spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
     lengths = spans[:, 1] - spans[:, 0]
     if (lengths < 1).any():
         raise EmptySequence("gru_final_states needs at least one input vector per sequence")
     d_x, d_h = p.d_x, p.d_h
-    if x.ndim != 2 or x.shape[1] != d_x:
-        raise ShapeMismatch(f"expected rows of {d_x} inputs, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if xv.ndim != 2 or xv.shape[1] != d_x:
+        raise ShapeMismatch(f"expected rows of {d_x} inputs, got shape {xv.shape}")
+    if not np.isfinite(xv).all():
         raise NonFiniteInput("x contains NaN or Inf")
 
     order = np.argsort(-lengths, kind="stable")
@@ -270,26 +325,62 @@ def gru_final_states(x: np.ndarray, spans, p: GruParams, reverse: bool = False) 
     running = len(order) - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]
     rows = np.concatenate([first[:n] + step * t for t, n in enumerate(running)] or [first[:0]])
 
-    w_r, w_u, w = p.w_r.value, p.w_u.value, p.w.value
-    w_x = np.concatenate([w_r[:, :d_x], w_u[:, :d_x], w[:, :d_x]])
-    b = np.concatenate([p.b_r.value, p.b_u.value, p.b.value])
-    u_ru = np.concatenate([w_r[:, d_x:], w_u[:, d_x:]]).T
-    u_c = w[:, d_x:].T
-    proj = x[rows] @ w_x.T + b
+    w_x, u_ru, u_c = _gate_weights(p)
+    proj = xv[rows] @ w_x.T + np.concatenate([p.b_r.value, p.b_u.value, p.b.value])
 
+    if grad:
+        h_prevs, rus, h_tildes = (np.empty((len(rows), k * d_h)) for k in (1, 2, 1))
     h = np.zeros((len(order), d_h))
     start = 0
     for n in running:
         a = proj[start : start + n]
-        start += n
         h_prev = h[:n]
         ru = _sigmoid(a[:, : 2 * d_h] + h_prev @ u_ru)
         r, u = ru[:, :d_h], ru[:, d_h:]
         h_tilde = np.tanh(a[:, 2 * d_h :] + (r * h_prev) @ u_c)
+        if grad:
+            h_prevs[start : start + n] = h_prev
+            rus[start : start + n] = ru
+            h_tildes[start : start + n] = h_tilde
+        start += n
         h[:n] = u * h_prev + (1.0 - u) * h_tilde
     out = np.empty_like(h)
     out[order] = h
-    return out
+    node = Node(out, (x, p.w_r, p.w_u, p.w, p.b_r, p.b_u, p.b))
+    if not grad:
+        return node
+
+    def backward_fn(g):
+        w_x, u_ru, u_c = _gate_weights(p)
+        d_a = np.empty((len(rows), 3 * d_h))  # pre-activation gradients [r, u, h_tilde]
+        d_h_state = g[order]
+        stop = len(rows)
+        for n in running[::-1]:
+            at = slice(stop - n, stop)
+            stop -= n
+            h_prev, h_tilde = h_prevs[at], h_tildes[at]
+            r, u = rus[at, :d_h], rus[at, d_h:]
+            dh = d_h_state[:n]
+            d_ac = dh * (1.0 - u) * (1.0 - h_tilde * h_tilde)
+            d_rh = d_ac @ u_c.T
+            d_a[at, :d_h] = d_rh * h_prev * r * (1.0 - r)
+            d_a[at, d_h : 2 * d_h] = dh * (h_prev - h_tilde) * u * (1.0 - u)
+            d_a[at, 2 * d_h :] = d_ac
+            d_h_state[:n] = dh * u + d_rh * r + d_a[at, : 2 * d_h] @ u_ru.T
+        d_w_x = d_a.T @ xv[rows]
+        d_b = d_a.sum(axis=0)
+        for k, (wp, bp, h_in) in enumerate(
+            [(p.w_r, p.b_r, h_prevs), (p.w_u, p.b_u, h_prevs), (p.w, p.b, rus[:, :d_h] * h_prevs)]
+        ):
+            gates = slice(k * d_h, (k + 1) * d_h)
+            _acc(wp, np.hstack([d_w_x[gates], d_a[:, gates].T @ h_in]))
+            _acc(bp, d_b[gates])
+        if x.grad is None:
+            x.grad = np.zeros_like(xv)
+        np.add.at(x.grad, rows, d_a @ w_x)
+
+    node.backward_fn = backward_fn
+    return node
 
 
 # --------------------------------------------------------------------------
@@ -337,14 +428,26 @@ def dense(x, p: DenseParams) -> Node:
     return out
 
 
-def dense_rows(x: np.ndarray, p: DenseParams) -> np.ndarray:
-    """``dense`` on every row of ``x`` at once, without a tape."""
-    if x.ndim != 2 or x.shape[1] != p.w.value.shape[1]:
-        raise ShapeMismatch(f"dense expects rows of {p.w.value.shape[1]}, got shape {x.shape}")
-    if not np.isfinite(x).all():
+def dense_rows(x, p: DenseParams) -> Node:
+    """``dense`` on every row of ``x`` at once, as one node."""
+    x = as_node(x)
+    xv = x.value
+    if xv.ndim != 2 or xv.shape[1] != p.w.value.shape[1]:
+        raise ShapeMismatch(f"dense expects rows of {p.w.value.shape[1]}, got shape {xv.shape}")
+    if not np.isfinite(xv).all():
         raise NonFiniteInput("x contains NaN or Inf")
-    a = x @ p.w.value.T + p.b.value
-    return np.tanh(a) if p.activation == TANH else a
+    a = xv @ p.w.value.T + p.b.value
+    y = np.tanh(a) if p.activation == TANH else a
+    out = Node(y, (x, p.w, p.b))
+
+    def backward_fn(g):
+        da = g * (1.0 - y * y) if p.activation == TANH else g
+        _acc(p.w, da.T @ xv)
+        _acc(p.b, da.sum(axis=0))
+        _acc(x, da @ p.w.value)
+
+    out.backward_fn = backward_fn
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -380,6 +483,34 @@ def softmax_xent(logits, gold: int):
     def backward_fn(g):
         d = probs.copy()
         d[gold] -= 1.0
+        _acc(logits, g * d)
+
+    out.backward_fn = backward_fn
+    return probs, out
+
+
+def softmax_xent_rows(logits, golds):
+    """``softmax_xent`` of every row of B x 2 logits against 0/1 golds.
+
+    Returns (B x 2 probabilities, scalar node holding the summed loss), so
+    ``backward(loss, seed=1/N)`` gives each row the weight 1/N.
+    """
+    logits = as_node(logits)
+    lv = logits.value
+    if lv.ndim != 2 or lv.shape[1] != 2:
+        raise ShapeMismatch(f"expected B x 2 logits, got shape {lv.shape}")
+    golds = np.asarray(golds, dtype=np.intp)
+    if golds.shape != (len(lv),) or not np.isin(golds, (0, 1)).all():
+        raise ValueError(f"expected {len(lv)} gold labels of 0 or 1, got {golds!r}")
+    probs = softmax_rows(lv)
+    rows = np.arange(len(lv))
+    # -log(p[gold]) via logsumexp for stability at saturation
+    z = lv - lv.max(axis=1, keepdims=True)
+    out = Node(np.sum(np.log(np.exp(z).sum(axis=1)) - z[rows, golds]), (logits,))
+
+    def backward_fn(g):
+        d = probs.copy()
+        d[rows, golds] -= 1.0
         _acc(logits, g * d)
 
     out.backward_fn = backward_fn

@@ -8,9 +8,10 @@ import random
 
 import numpy as np
 
-from qcmine.nn_core import backward, zero_grad
+from qcmine.models import _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs
+from qcmine.nn_core import Node, backward, bigru_encode, concat, dense, embedding_row, zero_grad
 from qcmine.post_parser import CodeContextInstance
-from qcmine.vocab_embed import build_vocab
+from qcmine.vocab_embed import CODEBLOCK_TOKEN, build_vocab
 
 
 def finite_diff_check(loss_fn, nodes, eps=1e-5, floor=1e-6):
@@ -43,6 +44,93 @@ def finite_diff_check(loss_fn, nodes, eps=1e-5, floor=1e-6):
             rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
             worst = max(worst, rel)
     return worst
+
+
+# --------------------------------------------------------------------------
+# Per-timestep reference forward
+# --------------------------------------------------------------------------
+#
+# The model graph of one instance built from the per-vector tape ops: one
+# gru_step node per token and per direction, each block encoded on its own.
+# It computes the same formulas as ``models._forward_batch`` one step at a
+# time, and serves as the independent oracle for its scores and gradients.
+
+
+def _encode_ids(ids, emb: Node, gru):
+    xs = [embedding_row(emb, i) for i in ids]
+    return bigru_encode(xs, gru.fwd, gru.bwd)
+
+
+def _encode_concat(ids, emb, gru) -> Node:
+    f, b, _ = _encode_ids(ids, emb, gru)
+    return concat(f, b)
+
+
+def _text_block_vec(model, tokens) -> Node:
+    if not tokens:
+        return model.empty_block
+    ids = model.word_vocab.lookup_all(tokens)
+    return _encode_concat(ids, model.word_emb, model.text_token)
+
+
+def _question_vec(model, tokens) -> Node:
+    encoder = model.question_token or model.text_token
+    if not tokens:
+        if model.empty_block is not None:
+            return model.empty_block
+        return Node(np.zeros(2 * model.config.d_token_gru))
+    ids = model.word_vocab.lookup_all(tokens)
+    return _encode_concat(ids, model.word_emb, encoder)
+
+
+def _code_block_vec(model, inst: CodeContextInstance) -> Node:
+    """Token-level code representation c_i for the variant."""
+    v = model.config.variant
+    if v is Variant.TEXT_HNN:
+        ids = model.word_vocab.lookup_all([CODEBLOCK_TOKEN])
+        return _encode_concat(ids, model.word_emb, model.text_token)
+    code_ids = model.code_vocab.lookup_all(inst.code_tokens)
+    v_c = _encode_concat(code_ids, model.code_emb, model.code_token)
+    if v in _USES_QUESTION:
+        v_q = _question_vec(model, inst.question_tokens)
+        return dense(concat(v_q, v_c), model.fusion)
+    return v_c
+
+
+def forward_graph(model, inst: CodeContextInstance):
+    """(logits node, code-representation node z) of one instance, built one
+    timestep at a time."""
+    _check_inputs(model, [inst])
+    v = model.config.variant
+
+    if v in _HIERARCHICAL or v is Variant.BIV_HFF:
+        s_pre = _text_block_vec(model, inst.pre_tokens)
+        s_post = _text_block_vec(model, inst.post_tokens)
+        c = _code_block_vec(model, inst)
+        if v is Variant.BIV_HFF:
+            z = dense(concat(s_pre, c, s_post), model.block_ff)
+        else:
+            _, _, states = bigru_encode([s_pre, c, s_post], model.block.fwd, model.block.bwd)
+            z = concat(*states[1])  # bidirectional states at the code position
+    elif v is Variant.CODE_HNN:
+        z = _code_block_vec(model, inst)
+    elif v is Variant.TEXT_RNN:
+        word_ids = (
+            model.word_vocab.lookup_all(inst.pre_tokens)
+            + model.word_vocab.lookup_all([CODEBLOCK_TOKEN])
+            + model.word_vocab.lookup_all(inst.post_tokens)
+        )
+        _, _, states = _encode_ids(word_ids, model.word_emb, model.text_token)
+        z = concat(*states[len(inst.pre_tokens)])
+    elif v is Variant.BIV_RNN:
+        xs = [embedding_row(model.word_emb, i) for i in model.word_vocab.lookup_all(inst.pre_tokens)]
+        xs += [embedding_row(model.code_emb, i) for i in model.code_vocab.lookup_all(inst.code_tokens)]
+        xs += [embedding_row(model.word_emb, i) for i in model.word_vocab.lookup_all(inst.post_tokens)]
+        f, b, _ = bigru_encode(xs, model.text_token.fwd, model.text_token.bwd)
+        z = concat(f, b)
+    else:
+        raise ConfigInvalid(f"unhandled variant {v}")
+    return dense(z, model.output), z
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
 from qcmine import cli, train_eval
-from qcmine.models import CheckpointMismatch, forward_graph, load_model, predict_label
+from qcmine.models import CheckpointMismatch, load_model, predict_label
 from qcmine.nn_core import softmax
 from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
 from qcmine.tokenize import Language
@@ -221,9 +222,10 @@ class TestTrainEval:
         assert report["select_all"] == train_eval.evaluate(every, golds).to_dict()
 
     def test_linear_bundle_persists_connectives(self, ws, tmp_path):
-        bundle = cli.train_linear_baseline(
+        bundle, valid = cli.train_linear_baseline(
             ws["dump"], ws["train"], cli.load_config(ws["config"]), "logistic"
         )
+        assert valid is None
         path = tmp_path / "lr.json"
         bundle.save(path)
         loaded = cli.LinearBundle.load(path)
@@ -353,11 +355,12 @@ class TestMine:
 
 
 def tape_ensemble_batch(biv, text, code, instances):
-    """The ensemble computed one instance at a time on the training tape."""
+    """The ensemble computed one instance at a time on the per-timestep
+    reference graph."""
     decisions = []
     for inst in instances:
         scores = tuple(
-            float(softmax(forward_graph(m, inst)[0].value)[1]) for m in (biv, text, code)
+            float(softmax(helpers.forward_graph(m, inst)[0].value)[1]) for m in (biv, text, code)
         )
         votes = tuple(1 if s >= 0.5 else 0 for s in scores)
         decisions.append(
@@ -422,6 +425,26 @@ class TestChunkedMining:
                 assert all(a is None or abs(a - b) <= 1e-12 for a, b in zip(g_scores, w_scores))
 
 
+class TestTrainReport:
+    def test_neural_train_reports_every_epoch(self, ws, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"d_embed": 4, "d_token_gru": 3, "d_block": 3},
+            "train": {"lr": 0.05, "batch_size": 8, "max_epochs": 3, "patience": 10},
+        }))
+        cli.main(["train", "--dump", str(ws["dump"]), "--train-labels", str(ws["train"]),
+                  "--valid-labels", str(ws["valid"]), "--variant", "biv_hnn",
+                  "--out", str(tmp_path / "biv.json"), "--config", str(config)])
+        report = json.loads(capsys.readouterr().out)
+        history = report["history"]
+        assert [h["epoch"] for h in history] == [1, 2, 3] and report["epochs"] == 3
+        for h in history:
+            assert set(h) == {"epoch", "train_loss", "precision", "recall", "f1", "seconds"}
+            assert h["train_loss"] > 0 and h["seconds"] > 0
+        best = history[report["best_epoch"] - 1]
+        assert best["f1"] == report["best_valid"]["f1"] == max(h["f1"] for h in history)
+
+
 class TestReadsDumpOnce:
     def test_each_command_reads_the_dump_once(self, ws, tmp_path, monkeypatch):
         reads = []
@@ -460,6 +483,12 @@ class TestReadsDumpOnce:
             reads.clear()
             cli.main(argv)
             assert reads == [dump], name
+        # the linear baseline's CodeClass harvest keeps its own pass over all answers
+        reads.clear()
+        cli.main(["train", "--dump", dump, "--train-labels", str(ws["train"]),
+                  "--valid-labels", str(ws["valid"]), "--variant", "lr",
+                  "--out", str(tmp_path / "lr.json"), "--config", str(config)])
+        assert reads == [dump, dump]
 
 
 JSON_VALUES = st.recursive(
@@ -621,6 +650,21 @@ class TestMergeAndStats:
         stats = cli.dataset_stats(empty)
         assert stats["pairs"] == 0
         assert stats["avg_question_tokens"] == 0.0
+
+    @pytest.mark.parametrize(
+        "bad_line", ['{"question_id": 1}', "{not json", '[1, 2]', '{"question_id": 1, "title": "t", '
+         '"code": "c", "position": 1, "provenance": "unknown"}'],
+    )
+    def test_bad_pairs_line_names_file_and_line(self, ws, tmp_path, bad_line):
+        pairs = tmp_path / "pairs.jsonl"
+        good = cli.MinedPair(1, "How to sort", "x = sorted(y)", 1, cli.Provenance.SINGLE_CODE)
+        pairs.write_text(good.to_json() + "\n\n" + bad_line + "\n")
+        with pytest.raises(ValueError, match=rf"pairs\.jsonl:3: not a mined pair"):
+            cli.dataset_stats(pairs)
+        annotated = tmp_path / "ann.csv"
+        annotated.write_text("question_id,code_position,label\n")
+        with pytest.raises(ValueError, match=rf"pairs\.jsonl:3: not a mined pair"):
+            cli.merge_annotated(pairs, annotated, ws["dump"], tmp_path / "merged.jsonl")
 
     def test_stats_single_pair(self, tmp_path):
         ds = tmp_path / "one.jsonl"

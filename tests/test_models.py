@@ -3,8 +3,10 @@ import random
 import numpy as np
 import pytest
 
+import helpers
 from helpers import finite_diff_check
 from qcmine.models import (
+    _forward_batch,
     CheckpointMismatch,
     ConfigInvalid,
     EmptyCode,
@@ -18,7 +20,8 @@ from qcmine.models import (
     predict_scores,
     save_model,
 )
-from qcmine.nn_core import NonFiniteInput, softmax, softmax_xent
+from qcmine.nn_core import NonFiniteInput, backward, softmax, softmax_xent, softmax_xent_rows
+from qcmine.train_eval import TRAIN_SLICE, _slice_backward
 from qcmine.post_parser import CodeContextInstance
 from qcmine.vocab_embed import build_vocab
 
@@ -181,7 +184,7 @@ def mixed_batch(rng):
 
 
 class TestBatchedInference:
-    """predict_scores against the training tape, the reference."""
+    """predict_scores against the per-timestep reference graph."""
 
     @pytest.mark.parametrize(
         "variant,shared",
@@ -199,14 +202,14 @@ class TestBatchedInference:
                 node.value[...] = bias_rng.uniform(-1, 1, node.value.shape)
         insts = mixed_batch(random.Random(23))
         scores = predict_scores(model, insts)
-        reference = np.array([softmax(forward_graph(model, i)[0].value)[1] for i in insts])
+        reference = np.array([softmax(helpers.forward_graph(model, i)[0].value)[1] for i in insts])
         np.testing.assert_allclose(scores, reference, rtol=0, atol=1e-12)
         assert list(scores >= 0.5) == list(reference >= 0.5)
         for inst, ref in zip(insts[:5], reference):
             label, score = predict_label(model, inst)
             assert abs(score - ref) <= 1e-12 and label == int(ref >= 0.5)
             y, z = forward(model, inst)
-            logits, z_ref = forward_graph(model, inst)
+            logits, z_ref = helpers.forward_graph(model, inst)
             np.testing.assert_allclose(y, softmax(logits.value), rtol=0, atol=1e-12)
             np.testing.assert_allclose(z, z_ref.value, rtol=0, atol=1e-12)
 
@@ -286,6 +289,103 @@ class TestEndToEndGradients:
         assert err < 1e-4, f"{variant}: max rel err {err}"
 
 
+def tape_nodes(loss) -> int:
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+class TestTrainingGraph:
+    """The batched training graph against the per-timestep reference."""
+
+    def labeled_slice(self, seed, n=TRAIN_SLICE):
+        insts = mixed_batch(random.Random(seed))[:n - 2]
+        insts += insts[:2]  # repeated instances within a slice
+        for i, inst in enumerate(insts):
+            inst.label = (i * 7 + seed) % 3 % 2
+        return insts
+
+    def model(self, vocabs, variant, shared=True):
+        model = init_model(
+            tiny_cfg(variant, seed=6, d_token_gru=4, d_block=5, share_text_question_encoder=shared),
+            *vocabs,
+        )
+        rng = np.random.default_rng(3)
+        for node in model.params.values():
+            if node.value.ndim == 1:  # biases start at zero; move them
+                node.value[...] = rng.uniform(-1, 1, node.value.shape)
+        return model
+
+    @pytest.mark.parametrize(
+        "variant,shared",
+        [(v, True) for v in Variant]
+        + [(v, False) for v in (Variant.BIV_HNN, Variant.CODE_HNN, Variant.BIV_HFF)],
+    )
+    def test_slice_gradients_match_per_step_reference(self, vocabs, variant, shared):
+        model = self.model(vocabs, variant, shared)
+        insts = self.labeled_slice(1)
+        seed = 1.0 / 40  # a slice of a larger mini-batch
+        model.zero_grad()
+        loss = _slice_backward(model, insts, seed)
+        batched = model.named_grads()
+
+        model.zero_grad()
+        ref_loss = 0.0
+        for inst in insts:
+            logits, _ = helpers.forward_graph(model, inst)
+            _, single = softmax_xent(logits, inst.label)
+            backward(single, seed=seed)
+            ref_loss += float(single.value)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name, ref in model.named_grads().items():
+            got = batched[name]
+            if ref is None:
+                assert got is None or not got.any(), name
+                continue
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_batched_loss_finite_differences(self, vocabs, variant):
+        model = init_model(tiny_cfg(variant, seed=21, d_embed=3, d_token_gru=2, d_block=2), *vocabs)
+        insts = [
+            CodeContextInstance(["how", "to"], ["try", "this"], ["VAR", "=", "NUMBER"], ["works"], 1, 1),
+            CodeContextInstance(["how"], [], ["print", "(", ")"], ["try", "this"], 2, 0),
+            CodeContextInstance([], ["try", "this"], ["VAR"], [], 1, 1),
+        ]
+
+        def loss_fn():
+            logits, _ = _forward_batch(model, insts, grad=True)
+            return softmax_xent_rows(logits, [inst.label for inst in insts])[1]
+
+        err = finite_diff_check(loss_fn, list(model.params.values()))
+        assert err < 1e-4, f"{variant}: max rel err {err}"
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_node_count_does_not_grow_with_token_length(self, vocabs, variant):
+        model = init_model(tiny_cfg(variant), *vocabs)
+        counts = []
+        for code_length in (5, 50):
+            insts = self.labeled_slice(2)
+            for i, inst in enumerate(insts):
+                inst.code_tokens = [CODE[(i + k) % len(CODE)] for k in range(code_length)]
+            logits, _ = _forward_batch(model, insts, grad=True)
+            counts.append(tape_nodes(softmax_xent_rows(logits, [i.label for i in insts])[1]))
+        assert counts[0] == counts[1] < 100  # per-step graphs have thousands
+
+    def test_forward_graph_wraps_the_batched_forward(self, vocabs):
+        model = self.model(vocabs, Variant.BIV_HNN)
+        inst = self.labeled_slice(3)[0]
+        logits, z = forward_graph(model, inst)
+        assert logits.value.shape == (2,)
+        batch_logits, batch_z = _forward_batch(model, [inst])
+        np.testing.assert_array_equal(logits.value, batch_logits.value[0])
+        np.testing.assert_array_equal(z.value, batch_z.value[0])
+
+
 class TestCheckpoints:
     def test_round_trip_lossless(self, vocabs, tmp_path):
         model = init_model(tiny_cfg(seed=13), *vocabs)
@@ -299,6 +399,30 @@ class TestCheckpoints:
         rng = random.Random(3)
         inst = random_instance(rng)
         np.testing.assert_array_equal(forward(model, inst)[0], forward(loaded, inst)[0])
+
+    def test_streamed_save_matches_json_dump(self, tmp_path):
+        import json
+
+        words = ["try", "naïve", "日本語", 'quote"d', "back\\slash", "emoji\U0001F600"]
+        wv, cv = build_vocab([words]), build_vocab([CODE + ["ünïcode"]])
+        for variant in Variant:
+            model = init_model(tiny_cfg(variant, seed=2), wv, cv)
+            model.output.b.value[...] = [np.nan, -np.inf]
+            path = tmp_path / f"{variant.value}.json"
+            save_model(model, path)
+            obj = {
+                "format": "qcmine-checkpoint-v1",
+                "config": model.config.to_dict(),
+                "config_hash": model.config.hash(),
+                "word_vocab": model.word_vocab.token_to_id,
+                "code_vocab": model.code_vocab.token_to_id,
+                "params": {
+                    name: {"shape": list(n.value.shape), "data": n.value.ravel().tolist()}
+                    for name, n in model.params.items()
+                },
+            }
+            expected = json.dumps(obj, sort_keys=True, ensure_ascii=False).encode("utf-8")
+            assert path.read_bytes() == expected, variant
 
     def test_checkpoint_carries_variant(self, vocabs, tmp_path):
         path = tmp_path / "m.json"

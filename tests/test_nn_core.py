@@ -29,6 +29,8 @@ from qcmine.nn_core import (
     softmax,
     softmax_rows,
     softmax_xent,
+    softmax_xent_rows,
+    take_rows,
     tensor_from_obj,
     tensor_to_obj,
     zero_grad,
@@ -167,14 +169,14 @@ class TestGruFinalStates:
         x = rng.uniform(-2, 2, (30, 3))
         # unsorted lengths, ties, a one-step sequence, overlapping spans
         spans = [(0, 4), (4, 13), (13, 14), (14, 30), (2, 6), (20, 29)]
-        got = gru_final_states(x, spans, p, reverse=reverse)
+        got = gru_final_states(x, spans, p, reverse=reverse).value
         assert got.shape == (len(spans), 4)
         for row, (start, stop) in zip(got, spans):
             np.testing.assert_allclose(row, self.chain(x, start, stop, p, reverse), rtol=0, atol=1e-14)
 
     def test_empty_batch(self):
         p = zero_gru(2, 3)
-        assert gru_final_states(np.zeros((0, 2)), np.zeros((0, 2)), p).shape == (0, 3)
+        assert gru_final_states(np.zeros((0, 2)), np.zeros((0, 2)), p).value.shape == (0, 3)
 
     def test_empty_sequence_rejected(self):
         p = zero_gru(2, 3)
@@ -198,7 +200,7 @@ class TestGruFinalStates:
         p.w_r.value[...] = p.w_u.value[...] = p.w.value[...] = 1e3
         x = np.array([[1e3], [-1e3], [1e3]])
         with np.errstate(over="raise"):
-            got = gru_final_states(x, [(0, 3)], p)
+            got = gru_final_states(x, [(0, 3)], p).value
         np.testing.assert_allclose(got, [self.chain(x, 0, 3, p, False)], atol=1e-14)
 
 
@@ -238,7 +240,7 @@ class TestDense:
         p = init_dense(4, 2, activation, rng)
         p.b.value[...] = rng.uniform(-1, 1, 2)
         x = rng.uniform(-3, 3, (7, 4))
-        y = dense_rows(x, p)
+        y = dense_rows(x, p).value
         probs = softmax_rows(y)
         for i in range(len(x)):
             np.testing.assert_allclose(y[i], dense(x[i], p).value, rtol=0, atol=1e-15)
@@ -364,6 +366,135 @@ class TestBackwardGradients:
         _, loss = softmax_xent(dense(x, p), 0)
         backward(loss)
         np.testing.assert_allclose(accumulated, p.w.grad, atol=1e-15)
+
+
+class TestRowOpGradients:
+    """The row-level tape ops: central finite differences (step 1e-5, rel
+    error < 1e-4) and agreement with the per-vector ops they batch."""
+
+    SPANS = [(0, 3), (3, 8), (8, 9), (1, 5), (6, 12), (2, 4)]  # unsorted, overlapping
+
+    def gru_setup(self, seed):
+        rng = np.random.default_rng(seed)
+        p = init_gru(3, 2, rng)
+        for node in (p.b_r, p.b_u, p.b):
+            node.value[...] = rng.uniform(-1, 1, 2)
+        x = Node(rng.uniform(-1.5, 1.5, (12, 3)))
+        head = init_dense(2, 2, LINEAR, rng)
+        golds = rng.integers(0, 2, len(self.SPANS))
+        return p, x, head, golds
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gru_final_states_finite_differences(self, reverse, seed):
+        p, x, head, golds = self.gru_setup(seed)
+
+        def loss_fn():
+            states = gru_final_states(x, self.SPANS, p, reverse=reverse)
+            return softmax_xent_rows(dense_rows(states, head), golds)[1]
+
+        nodes = [n for _, n in p.nodes() + head.nodes()] + [x]
+        assert finite_diff_check(loss_fn, nodes) < 1e-4
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gru_final_states_gradients_match_gru_step_chains(self, reverse):
+        p, x, head, golds = self.gru_setup(7)
+        nodes = [n for _, n in p.nodes()] + [x]
+        weights = np.random.default_rng(1).uniform(-1, 1, (len(self.SPANS), 2))
+
+        zero_grad(nodes)
+        gru_final_states(x, self.SPANS, p, reverse=reverse).backward_fn(weights)
+        batched = [n.grad.copy() for n in nodes]
+
+        zero_grad(nodes)
+        for (start, stop), w in zip(self.SPANS, weights):
+            h = Node(np.zeros(2))
+            for i in (range(stop - 1, start - 1, -1) if reverse else range(start, stop)):
+                h = gru_step(take_rows(x, i), h, p)
+            backward(dense(h, DenseParams(Node(w[None, :]), Node(np.zeros(1)), LINEAR)))
+        for got, ref in zip(batched, (n.grad for n in nodes)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_gru_final_states_without_grad(self):
+        p, x, _, _ = self.gru_setup(3)
+        kept = gru_final_states(x, self.SPANS, p)
+        bare = gru_final_states(x, self.SPANS, p, grad=False)
+        np.testing.assert_array_equal(kept.value, bare.value)
+        assert bare.backward_fn is None
+
+    def test_take_rows_repeats_and_fill(self):
+        rng = np.random.default_rng(4)
+        table = Node(rng.uniform(-1, 1, (5, 3)))
+        fill = Node(rng.uniform(-1, 1, 3))
+        head = init_dense(3, 2, LINEAR, rng)
+        idx = [2, 0, 2, -1, 4, -1, 2]
+        golds = [1, 0, 1, 1, 0, 0, 1]
+
+        def loss_fn():
+            return softmax_xent_rows(dense_rows(take_rows(table, idx, fill=fill), head), golds)[1]
+
+        assert finite_diff_check(loss_fn, [table, fill]) < 1e-4
+        picked = take_rows(table, idx, fill=fill).value
+        np.testing.assert_array_equal(picked[3], fill.value)
+        np.testing.assert_array_equal(picked[0], table.value[2])
+
+    def test_embedding_gather_matches_embedding_rows(self):
+        # one gather with repeated ids scatters what a row per token does
+        rng = np.random.default_rng(5)
+        table = Node(rng.uniform(-1, 1, (6, 3)))
+        ids = [3, 1, 3, 3, 0]
+        g = rng.uniform(-1, 1, (len(ids), 3))
+        rows = take_rows(table, ids)
+        rows.backward_fn(g)
+        gathered = table.grad.copy()
+        zero_grad([table])
+        for i, row in zip(ids, g):
+            embedding_row(table, i).backward_fn(row)
+        np.testing.assert_allclose(gathered, table.grad, rtol=0, atol=1e-15)
+        assert take_rows(table, 3).value.shape == (3,)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_concat_matrices(self, axis):
+        rng = np.random.default_rng(6)
+        a, b = Node(rng.uniform(-1, 1, (2, 3))), Node(rng.uniform(-1, 1, (2, 3)))
+        head = init_dense(3 if axis == 0 else 6, 2, TANH, rng)
+        golds = [1, 0] * (2 if axis == 0 else 1)
+
+        def loss_fn():
+            return softmax_xent_rows(dense_rows(concat(a, b, axis=axis), head), golds)[1]
+
+        assert finite_diff_check(loss_fn, [a, b]) < 1e-4
+
+    def test_softmax_xent_rows_sums_softmax_xent(self):
+        rng = np.random.default_rng(7)
+        logits = Node(rng.uniform(-4, 4, (5, 2)))
+        golds = [0, 1, 1, 0, 1]
+        probs, loss = softmax_xent_rows(logits, golds)
+        backward(loss, seed=0.5)
+        for row, gold, p_row, g_row in zip(logits.value, golds, probs, logits.grad):
+            single = Node(row)
+            p_ref, loss_ref = softmax_xent(single, gold)
+            backward(loss_ref, seed=0.5)
+            np.testing.assert_allclose(p_row, p_ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(g_row, single.grad, rtol=0, atol=1e-15)
+        expected = sum(float(softmax_xent(Node(r), g)[1].value) for r, g in zip(logits.value, golds))
+        assert float(loss.value) == pytest.approx(expected, rel=1e-14)
+
+    def test_softmax_xent_rows_rejects_bad_input(self):
+        with pytest.raises(ShapeMismatch):
+            softmax_xent_rows(np.zeros((2, 3)), [0, 1])
+        with pytest.raises(ValueError):
+            softmax_xent_rows(np.zeros((2, 2)), [0, 2])
+        with pytest.raises(ValueError):
+            softmax_xent_rows(np.zeros((2, 2)), [0])
+
+    def test_backward_consumes_the_graph(self):
+        p, x, head, golds = self.gru_setup(2)
+        states = gru_final_states(x, self.SPANS, p)
+        _, loss = softmax_xent_rows(dense_rows(states, head), golds)
+        backward(loss)
+        assert states.backward_fn is None and states.grad is None
+        assert p.w.grad is not None and x.grad is not None  # leaves keep theirs
 
 
 class TestAdam:
