@@ -9,13 +9,14 @@ than an input-output demo.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .post_parser import BlockKind, CodeContextInstance
-from .tokenize import TokenStream, load_wordlist_resource, tokenize_text
+from .tokenize import TokenStream, load_wordlist_resource, tokenize_text, wordlist_entries
 
 LOGISTIC = "logistic"
 HINGE_SVM = "hinge_svm"
@@ -77,21 +78,15 @@ class SparseFeatureVector:
             self.values[idx] = value
 
 
-_DEFAULT_CONNECTIVES: list[list[str]] | None = None
-
-
+@functools.cache
 def default_connectives() -> list[list[str]]:
-    global _DEFAULT_CONNECTIVES
-    if _DEFAULT_CONNECTIVES is None:
-        phrases = sorted(load_wordlist_resource("connectives.txt"))
-        _DEFAULT_CONNECTIVES = [tokenize_text(p).tokens for p in phrases]
-    return _DEFAULT_CONNECTIVES
+    return [tokenize_text(p).tokens for p in sorted(load_wordlist_resource("connectives.txt"))]
 
 
 def load_connectives(path) -> list[list[str]]:
     with open(path, encoding="utf-8") as f:
-        phrases = [line.strip() for line in f if line.strip() and not line.startswith("#")]
-    return [tokenize_text(p).tokens for p in sorted(set(phrases))]
+        phrases = sorted(wordlist_entries(f))
+    return [tokenize_text(p).tokens for p in phrases]
 
 
 def _contains_seq(tokens: list[str], phrase: list[str]) -> bool:
@@ -256,14 +251,9 @@ def predict_linear(model: LinearModel, features: SparseFeatureVector):
 # CodeClass corpus harvesting
 # --------------------------------------------------------------------------
 
-_DEFAULT_CUES: list[str] | None = None
-
-
+@functools.cache
 def default_codeclass_cues() -> list[str]:
-    global _DEFAULT_CUES
-    if _DEFAULT_CUES is None:
-        _DEFAULT_CUES = sorted(load_wordlist_resource("codeclass_cues.txt"))
-    return _DEFAULT_CUES
+    return sorted(load_wordlist_resource("codeclass_cues.txt"))
 
 
 def harvest_codeclass_corpus(

@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from . import baselines, models, question_filter, train_eval
@@ -31,8 +31,7 @@ from .post_parser import (
     parse_answer_post,
     tokenize_sequence,
 )
-from . import tokenize as tokenize_mod
-from .tokenize import Language, normalize_code, tokenize_text
+from .tokenize import Language, Tokenizer, load_keep_list, normalize_code, tokenize_text
 from .train_eval import Decision, Metrics, TrainConfig, evaluate
 from .vocab_embed import build_vocab
 
@@ -87,27 +86,12 @@ DEFAULT_CONFIG = {
     "language": "python",
     "tokenize": {"python_keep_list": None, "connectives": None},
     "vocab": {"min_count": 1},
+    # The model and neural-training defaults are VariantConfig's and
+    # TrainConfig's; the other keys are read by the CLI only.
     "model": {
-        "variant": "biv_hnn",
-        "d_embed": 150,
-        "d_token_gru": 64,
-        "d_block": 128,
-        "seed": 0,
-        "share_text_question_encoder": True,
-        "word_embedding_file": None,
-        "code_embedding_file": None,
+        **VariantConfig().to_dict(), "word_embedding_file": None, "code_embedding_file": None
     },
-    "train": {
-        "lr": 0.001,
-        "batch_size": 100,
-        "max_epochs": 100,
-        "patience": 10,
-        "seed": 0,
-        "freeze_embeddings": False,
-        "l2": 1e-4,
-        "linear_epochs": 30,
-        "linear_lr": 0.1,
-    },
+    "train": {**asdict(TrainConfig()), "l2": 1e-4, "linear_epochs": 30, "linear_lr": 0.1},
 }
 
 
@@ -124,14 +108,11 @@ def load_config(path=None) -> dict:
     return config
 
 
-def config_language(config) -> Language:
-    return Language(config.get("language", "python"))
-
-
-def apply_tokenize_config(config) -> None:
-    """Install a custom Python keep-list when the config names one."""
+def config_tokenizer(config) -> Tokenizer:
+    """The config's language and, when it names one, its Python keep-list."""
     path = config.get("tokenize", {}).get("python_keep_list")
-    tokenize_mod.set_default_keep_list(tokenize_mod.load_keep_list(path) if path else None)
+    keep = load_keep_list(path) if path else None
+    return Tokenizer(Language(config.get("language", "python")), keep)
 
 
 def config_connectives(config):
@@ -301,7 +282,7 @@ def _question_features(record, answer_seq, keywords=None):
 # --------------------------------------------------------------------------
 
 
-def load_labeled_instances(dump_path, label_maps, language: Language):
+def load_labeled_instances(dump_path, label_maps, tokenizer: Tokenizer):
     """Extract labeled instances for training/evaluation in one pass.
 
     ``label_maps`` is a list of {qid: {position: label}} maps; returns one
@@ -311,12 +292,12 @@ def load_labeled_instances(dump_path, label_maps, language: Language):
     out = [[] for _ in label_maps]
     for record, seq in read_answers(dump_path, Counter(), _unlabeled(*label_maps)):
         qid = record["question_id"]
-        tokenize_sequence(seq, language)
+        tokenize_sequence(seq, tokenizer)
         for instances, labels in zip(out, label_maps):
             if qid in labels:
                 instances.extend(
                     inst
-                    for inst in extract_instances(record["title"], seq, labels[qid], language)
+                    for inst in extract_instances(record["title"], seq, labels[qid], tokenizer)
                     if inst.label is not None
                 )
     return out
@@ -379,7 +360,7 @@ def mine(
     dump order.
     """
     config = config or load_config()
-    language = config_language(config)
+    tokenizer = config_tokenizer(config)
     biv, text, code = _load_ensemble(biv_path, text_path, code_path)
     qfilter = question_filter.QuestionFilterModel.load(filter_model_path)
 
@@ -400,7 +381,7 @@ def mine(
     n_pending = 0
 
     def off_domain(record):
-        return None if domain_matches(record["tags"], language) else "domain_skipped"
+        return None if domain_matches(record["tags"], tokenizer.language) else "domain_skipped"
 
     abstention_path = str(out_path) + ".abstentions.jsonl"
     with open(out_path, "w", encoding="utf-8") as out, open(
@@ -429,8 +410,8 @@ def mine(
                 report["single_code_pairs"] += 1
                 continue
 
-            tokenize_sequence(answer_seq, language)
-            instances = extract_instances(title, answer_seq, None, language)
+            tokenize_sequence(answer_seq, tokenizer)
+            instances = extract_instances(title, answer_seq, None, tokenizer)
             pending.append((qid, title, instances))
             n_pending += len(instances)
             if n_pending >= train_eval.INFERENCE_CHUNK:
@@ -535,7 +516,7 @@ def read_pairs(path):
                 raise ValueError(f"{path}:{lineno}: not a mined pair: {exc!r}") from exc
 
 
-def dataset_stats(dataset_path, language: Language = Language.PYTHON) -> dict:
+def dataset_stats(dataset_path, tokenizer: Tokenizer = Tokenizer()) -> dict:
     """Pair counts, average token lengths, and distinct-token counts."""
     n = 0
     by_provenance = {p.value: 0 for p in Provenance}
@@ -547,7 +528,7 @@ def dataset_stats(dataset_path, language: Language = Language.PYTHON) -> dict:
         n += 1
         by_provenance[pair.provenance.value] += 1
         q_toks = tokenize_text(pair.title).tokens
-        c_toks = normalize_code(pair.code, language).tokens
+        c_toks = normalize_code(pair.code, tokenizer.language, tokenizer.keep).tokens
         question_tokens += len(q_toks)
         code_tokens += len(c_toks)
         distinct_q.update(q_toks)
@@ -568,41 +549,23 @@ def dataset_stats(dataset_path, language: Language = Language.PYTHON) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _variant_config(config: dict, variant: str | None = None) -> VariantConfig:
-    section = config["model"]
-    return VariantConfig(
-        variant=Variant(variant or section["variant"]),
-        d_embed=int(section["d_embed"]),
-        d_token_gru=int(section["d_token_gru"]),
-        d_block=int(section["d_block"]),
-        seed=int(section["seed"]),
-        share_text_question_encoder=bool(section["share_text_question_encoder"]),
-    )
-
-
 def train_neural(dump_path, train_csv, valid_csv, config, variant=None, out_path=None):
-    language = config_language(config)
     train_insts, valid_insts = load_labeled_instances(
-        dump_path, [read_annotation_csv(train_csv), read_annotation_csv(valid_csv)], language
+        dump_path,
+        [read_annotation_csv(train_csv), read_annotation_csv(valid_csv)],
+        config_tokenizer(config),
     )
     word_vocab, code_vocab = build_vocabs(train_insts, config["vocab"]["min_count"])
-    cfg = _variant_config(config, variant)
+    section = config["model"]
+    cfg = VariantConfig.from_dict({**section, "variant": variant or section["variant"]})
     model = models.init_model(
         cfg,
         word_vocab,
         code_vocab,
-        config["model"]["word_embedding_file"],
-        config["model"]["code_embedding_file"],
+        section["word_embedding_file"],
+        section["code_embedding_file"],
     )
-    section = config["train"]
-    hyper = TrainConfig(
-        lr=section["lr"],
-        batch_size=section["batch_size"],
-        max_epochs=section["max_epochs"],
-        patience=section["patience"],
-        seed=section["seed"],
-        freeze_embeddings=section["freeze_embeddings"],
-    )
+    hyper = TrainConfig(**{f.name: config["train"][f.name] for f in fields(TrainConfig)})
     model, history = train_eval.train(model, train_insts, valid_insts, hyper)
     if out_path:
         models.save_model(model, out_path)
@@ -616,20 +579,23 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
     Returns the bundle and, when ``valid_csv`` is given, the validation
     instances, read in the same pass as the training ones (else None).
     """
-    language = config_language(config)
+    tokenizer = config_tokenizer(config)
     csvs = [train_csv] + ([valid_csv] if valid_csv else [])
     train_insts, *valid = load_labeled_instances(
-        dump_path, [read_annotation_csv(path) for path in csvs], language
+        dump_path, [read_annotation_csv(path) for path in csvs], tokenizer
     )
     section = config["train"]
     connectives = config_connectives(config)
 
     codeclass_model = None
-    if language is Language.PYTHON:
+    if tokenizer.language is Language.PYTHON:
         sequences = (seq for _, seq in read_answers(dump_path, Counter()))
         corpus = baselines.harvest_codeclass_corpus(sequences, seed=section["seed"])
         if len({label for _, label in corpus}) == 2:
-            streams = [(normalize_code(raw, language), label) for raw, label in corpus]
+            streams = [
+                (normalize_code(raw, tokenizer.language, tokenizer.keep), label)
+                for raw, label in corpus
+            ]
             codeclass_model = baselines.train_codeclass(
                 streams, l2=section["l2"], epochs=section["linear_epochs"],
                 lr=section["linear_lr"], seed=section["seed"],
@@ -699,8 +665,9 @@ class LinearBundle:
 def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     """Evaluate any checkpoint (neural or linear) plus the two heuristics
     on a labeled set."""
-    language = config_language(config)
-    (instances,) = load_labeled_instances(dump_path, [read_annotation_csv(labels_csv)], language)
+    (instances,) = load_labeled_instances(
+        dump_path, [read_annotation_csv(labels_csv)], config_tokenizer(config)
+    )
     golds = [inst.label for inst in instances]
 
     with open(checkpoint_path, encoding="utf-8") as f:
@@ -724,9 +691,10 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
 
 def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, config) -> dict:
     """Agreement-ensemble coverage and quality on a labeled set."""
-    language = config_language(config)
     biv, text, code = _load_ensemble(biv_path, text_path, code_path)
-    (instances,) = load_labeled_instances(dump_path, [read_annotation_csv(labels_csv)], language)
+    (instances,) = load_labeled_instances(
+        dump_path, [read_annotation_csv(labels_csv)], config_tokenizer(config)
+    )
     decided_preds, decided_golds = [], []
     abstained = 0
     for chunk in train_eval.chunked(instances):
@@ -877,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mine", lambda a, c: mine(a.dump, a.biv, a.text, a.code, a.filter_model, a.out, c),
         ["--dump", "--biv", "--text", "--code", "--filter-model", "--out"],
     )
-    add("stats", lambda a, c: dataset_stats(a.dataset, config_language(c)), ["--dataset"])
+    add("stats", lambda a, c: dataset_stats(a.dataset, config_tokenizer(c)), ["--dataset"])
     add(
         "merge", lambda a, c: merge_annotated(a.mined, a.annotated, a.dump, a.out),
         ["--mined", "--annotated", "--dump", "--out"], optional=(),
@@ -888,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = load_config(getattr(args, "config", None))  # merge takes no --config
-    apply_tokenize_config(config)
     print(json.dumps(args.fn(args, config), sort_keys=True))
     return 0
 

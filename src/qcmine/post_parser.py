@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from html.parser import HTMLParser
 
-from .tokenize import Language, normalize_code, tokenize_text, wordpunct
+from .tokenize import Tokenizer, normalize_code, tokenize_text, wordpunct
 
 
 class EmptyPost(ValueError):
@@ -188,28 +188,34 @@ def parse_answer_post(html: str, question_id: int = 0) -> BlockSequence:
     return BlockSequence(question_id, blocks)
 
 
-def tokenize_sequence(seq: BlockSequence, language: Language) -> BlockSequence:
-    """Fill in block token lists: prose via the text tokenizer, code via the
-    language normalizer."""
+def tokenize_sequence(seq: BlockSequence, tokenizer: Tokenizer) -> BlockSequence:
+    """Fill in every block's token list."""
     for block in seq.blocks:
-        if block.kind is BlockKind.TEXT:
-            block.tokens = tokenize_text(block.raw).tokens
-        else:
-            block.tokens = normalize_code(block.raw, language).tokens or wordpunct(block.raw)
+        block.tokens = _tokens_of(block, tokenizer)
     return seq
+
+
+def _tokens_of(block: Block, tokenizer: Tokenizer) -> list[str]:
+    """Prose via the text tokenizer; code via the language normalizer, or a
+    word/punct split where that yields nothing."""
+    if block.kind is BlockKind.TEXT:
+        return tokenize_text(block.raw).tokens
+    code = normalize_code(block.raw, tokenizer.language, tokenizer.keep)
+    return code.tokens or wordpunct(block.raw)
 
 
 def extract_instances(
     question_title: str,
     seq: BlockSequence,
     labels: dict[int, int] | None = None,
-    language: Language = Language.PYTHON,
+    tokenizer: Tokenizer = Tokenizer(),
 ) -> list[CodeContextInstance]:
     """Produce one CodeContextInstance per code block.
 
     Instance i carries the text blocks immediately before and after code
     block i (1-based positions). ``labels`` maps positions to gold labels;
-    unlisted positions stay unlabeled.
+    unlisted positions stay unlabeled. Blocks that ``tokenize_sequence`` has
+    not filled in are tokenized here with ``tokenizer``.
     """
     code_count = sum(1 for b in seq.blocks if b.kind is BlockKind.CODE)
     if labels:
@@ -231,9 +237,9 @@ def extract_instances(
         instances.append(
             CodeContextInstance(
                 question_tokens=question_tokens,
-                pre_tokens=_block_tokens(pre, language),
-                code_tokens=_block_tokens(block, language),
-                post_tokens=_block_tokens(post, language),
+                pre_tokens=_block_tokens(pre, tokenizer),
+                code_tokens=_block_tokens(block, tokenizer),
+                post_tokens=_block_tokens(post, tokenizer),
                 position=position,
                 label=labels.get(position) if labels else None,
                 raw_code=block.raw,
@@ -242,13 +248,11 @@ def extract_instances(
     return instances
 
 
-def _block_tokens(block: Block | None, language: Language) -> list[str]:
+def _block_tokens(block: Block | None, tokenizer: Tokenizer) -> list[str]:
     if block is None:
         return []
     if block.tokens:
         return list(block.tokens)
     if not block.raw.strip():
         return []
-    if block.kind is BlockKind.TEXT:
-        return tokenize_text(block.raw).tokens
-    return normalize_code(block.raw, language).tokens or wordpunct(block.raw)
+    return _tokens_of(block, tokenizer)

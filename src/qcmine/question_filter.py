@@ -7,6 +7,7 @@ regression from the baselines module.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,14 +28,9 @@ class QuestionLabel(Enum):
     NON_HOW_TO = "other"
 
 
-_DEFAULT_KEYWORDS: list[str] | None = None
-
-
+@functools.cache
 def default_keywords() -> list[str]:
-    global _DEFAULT_KEYWORDS
-    if _DEFAULT_KEYWORDS is None:
-        _DEFAULT_KEYWORDS = sorted(load_wordlist_resource("question_keywords.txt"))
-    return _DEFAULT_KEYWORDS
+    return sorted(load_wordlist_resource("question_keywords.txt"))
 
 
 @dataclass

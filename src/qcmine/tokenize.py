@@ -5,11 +5,13 @@ vocabulary size: Python identifiers/numbers/strings collapse to VAR/NUMBER/
 STRING (keywords and common builtins survive via a keep-list), SQL table and
 column names become numbered placeholders shared across repeated mentions.
 Both normalizers are total: lines (Python) that defeat the lexer fall back
-to a plain word/punct split.
+to a plain word/punct split. A ``Tokenizer`` value carries the language and
+keep-list that every reader, trainer and miner of a dataset must share.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,36 +67,28 @@ NUMBER_TOKEN = "NUMBER"
 STRING_TOKEN = "STRING"
 
 
+def wordlist_entries(lines) -> frozenset[str]:
+    """The entries of a lexicon: one per line, '#' comments and blank lines
+    ignored."""
+    return frozenset(line.strip() for line in lines if line.strip() and not line.startswith("#"))
+
+
 def load_wordlist_resource(name: str) -> frozenset[str]:
-    """Read a packaged lexicon: one entry per line, '#' comments ignored."""
+    """Read a packaged lexicon."""
     text = resources.files("qcmine.data").joinpath(name).read_text("utf-8")
-    return frozenset(
-        line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")
-    )
+    return wordlist_entries(text.splitlines())
 
 
-_DEFAULT_KEEP: frozenset[str] | None = None
-
-
+@functools.cache
 def default_python_keep_list() -> frozenset[str]:
     """Keywords plus common builtins that survive identifier replacement."""
-    global _DEFAULT_KEEP
-    if _DEFAULT_KEEP is None:
-        _DEFAULT_KEEP = load_wordlist_resource("python_keep_list.txt")
-    return _DEFAULT_KEEP
-
-
-def set_default_keep_list(keep: frozenset[str] | None) -> None:
-    """Override the packaged keep-list (None restores it). Lets a config
-    file swap lexicons without threading them through every call."""
-    global _DEFAULT_KEEP
-    _DEFAULT_KEEP = frozenset(keep) if keep is not None else None
+    return load_wordlist_resource("python_keep_list.txt")
 
 
 def load_keep_list(path) -> frozenset[str]:
     """Load a keep-list file: one token per line, '#' comments ignored."""
     with open(path, encoding="utf-8") as f:
-        return frozenset(line.strip() for line in f if line.strip() and not line.startswith("#"))
+        return wordlist_entries(f)
 
 
 class _LexError(Exception):
@@ -346,9 +340,23 @@ def normalize_sql(code: str) -> TokenStream:
     return TokenStream(tokens, Language.SQL, n_lines=_count_lines(code))
 
 
-def normalize_code(code: str, language: Language) -> TokenStream:
+def normalize_code(
+    code: str, language: Language, keep: frozenset[str] | None = None
+) -> TokenStream:
+    """Normalize a snippet of ``language``; ``keep`` is the Python keep-list
+    (None: the packaged one)."""
     if language is Language.PYTHON:
-        return normalize_python(code)
+        return normalize_python(code, keep)
     if language is Language.SQL:
         return normalize_sql(code)
     raise ValueError(f"no code normalizer for {language}")
+
+
+@dataclass(frozen=True)
+class Tokenizer:
+    """How code blocks are tokenized: the code language and, for Python,
+    the identifiers that survive VAR replacement (None: the packaged
+    keep-list). Every reader, trainer and miner of one dataset shares one."""
+
+    language: Language = Language.PYTHON
+    keep: frozenset[str] | None = None

@@ -383,7 +383,7 @@ def test_criterion_8_internal_consistency(tmp_path):
         )
         merged = tmp_path / "merged.jsonl"
         merge_report = cli.merge_annotated(mined, ws["train"], ws["dump"], merged)
-        stats = cli.dataset_stats(merged, cli.config_language(config))
+        stats = cli.dataset_stats(merged, cli.config_tokenizer(config))
 
         # totals = single-code + ensemble-mined + annotated
         by = stats["by_provenance"]
@@ -432,7 +432,7 @@ def test_criterion_8_reference_quality(language, f1_target, coverage_target, tmp
         train_insts, valid_insts, test_insts = cli.load_labeled_instances(
             paths["dump.jsonl"],
             [cli.read_annotation_csv(paths[name]) for name in ("train.csv", "valid.csv", "test.csv")],
-            cli.config_language(base),
+            cli.config_tokenizer(base),
         )
         word_vocab, code_vocab = cli.build_vocabs(train_insts)
 

@@ -16,7 +16,7 @@ from qcmine import cli, train_eval
 from qcmine.models import CheckpointMismatch, load_model, predict_label
 from qcmine.nn_core import softmax
 from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
-from qcmine.tokenize import Language
+from qcmine.tokenize import Tokenizer, normalize_python
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +180,8 @@ class TestTrainEval:
     def test_trained_models_fit_training_posts(self, ws):
         model = load_model(ws["biv_hnn"])
         seq = parse_answer_post(SOLUTION_HTML, 100)
-        tokenize_sequence(seq, Language.PYTHON)
-        insts = extract_instances("How to frob the 1 widget", seq, None, Language.PYTHON)
+        tokenize_sequence(seq, Tokenizer())
+        insts = extract_instances("How to frob the 1 widget", seq, None, Tokenizer())
         labels = [predict_label(model, inst)[0] for inst in insts]
         assert labels == [1, 0]
 
@@ -318,8 +318,8 @@ class TestMine:
         for pair in mined_pairs:
             rec = dump_records[pair.question_id]
             seq = parse_answer_post(rec["accepted_answer_html"], pair.question_id)
-            tokenize_sequence(seq, Language.PYTHON)
-            insts = extract_instances(rec["title"], seq, None, Language.PYTHON)
+            tokenize_sequence(seq, Tokenizer())
+            insts = extract_instances(rec["title"], seq, None, Tokenizer())
             inst = insts[pair.position - 1]
             votes = [predict_label(m, inst)[0] for m in (biv, text, code)]
             assert votes == [1, 1, 1]
@@ -547,8 +547,8 @@ class TestFuzzedDump:
 
 
 class TestBenchHooks:
-    """The benchmark patches these public names; mining must run unchanged
-    under both its timer and its tracer."""
+    """The benchmark patches these public names; mining and training must
+    run unchanged under both its timer and its tracer."""
 
     def load_bench(self):
         bench = Path(__file__).resolve().parents[1] / "bench"
@@ -575,6 +575,61 @@ class TestBenchHooks:
         plain = (tmp_path / "plain.jsonl").read_bytes()
         assert (tmp_path / "clock.jsonl").read_bytes() == plain
         assert (tmp_path / "traced.jsonl").read_bytes() == plain
+
+    def test_train_under_clock_and_trace_patches(self, ws, tmp_path):
+        run = self.load_bench()
+        args = (ws["dump"], ws["train"], ws["valid"], cli.load_config(ws["config"]), "biv_hnn")
+
+        def train(name):
+            _, history = cli.train_neural(*args, tmp_path / name)
+            # everything but the epochs' wall times
+            return [(h.epoch, h.train_loss, h.valid) for h in history]
+
+        expected = train("plain.json")
+        rec = run.tracing.Recorder()
+        with rec.installed(run.clock_patches(run.hostclock.HostClock("numpy"))):
+            assert train("clock.json") == expected
+        with rec.installed(run.full_patches(rec)):
+            assert train("traced.json") == expected
+        assert {"cli.load_labeled_instances", "post_parser.tokenize_sequence",
+                "post_parser.extract_instances", "tokenize.code"} <= {s[0] for s in rec.spans}
+        plain = (tmp_path / "plain.json").read_bytes()
+        assert (tmp_path / "clock.json").read_bytes() == plain
+        assert (tmp_path / "traced.json").read_bytes() == plain
+
+
+class TestKeepListConfig:
+    """The config's keep-list reaches every call given that config, library
+    calls included, and no call that is not."""
+
+    @pytest.fixture
+    def custom(self, ws, tmp_path):
+        keep = tmp_path / "keep.txt"
+        keep.write_text("compute\nfoo\n")
+        config = json.loads(ws["config"].read_text())
+        config["tokenize"] = {"python_keep_list": str(keep)}
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_train_neural_keeps_listed_identifier(self, ws, custom):
+        args = (ws["dump"], ws["train"], ws["valid"])
+        model, _ = cli.train_neural(*args, cli.load_config(custom), "code_hnn")
+        assert "compute" in model.code_vocab.token_to_id
+        model, _ = cli.train_neural(*args, cli.load_config(ws["config"]), "code_hnn")
+        assert "compute" not in model.code_vocab.token_to_id
+
+    def test_main_does_not_leak_keep_list(self, custom, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pair = cli.MinedPair(1, "How to foo", "foo(bar)", 1, cli.Provenance.SINGLE_CODE)
+        pairs.write_text(pair.to_json() + "\n")
+        cli.main(["stats", "--dataset", str(pairs), "--config", str(custom)])
+        assert json.loads(capsys.readouterr().out)["distinct_code_tokens"] == 4  # foo ( VAR )
+        assert normalize_python("foo(print)").tokens == ["VAR", "(", "print", ")"]
+        assert cli.dataset_stats(pairs)["distinct_code_tokens"] == 3  # VAR ( )
+        assert cli.dataset_stats(pairs, cli.config_tokenizer(cli.load_config(custom))) == (
+            cli.dataset_stats(pairs, Tokenizer(keep=frozenset({"compute", "foo"})))
+        )
 
 
 class TestMergeAndStats:
@@ -670,7 +725,7 @@ class TestMergeAndStats:
         ds = tmp_path / "one.jsonl"
         pair = cli.MinedPair(1, "How to sort", "x = sorted(y)", 1, cli.Provenance.SINGLE_CODE)
         ds.write_text(pair.to_json() + "\n")
-        stats = cli.dataset_stats(ds, Language.PYTHON)
+        stats = cli.dataset_stats(ds, Tokenizer())
         assert stats["pairs"] == 1
         assert stats["avg_question_tokens"] == 3.0  # how, to, sort
         assert stats["avg_code_tokens"] == 6.0  # VAR = sorted ( VAR )

@@ -11,7 +11,7 @@ from qcmine.post_parser import (
     parse_answer_post,
     tokenize_sequence,
 )
-from qcmine.tokenize import Language
+from qcmine.tokenize import Language, Tokenizer
 
 
 def kinds(seq):
@@ -124,8 +124,8 @@ class TestExtractInstances:
 
     def test_uses_pretokenized_blocks(self):
         seq = parse_answer_post("<p>Try</p><pre><code>SELECT a FROM t</code></pre>")
-        tokenize_sequence(seq, Language.SQL)
-        insts = extract_instances("t", seq, language=Language.SQL)
+        tokenize_sequence(seq, Tokenizer(Language.SQL))
+        insts = extract_instances("t", seq, tokenizer=Tokenizer(Language.SQL))
         assert insts[0].code_tokens == ["select", "col0", "from", "tab0"]
 
 

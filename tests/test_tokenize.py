@@ -3,8 +3,12 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
 from qcmine.tokenize import (
     Language,
+    Tokenizer,
+    load_keep_list,
+    normalize_code,
     normalize_python,
     normalize_sql,
     tokenize_text,
@@ -155,16 +159,18 @@ def test_language_tagging():
 
 
 def test_keep_list_override(tmp_path):
-    from qcmine.tokenize import load_keep_list, set_default_keep_list
-
     path = tmp_path / "keep.txt"
     path.write_text("# comment\nfoo\n\nbar\n")
     keep = load_keep_list(path)
     assert keep == {"foo", "bar"}
     assert normalize_python("foo = baz", keep=keep).tokens == ["foo", "=", "VAR"]
-    try:
-        set_default_keep_list(keep)
-        assert normalize_python("foo(print)").tokens == ["foo", "(", "VAR", ")"]
-    finally:
-        set_default_keep_list(None)
-    assert normalize_python("foo(print)").tokens == ["VAR", "(", "print", ")"]
+    assert normalize_code("foo(print)", Language.PYTHON, keep).tokens == ["foo", "(", "VAR", ")"]
+    assert normalize_code("foo(print)", Language.PYTHON).tokens == ["VAR", "(", "print", ")"]
+    # a Tokenizer carries the keep-list to both block-tokenizing paths
+    html = "<p>Try</p><pre><code>foo(print)</code></pre>"
+    custom = Tokenizer(Language.PYTHON, keep)
+    lazy = extract_instances("t", parse_answer_post(html), None, custom)
+    eager = extract_instances("t", tokenize_sequence(parse_answer_post(html), custom), None)
+    assert lazy[0].code_tokens == eager[0].code_tokens == ["foo", "(", "VAR", ")"]
+    default = extract_instances("t", parse_answer_post(html), None, Tokenizer())
+    assert default[0].code_tokens == ["VAR", "(", "print", ")"]
