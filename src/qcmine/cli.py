@@ -319,10 +319,10 @@ def build_vocabs(instances, min_count: int = 1):
 # --------------------------------------------------------------------------
 
 
-def _load_ensemble(biv_path, text_path, code_path):
-    biv = models.load_model(biv_path)
-    text = models.load_model(text_path)
-    code = models.load_model(code_path)
+def _load_ensemble(biv_path, text_path, code_path, tokenizer: Tokenizer):
+    biv = models.load_model(biv_path, tokenizer)
+    text = models.load_model(text_path, tokenizer)
+    code = models.load_model(code_path, tokenizer)
     expected = (Variant.BIV_HNN, Variant.TEXT_HNN, Variant.CODE_HNN)
     actual = (biv.config.variant, text.config.variant, code.config.variant)
     if actual != expected:
@@ -361,7 +361,7 @@ def mine(
     """
     config = config or load_config()
     tokenizer = config_tokenizer(config)
-    biv, text, code = _load_ensemble(biv_path, text_path, code_path)
+    biv, text, code = _load_ensemble(biv_path, text_path, code_path, tokenizer)
     qfilter = question_filter.QuestionFilterModel.load(filter_model_path)
 
     report = {
@@ -550,10 +550,9 @@ def dataset_stats(dataset_path, tokenizer: Tokenizer = Tokenizer()) -> dict:
 
 
 def train_neural(dump_path, train_csv, valid_csv, config, variant=None, out_path=None):
+    tokenizer = config_tokenizer(config)
     train_insts, valid_insts = load_labeled_instances(
-        dump_path,
-        [read_annotation_csv(train_csv), read_annotation_csv(valid_csv)],
-        config_tokenizer(config),
+        dump_path, [read_annotation_csv(train_csv), read_annotation_csv(valid_csv)], tokenizer
     )
     word_vocab, code_vocab = build_vocabs(train_insts, config["vocab"]["min_count"])
     section = config["model"]
@@ -564,6 +563,7 @@ def train_neural(dump_path, train_csv, valid_csv, config, variant=None, out_path
         code_vocab,
         section["word_embedding_file"],
         section["code_embedding_file"],
+        tokenizer,
     )
     hyper = TrainConfig(**{f.name: config["train"][f.name] for f in fields(TrainConfig)})
     model, history = train_eval.train(model, train_insts, valid_insts, hyper)
@@ -616,7 +616,8 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
         seed=section["seed"],
         dim=registry.size,
     )
-    bundle = LinearBundle(linear, registry, codeclass_model, connectives)
+    # a copy: the default lexicon is a shared cache the bundle must not alias
+    bundle = LinearBundle(linear, registry, codeclass_model, [list(p) for p in connectives])
     if out_path:
         bundle.save(out_path)
     return bundle, (valid[0] if valid else None)
@@ -650,7 +651,11 @@ class LinearBundle:
     @classmethod
     def load(cls, path) -> "LinearBundle":
         with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
+            return cls.from_obj(json.load(f), path)
+
+    @classmethod
+    def from_obj(cls, obj, path) -> "LinearBundle":
+        """The bundle of a parsed bundle file ``obj`` read from ``path``."""
         if obj.get("format") != "qcmine-linear-v1":
             raise CheckpointMismatch(f"{path} is not a linear baseline bundle")
         cc = obj.get("codeclass")
@@ -664,19 +669,22 @@ class LinearBundle:
 
 def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     """Evaluate any checkpoint (neural or linear) plus the two heuristics
-    on a labeled set."""
-    (instances,) = load_labeled_instances(
-        dump_path, [read_annotation_csv(labels_csv)], config_tokenizer(config)
-    )
-    golds = [inst.label for inst in instances]
-
+    on a labeled set. The checkpoint is read once, before the dump."""
+    tokenizer = config_tokenizer(config)
     with open(checkpoint_path, encoding="utf-8") as f:
-        fmt = json.load(f).get("format")
-    if fmt == "qcmine-linear-v1":
-        bundle = LinearBundle.load(checkpoint_path)
-        preds = [bundle.predict(inst)[0] for inst in instances]
+        obj = json.load(f)
+    linear = obj.get("format") == "qcmine-linear-v1"
+    if linear:
+        model = LinearBundle.from_obj(obj, checkpoint_path)
     else:
-        preds = train_eval.predict_labels(models.load_model(checkpoint_path), instances)
+        model = models.model_from_obj(obj, checkpoint_path, tokenizer)
+    del obj
+    (instances,) = load_labeled_instances(dump_path, [read_annotation_csv(labels_csv)], tokenizer)
+    golds = [inst.label for inst in instances]
+    if linear:
+        preds = [model.predict(inst)[0] for inst in instances]
+    else:
+        preds = train_eval.predict_labels(model, instances)
 
     # The heuristics of train_eval.select_first / select_all, which depend
     # only on a block's position.
@@ -691,10 +699,9 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
 
 def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, config) -> dict:
     """Agreement-ensemble coverage and quality on a labeled set."""
-    biv, text, code = _load_ensemble(biv_path, text_path, code_path)
-    (instances,) = load_labeled_instances(
-        dump_path, [read_annotation_csv(labels_csv)], config_tokenizer(config)
-    )
+    tokenizer = config_tokenizer(config)
+    biv, text, code = _load_ensemble(biv_path, text_path, code_path, tokenizer)
+    (instances,) = load_labeled_instances(dump_path, [read_annotation_csv(labels_csv)], tokenizer)
     decided_preds, decided_golds = [], []
     abstained = 0
     for chunk in train_eval.chunked(instances):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -33,6 +33,7 @@ from .nn_core import (
     take_rows,
 )
 from .post_parser import CodeContextInstance
+from .tokenize import Tokenizer
 from .vocab_embed import CODEBLOCK_TOKEN, Vocabulary, load_embeddings
 
 
@@ -88,14 +89,7 @@ class VariantConfig:
                 raise ConfigInvalid(f"{name} must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "d_embed": self.d_embed,
-            "d_token_gru": self.d_token_gru,
-            "d_block": self.d_block,
-            "seed": self.seed,
-            "share_text_question_encoder": self.share_text_question_encoder,
-        }
+        return {**asdict(self), "variant": self.variant.value}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "VariantConfig":
@@ -110,11 +104,6 @@ class VariantConfig:
         cfg.validate()
         return cfg
 
-    def hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()[:16]
-
 
 @dataclass
 class BiGru:
@@ -127,6 +116,7 @@ class ModelParameters:
     config: VariantConfig
     word_vocab: Vocabulary
     code_vocab: Vocabulary
+    preprocessing: dict  # Tokenizer.fingerprint() of the tokens it reads
     params: dict[str, Node] = field(default_factory=dict)
     word_emb: Node | None = None
     code_emb: Node | None = None
@@ -156,7 +146,7 @@ class ModelParameters:
             node.value[...] = snap[name]
 
 
-def _build(cfg: VariantConfig, word_vocab, code_vocab, get) -> ModelParameters:
+def _build(cfg: VariantConfig, word_vocab, code_vocab, preprocessing, get) -> ModelParameters:
     """Allocate the parameter set for a variant.
 
     ``get(name, shape, init)`` returns the named tensor, either freshly
@@ -165,7 +155,7 @@ def _build(cfg: VariantConfig, word_vocab, code_vocab, get) -> ModelParameters:
     """
     v = cfg.variant
     d_tok2 = 2 * cfg.d_token_gru
-    model = ModelParameters(cfg, word_vocab, code_vocab)
+    model = ModelParameters(cfg, word_vocab, code_vocab, preprocessing)
     reg = model.params
 
     def node(name, shape, init):
@@ -222,9 +212,11 @@ def init_model(
     code_vocab: Vocabulary,
     word_embedding_file=None,
     code_embedding_file=None,
+    tokenizer: Tokenizer = Tokenizer(),
 ) -> ModelParameters:
-    """Fresh model: glorot weights, zero biases, embeddings loaded from the
-    given vector files or randomly initialized. Deterministic per seed."""
+    """Fresh model for instances tokenized by ``tokenizer``: glorot weights,
+    zero biases, embeddings loaded from the given vector files or randomly
+    initialized. Deterministic per seed."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
@@ -241,7 +233,7 @@ def init_model(
             return load_embeddings(code_embedding_file, code_vocab, cfg.d_embed, cfg.seed + 1).table
         raise AssertionError(init)
 
-    return _build(cfg, word_vocab, code_vocab, get)
+    return _build(cfg, word_vocab, code_vocab, tokenizer.fingerprint(), get)
 
 
 # --------------------------------------------------------------------------
@@ -430,65 +422,68 @@ def predict_label(model: ModelParameters, inst: CodeContextInstance):
 # Checkpoints
 # --------------------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "qcmine-checkpoint-v1"
+_CHECKPOINT_FORMAT = "qcmine-checkpoint-v2"
+
+
+def _head_hash(cfg: VariantConfig, preprocessing: dict) -> str:
+    head = {"config": cfg.to_dict(), "preprocessing": preprocessing}
+    return hashlib.sha256(json.dumps(head, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def save_model(model: ModelParameters, path) -> None:
-    """Write the checkpoint as ``json.dump(obj, sort_keys=True,
-    ensure_ascii=False)`` would, but one tensor row at a time, so no
-    parameter is ever held as a Python list in full."""
-    head = {
+    """One JSON object; each tensor is ``nn_core.tensor_to_obj``'s base64."""
+    obj = {
         "format": _CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
-        "config_hash": model.config.hash(),
+        "config_hash": _head_hash(model.config, model.preprocessing),
+        "preprocessing": model.preprocessing,
         "word_vocab": model.word_vocab.token_to_id,
         "code_vocab": model.code_vocab.token_to_id,
+        "params": {name: nn_core.tensor_to_obj(n.value) for name, n in model.params.items()},
     }
-
-    def dumps(obj) -> str:
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
-
     with open(path, "w", encoding="utf-8") as f:
-        f.write("{")
-        for i, key in enumerate(sorted([*head, "params"])):
-            f.write((", " if i else "") + dumps(key) + ": ")
-            if key != "params":
-                f.write(dumps(head[key]))
-                continue
-            f.write("{")
-            for j, name in enumerate(sorted(model.params)):
-                arr = model.params[name].value
-                f.write((", " if j else "") + dumps(name) + ': {"data": [')
-                for k, row in enumerate(arr.reshape(-1, arr.shape[-1]) if arr.size else ()):
-                    f.write((", " if k else "") + json.dumps(row.tolist())[1:-1])
-                f.write('], "shape": ' + dumps(list(arr.shape)) + "}")
-            f.write("}")
-        f.write("}")
+        json.dump(obj, f, sort_keys=True, ensure_ascii=False)
 
 
-def load_model(path) -> ModelParameters:
+def load_model(path, tokenizer: Tokenizer | None = None) -> ModelParameters:
+    """Read a checkpoint; given ``tokenizer``, refuse one of other tokens."""
     with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
+        return model_from_obj(json.load(f), path, tokenizer)
+
+
+def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParameters:
+    """The model of a parsed checkpoint ``obj`` read from ``path``."""
     if obj.get("format") != _CHECKPOINT_FORMAT:
-        raise CheckpointMismatch(f"{path} is not a {_CHECKPOINT_FORMAT} file")
+        raise CheckpointMismatch(
+            f"{path} has format {obj.get('format')!r}, not {_CHECKPOINT_FORMAT}; retrain it"
+        )
     cfg = VariantConfig.from_dict(obj["config"])
-    if obj.get("config_hash") != cfg.hash():
+    preprocessing = obj.get("preprocessing")
+    if obj.get("config_hash") != _head_hash(cfg, preprocessing):
         raise CheckpointMismatch(f"{path}: config hash does not match its config")
+    if tokenizer is not None and preprocessing != tokenizer.fingerprint():
+        raise CheckpointMismatch(
+            f"{path} was trained on tokens from {preprocessing}, "
+            f"but the config tokenizes with {tokenizer.fingerprint()}"
+        )
     word_vocab = Vocabulary(dict(obj["word_vocab"]))
     code_vocab = Vocabulary(dict(obj["code_vocab"]))
-    tensors = {name: nn_core.tensor_from_obj(t) for name, t in obj["params"].items()}
+    tensors = {}
+    for name, t in obj["params"].items():
+        try:
+            tensors[name] = nn_core.tensor_from_obj(t)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointMismatch(f"{path}: parameter {name}: {e}") from None
 
     def get(name, shape, _init):
         if name not in tensors:
             raise CheckpointMismatch(f"{path}: missing parameter {name}")
         arr = tensors[name]
         if tuple(arr.shape) != tuple(shape):
-            raise CheckpointMismatch(
-                f"{path}: parameter {name} has shape {arr.shape}, expected {shape}"
-            )
+            raise CheckpointMismatch(f"{path}: parameter {name} has shape {arr.shape}, not {shape}")
         return arr
 
-    model = _build(cfg, word_vocab, code_vocab, get)
+    model = _build(cfg, word_vocab, code_vocab, preprocessing, get)
     extra = set(tensors) - set(model.params)
     if extra:
         raise CheckpointMismatch(f"{path}: unexpected parameters {sorted(extra)}")

@@ -20,6 +20,8 @@ state: h = u*h_prev + (1-u)*h_tilde, so u near 1 memorizes the past.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -591,8 +593,19 @@ def glorot_init(shape, rng) -> np.ndarray:
 
 
 def tensor_to_obj(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    """JSON form of a float64 tensor: its shape and base64 of its
+    little-endian float64 bytes in C order. Lossless: every bit, NaN
+    payloads and signed zeros included, survives ``tensor_from_obj``."""
+    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(data).decode("ascii")}
 
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
+    """The writable, C-contiguous float64 array of a ``tensor_to_obj``
+    object. Raises ValueError on bad base64 or a byte count that does not
+    match the shape."""
+    shape = tuple(obj["shape"])
+    raw = base64.b64decode(obj["data"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} data bytes do not fit float64 shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)

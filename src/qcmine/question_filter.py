@@ -122,7 +122,8 @@ def train_question_filter(
     ]
     registry.freeze()
     linear = train_linear(data, l2=l2, epochs=epochs, lr=lr, seed=seed, dim=registry.size)
-    return QuestionFilterModel(linear, registry, keywords)
+    # a copy: the default lexicon is a shared cache the model must not alias
+    return QuestionFilterModel(linear, registry, list(keywords))
 
 
 def classify_question(features: QuestionFeatures, model: QuestionFilterModel):

@@ -12,6 +12,7 @@ keep-list that every reader, trainer and miner of a dataset must share.
 from __future__ import annotations
 
 import functools
+import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -352,6 +353,12 @@ def normalize_code(
     raise ValueError(f"no code normalizer for {language}")
 
 
+# Names the behaviour of tokenize_text, normalize_python and normalize_sql.
+# Change it whenever their output changes, so checkpoints trained on the old
+# tokens are refused instead of silently reading <unk>s.
+NORMALIZER_VERSION = "qcmine-tokenize-1"
+
+
 @dataclass(frozen=True)
 class Tokenizer:
     """How code blocks are tokenized: the code language and, for Python,
@@ -360,3 +367,14 @@ class Tokenizer:
 
     language: Language = Language.PYTHON
     keep: frozenset[str] | None = None
+
+    def fingerprint(self) -> dict:
+        """What a checkpoint records of this tokenizer: the language, the
+        sha256 of the keep-list in effect (the packaged one when ``keep`` is
+        None) and the normalizer version."""
+        keep = default_python_keep_list() if self.keep is None else self.keep
+        return {
+            "language": self.language.value,
+            "keep_sha256": hashlib.sha256("\n".join(sorted(keep)).encode()).hexdigest(),
+            "normalizer": NORMALIZER_VERSION,
+        }

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
-from qcmine import cli, train_eval
+from qcmine import cli, tokenize, train_eval
 from qcmine.models import CheckpointMismatch, load_model, predict_label
 from qcmine.nn_core import softmax
 from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
-from qcmine.tokenize import Tokenizer, normalize_python
+from qcmine.tokenize import Tokenizer, default_python_keep_list, normalize_python
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,36 @@ class TestTrainEval:
         loaded = cli.LinearBundle.load(path)
         assert loaded.connectives == bundle.connectives
         assert loaded.connectives  # the default lexicon travels with the model
+
+    def test_linear_bundle_does_not_alias_default_connectives(self, ws):
+        from qcmine.baselines import default_connectives
+
+        before = [list(p) for p in default_connectives()]
+        bundle, _ = cli.train_linear_baseline(
+            ws["dump"], ws["train"], cli.load_config(ws["config"]), "logistic"
+        )
+        bundle.connectives.append(["frob"])
+        bundle.connectives[0].append("frob")
+        assert default_connectives() == before
+
+    @pytest.mark.parametrize("kind", ["neural", "linear"])
+    def test_eval_parses_the_checkpoint_once(self, ws, tmp_path, monkeypatch, kind):
+        config = cli.load_config(ws["config"])
+        checkpoint = ws["biv_hnn"]
+        if kind == "linear":
+            checkpoint = tmp_path / "lr.json"
+            cli.train_linear_baseline(ws["dump"], ws["train"], config, "logistic", checkpoint)
+        parses = []
+        load = json.load
+
+        def counting(f, *args, **kwargs):
+            parses.append(f.name)
+            return load(f, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting)
+        report = cli.evaluate_checkpoint(ws["dump"], ws["valid"], checkpoint, config)
+        assert parses.count(str(checkpoint)) == 1
+        assert report["instances"] == 8
 
     def test_linear_baseline_round_trip(self, ws, capsys):
         out = ws["root"] / "lr.json"
@@ -630,6 +660,60 @@ class TestKeepListConfig:
         assert cli.dataset_stats(pairs, cli.config_tokenizer(cli.load_config(custom))) == (
             cli.dataset_stats(pairs, Tokenizer(keep=frozenset({"compute", "foo"})))
         )
+
+
+class TestTokenizerRecord:
+    """A neural checkpoint records how its inputs were tokenized, and every
+    command that reads one with a config refuses other tokens before it reads
+    the dump."""
+
+    @pytest.fixture(params=["language", "keep", "normalizer"])
+    def other(self, request, ws, tmp_path, monkeypatch):
+        config = cli.load_config(ws["config"])
+        if request.param == "language":
+            config["language"] = "sql"
+        elif request.param == "keep":
+            keep = tmp_path / "keep.txt"
+            keep.write_text("print\n")
+            config["tokenize"] = {"python_keep_list": str(keep)}
+        else:
+            monkeypatch.setattr(tokenize, "NORMALIZER_VERSION", "qcmine-tokenize-0")
+        return config
+
+    def test_refused_before_the_dump_is_read(self, ws, other, monkeypatch):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_dump", no_read)
+        voters = (ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"])
+        with pytest.raises(CheckpointMismatch, match="trained on tokens"):
+            cli.mine(ws["dump"], *voters, ws["filter"], ws["root"] / "nope.jsonl", other)
+        with pytest.raises(CheckpointMismatch, match="trained on tokens"):
+            cli.ensemble_evaluate(ws["dump"], ws["valid"], *voters, other)
+        with pytest.raises(CheckpointMismatch, match="trained on tokens"):
+            cli.evaluate_checkpoint(ws["dump"], ws["valid"], ws["biv_hnn"], other)
+
+    def test_packaged_keep_list_file_matches_default(self, ws, tmp_path):
+        keep = tmp_path / "keep.txt"
+        keep.write_text("# the packaged list, reordered\n" + "\n".join(
+            sorted(default_python_keep_list(), reverse=True)
+        ))
+        config = cli.load_config(ws["config"])
+        config["tokenize"] = {"python_keep_list": str(keep)}
+        assert cli.config_tokenizer(config).fingerprint() == Tokenizer().fingerprint()
+        report = cli.evaluate_checkpoint(ws["dump"], ws["valid"], ws["biv_hnn"], config)
+        assert report["instances"] == 8
+
+    def test_train_records_the_config_tokenizer(self, ws, tmp_path):
+        config = cli.load_config(ws["config"])
+        keep = tmp_path / "keep.txt"
+        keep.write_text("compute\n")
+        config["tokenize"] = {"python_keep_list": str(keep)}
+        out = tmp_path / "code.json"
+        cli.train_neural(ws["dump"], ws["train"], ws["valid"], config, "code_hnn", out)
+        expected = Tokenizer(keep=frozenset({"compute"})).fingerprint()
+        assert load_model(out).preprocessing == expected
+        assert load_model(ws["code_hnn"]).preprocessing == Tokenizer().fingerprint()
 
 
 class TestMergeAndStats:

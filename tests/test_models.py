@@ -1,3 +1,6 @@
+import base64
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -22,7 +25,9 @@ from qcmine.models import (
 )
 from qcmine.nn_core import NonFiniteInput, backward, softmax, softmax_xent, softmax_xent_rows
 from qcmine.train_eval import TRAIN_SLICE, _slice_backward
+from qcmine import tokenize
 from qcmine.post_parser import CodeContextInstance
+from qcmine.tokenize import Language, Tokenizer, default_python_keep_list
 from qcmine.vocab_embed import build_vocab
 
 WORDS = ["try", "this", "works", "you", "can", "how", "to", "sort", "output", "is", "shown"]
@@ -401,8 +406,7 @@ class TestCheckpoints:
         np.testing.assert_array_equal(forward(model, inst)[0], forward(loaded, inst)[0])
 
     def test_streamed_save_matches_json_dump(self, tmp_path):
-        import json
-
+        """The file is ``json.dumps`` of the v2 head and base64 tensors."""
         words = ["try", "naïve", "日本語", 'quote"d', "back\\slash", "emoji\U0001F600"]
         wv, cv = build_vocab([words]), build_vocab([CODE + ["ünïcode"]])
         for variant in Variant:
@@ -410,19 +414,118 @@ class TestCheckpoints:
             model.output.b.value[...] = [np.nan, -np.inf]
             path = tmp_path / f"{variant.value}.json"
             save_model(model, path)
+            preprocessing = Tokenizer().fingerprint()
+            head = {"config": model.config.to_dict(), "preprocessing": preprocessing}
             obj = {
-                "format": "qcmine-checkpoint-v1",
+                "format": "qcmine-checkpoint-v2",
                 "config": model.config.to_dict(),
-                "config_hash": model.config.hash(),
+                "config_hash": hashlib.sha256(
+                    json.dumps(head, sort_keys=True).encode()
+                ).hexdigest()[:16],
+                "preprocessing": preprocessing,
                 "word_vocab": model.word_vocab.token_to_id,
                 "code_vocab": model.code_vocab.token_to_id,
                 "params": {
-                    name: {"shape": list(n.value.shape), "data": n.value.ravel().tolist()}
+                    name: {
+                        "shape": list(n.value.shape),
+                        "data": base64.b64encode(n.value.astype("<f8").tobytes()).decode(),
+                    }
                     for name, n in model.params.items()
                 },
             }
             expected = json.dumps(obj, sort_keys=True, ensure_ascii=False).encode("utf-8")
             assert path.read_bytes() == expected, variant
+
+    def test_save_load_save_byte_identical(self, vocabs, tmp_path):
+        keep = Tokenizer(keep=frozenset({"print"}))
+        for variant in Variant:
+            model = init_model(tiny_cfg(variant, seed=4), *vocabs, tokenizer=keep)
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            save_model(model, first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes(), variant
+
+    def test_special_values_bitwise_round_trip(self, vocabs, tmp_path):
+        model = init_model(tiny_cfg(), *vocabs)
+        special = np.array(
+            [0x7FF8000000000123, 0xFFF0000000000000, 0x8000000000000000, 0x0000000000000001,
+             0x7FF0000000000000, 0xFFF8000000000000],
+            dtype=np.uint64,
+        ).view(np.float64)
+        model.empty_block.value[...] = special
+        model.output.b.value[...] = special[:2]
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        for name, node in model.params.items():
+            assert node.value.view(np.uint64).tolist() == (
+                loaded.params[name].value.view(np.uint64).tolist()
+            ), name
+
+    def test_loaded_arrays_writable_c_contiguous_float64(self, vocabs, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(init_model(tiny_cfg(), *vocabs), path)
+        loaded = load_model(path)
+        for name, node in loaded.params.items():
+            arr = node.value
+            assert arr.dtype == np.float64, name
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+        loaded.restore({name: np.zeros_like(n.value) for name, n in loaded.params.items()})
+
+    def edited(self, vocabs, tmp_path, edit):
+        path = tmp_path / "m.json"
+        save_model(init_model(tiny_cfg(), *vocabs), path)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_v1_file_refused(self, vocabs, tmp_path):
+        def to_v1(obj):
+            obj["format"] = "qcmine-checkpoint-v1"
+            for t in obj["params"].values():
+                t["data"] = np.frombuffer(base64.b64decode(t["data"])).tolist()
+
+        path = self.edited(vocabs, tmp_path, to_v1)
+        with pytest.raises(CheckpointMismatch, match="qcmine-checkpoint-v1") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("data", [
+        lambda d: d[:-1],  # truncated base64
+        lambda d: base64.b64encode(base64.b64decode(d)[:-8]).decode(),  # one value short
+    ])
+    def test_bad_tensor_data_refused(self, vocabs, tmp_path, data):
+        def edit(obj):
+            t = obj["params"]["output.w"]
+            t["data"] = data(t["data"])
+
+        path = self.edited(vocabs, tmp_path, edit)
+        with pytest.raises(CheckpointMismatch, match="output.w") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_edited_preprocessing_refused_by_hash(self, vocabs, tmp_path):
+        def edit(obj):
+            obj["preprocessing"]["language"] = "sql"
+
+        with pytest.raises(CheckpointMismatch, match="hash"):
+            load_model(self.edited(vocabs, tmp_path, edit))
+
+    @pytest.mark.parametrize("mismatch", ["language", "keep", "normalizer"])
+    def test_other_tokenizer_refused(self, vocabs, tmp_path, monkeypatch, mismatch):
+        path = tmp_path / "m.json"
+        save_model(init_model(tiny_cfg(), *vocabs), path)
+        assert load_model(path, Tokenizer()).preprocessing == Tokenizer().fingerprint()
+        tokenizer = Tokenizer()
+        if mismatch == "language":
+            tokenizer = Tokenizer(Language.SQL)
+        elif mismatch == "keep":
+            tokenizer = Tokenizer(keep=default_python_keep_list() | {"frob"})
+        else:
+            monkeypatch.setattr(tokenize, "NORMALIZER_VERSION", "qcmine-tokenize-0")
+        with pytest.raises(CheckpointMismatch, match="trained on tokens"):
+            load_model(path, tokenizer)
 
     def test_checkpoint_carries_variant(self, vocabs, tmp_path):
         path = tmp_path / "m.json"
@@ -436,8 +539,6 @@ class TestCheckpoints:
             load_model(path)
 
     def test_missing_parameter_rejected(self, vocabs, tmp_path):
-        import json
-
         model = init_model(tiny_cfg(), *vocabs)
         path = tmp_path / "m.json"
         save_model(model, path)

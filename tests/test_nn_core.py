@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 
 import numpy as np
@@ -560,3 +562,52 @@ def test_tensor_json_round_trip():
     arr = rng.uniform(-1, 1, (3, 4))
     back = tensor_from_obj(tensor_to_obj(arr))
     np.testing.assert_array_equal(arr, back)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+class TestTensorObj:
+    """The v2 checkpoint tensor: base64 of little-endian float64 bytes."""
+
+    SPECIAL = np.array(
+        [0x7FF8000000000123, 0x7FF0000000000001, 0xFFF8000000000000,  # NaN payloads
+         0x7FF0000000000000, 0xFFF0000000000000,  # +Inf, -Inf
+         0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF],  # -0.0, subnormals
+        dtype=np.uint64,
+    ).view(np.float64)
+
+    @pytest.mark.parametrize("arr", [
+        SPECIAL, SPECIAL.reshape(2, 4), np.zeros((0, 3)), np.zeros(0), np.arange(5.0),
+    ])
+    def test_bitwise_round_trip(self, arr):
+        back = tensor_from_obj(json.loads(json.dumps(tensor_to_obj(arr))))
+        assert back.shape == arr.shape
+        assert bits(back).tolist() == bits(arr).tolist()
+
+    def test_data_is_little_endian_float64_in_c_order(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        for view in (arr, arr.astype(">f8"), np.asfortranarray(arr)):
+            obj = tensor_to_obj(view)
+            assert obj["shape"] == [2, 3]
+            assert base64.b64decode(obj["data"]) == arr.astype("<f8").tobytes()
+        back = tensor_from_obj(tensor_to_obj(arr.T))
+        np.testing.assert_array_equal(back, arr.T)
+
+    def test_decoded_array_is_writable_c_contiguous_float64(self):
+        back = tensor_from_obj(tensor_to_obj(np.ones((3, 2))))
+        assert back.dtype == np.float64
+        assert back.flags.c_contiguous and back.flags.writeable
+        back[0, 0] = 5.0
+
+    @pytest.mark.parametrize("data", ["AAAAAAAAAA", "AAAA!AAAAAAA", "AAAAAAAAAAA=\n"])
+    def test_bad_base64_rejected(self, data):
+        with pytest.raises(ValueError):
+            tensor_from_obj({"shape": [1], "data": data})
+
+    @pytest.mark.parametrize("shape", [[2], [0], [1, 2], [-1]])
+    def test_wrong_byte_length_rejected(self, shape):
+        data = base64.b64encode(np.ones(1).tobytes()).decode()
+        with pytest.raises(ValueError):
+            tensor_from_obj({"shape": shape, "data": data})

@@ -124,6 +124,13 @@ def test_default_keyword_lexicon_loads():
     assert all(kw == kw.lower() for kw in kws)
 
 
+def test_trained_filter_does_not_alias_default_keywords():
+    before = list(default_keywords())
+    model = train_question_filter(synthetic_training_set(), epochs=1)
+    model.keywords.append("frobnicate")
+    assert default_keywords() == before
+
+
 def test_features_to_sparse_deterministic():
     from qcmine.baselines import FeatureRegistry
 
