@@ -282,24 +282,37 @@ def _question_features(record, answer_seq, keywords=None):
 # --------------------------------------------------------------------------
 
 
-def load_labeled_instances(dump_path, label_maps, tokenizer: Tokenizer):
+def load_labeled_instances(dump_path, label_maps, tokenizer: Tokenizer, every_answer=None):
     """Extract labeled instances for training/evaluation in one pass.
 
     ``label_maps`` is a list of {qid: {position: label}} maps; returns one
     instance list per map. Positions without a label are dropped; label
-    positions that do not exist raise PositionMismatch.
+    positions that do not exist raise PositionMismatch. ``every_answer``,
+    when given, is called with an iterator over the parsed answers of every
+    dump record, labeled or not, read in the same pass.
     """
     out = [[] for _ in label_maps]
-    for record, seq in read_answers(dump_path, Counter(), _unlabeled(*label_maps)):
-        qid = record["question_id"]
-        tokenize_sequence(seq, tokenizer)
-        for instances, labels in zip(out, label_maps):
-            if qid in labels:
-                instances.extend(
-                    inst
-                    for inst in extract_instances(record["title"], seq, labels[qid], tokenizer)
-                    if inst.label is not None
-                )
+    skip = None if every_answer else _unlabeled(*label_maps)
+
+    def answers():
+        for record, seq in read_answers(dump_path, Counter(), skip):
+            qid = record["question_id"]
+            if any(qid in labels for labels in label_maps):
+                tokenize_sequence(seq, tokenizer)
+                for instances, labels in zip(out, label_maps):
+                    if qid in labels:
+                        instances.extend(
+                            inst
+                            for inst in extract_instances(record["title"], seq, labels[qid], tokenizer)
+                            if inst.label is not None
+                        )
+            yield seq
+
+    pending = answers()
+    if every_answer:
+        every_answer(pending)
+    for _ in pending:  # the records every_answer left unread
+        pass
     return out
 
 
@@ -580,26 +593,31 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
     instances, read in the same pass as the training ones (else None).
     """
     tokenizer = config_tokenizer(config)
-    csvs = [train_csv] + ([valid_csv] if valid_csv else [])
-    train_insts, *valid = load_labeled_instances(
-        dump_path, [read_annotation_csv(path) for path in csvs], tokenizer
-    )
     section = config["train"]
     connectives = config_connectives(config)
+    csvs = [train_csv] + ([valid_csv] if valid_csv else [])
+    corpus = []  # the CodeClass harvest, for Python only
+
+    def harvest(sequences):
+        corpus.extend(baselines.harvest_codeclass_corpus(sequences, seed=section["seed"]))
+
+    train_insts, *valid = load_labeled_instances(
+        dump_path,
+        [read_annotation_csv(path) for path in csvs],
+        tokenizer,
+        harvest if tokenizer.language is Language.PYTHON else None,
+    )
 
     codeclass_model = None
-    if tokenizer.language is Language.PYTHON:
-        sequences = (seq for _, seq in read_answers(dump_path, Counter()))
-        corpus = baselines.harvest_codeclass_corpus(sequences, seed=section["seed"])
-        if len({label for _, label in corpus}) == 2:
-            streams = [
-                (normalize_code(raw, tokenizer.language, tokenizer.keep), label)
-                for raw, label in corpus
-            ]
-            codeclass_model = baselines.train_codeclass(
-                streams, l2=section["l2"], epochs=section["linear_epochs"],
-                lr=section["linear_lr"], seed=section["seed"],
-            )
+    if len({label for _, label in corpus}) == 2:
+        streams = [
+            (normalize_code(raw, tokenizer.language, tokenizer.keep), label)
+            for raw, label in corpus
+        ]
+        codeclass_model = baselines.train_codeclass(
+            streams, l2=section["l2"], epochs=section["linear_epochs"],
+            lr=section["linear_lr"], seed=section["seed"],
+        )
 
     registry = baselines.FeatureRegistry()
     data = [
@@ -656,7 +674,7 @@ class LinearBundle:
     @classmethod
     def from_obj(cls, obj, path) -> "LinearBundle":
         """The bundle of a parsed bundle file ``obj`` read from ``path``."""
-        if obj.get("format") != "qcmine-linear-v1":
+        if not isinstance(obj, dict) or obj.get("format") != "qcmine-linear-v1":
             raise CheckpointMismatch(f"{path} is not a linear baseline bundle")
         cc = obj.get("codeclass")
         return cls(
@@ -673,7 +691,7 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     tokenizer = config_tokenizer(config)
     with open(checkpoint_path, encoding="utf-8") as f:
         obj = json.load(f)
-    linear = obj.get("format") == "qcmine-linear-v1"
+    linear = isinstance(obj, dict) and obj.get("format") == "qcmine-linear-v1"
     if linear:
         model = LinearBundle.from_obj(obj, checkpoint_path)
     else:

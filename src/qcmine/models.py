@@ -453,6 +453,8 @@ def load_model(path, tokenizer: Tokenizer | None = None) -> ModelParameters:
 
 def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParameters:
     """The model of a parsed checkpoint ``obj`` read from ``path``."""
+    if not isinstance(obj, dict):
+        raise CheckpointMismatch(f"{path} does not hold a JSON object")
     if obj.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointMismatch(
             f"{path} has format {obj.get('format')!r}, not {_CHECKPOINT_FORMAT}; retrain it"

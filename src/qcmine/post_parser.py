@@ -5,13 +5,16 @@ A code block is a top-level ``<pre><code>`` element; everything else
 prose. The resulting sequence strictly alternates Text, Code, ..., Text:
 empty dummy text blocks are inserted wherever a code block starts the
 post, ends it, or abuts another code block, so every code block has both
-a pre- and a post-context.
+a pre- and a post-context. A regex scanner drives the parser's handlers;
+a post outside the scanner's subset of HTML goes whole to html.parser.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from html import unescape
 from html.parser import HTMLParser
 
 from .tokenize import Tokenizer, normalize_code, tokenize_text, wordpunct
@@ -84,6 +87,8 @@ class _PostHTMLParser(HTMLParser):
     # -- prose buffering ---------------------------------------------------
 
     def _flush_inline(self):
+        if not self._inline:
+            return
         text = " ".join("".join(self._inline).split())
         if text:
             self._paragraphs.append(text)
@@ -173,15 +178,48 @@ class _PostHTMLParser(HTMLParser):
         return self.blocks
 
 
+# The scanner's subset of HTML, one token per match: a text run, an end tag
+# with nothing after its name, a start tag whose quoted values hold no "<"
+# or ">", or a bare "<" (which sends the post to html.parser). Names use
+# html.parser's charset minus quotes and "<". An unquoted value keeps a
+# trailing "/", as html.parser does, so only a separate "/" self-closes.
+_WS = r"[\t\n\r\f ]"
+_NAME = r"[a-zA-Z][^\t\n\r\f />\x00\"'<]*"
+_ATTR = rf"""{_WS}+[^\s"'<>/=]+(?:{_WS}*={_WS}*(?:"[^"<>]*"|'[^'<>]*'|[^\s"'<>=]+))?"""
+_TOKEN = re.compile(rf"([^<]+)|</({_NAME})>|<({_NAME})(?:{_ATTR})*{_WS}*(/?)>|<")
+# Elements whose content html.parser reads as raw text (later releases add to script and style)
+_RAW_TEXT_TAGS = _SKIP_TAGS | {"textarea", "title", "xmp", "iframe", "noembed", "noframes", "noscript"}
+
+
+def _scan(html: str) -> _PostHTMLParser | None:
+    """Drive the handlers over ``html`` with ``_TOKEN``; None when the post
+    leaves the scanner's subset."""
+    parser = _PostHTMLParser()
+    for text, end, start, slash in _TOKEN.findall(html):
+        if text:
+            parser.handle_data(unescape(text) if "&" in text else text)
+            continue
+        tag = (end or start).lower()
+        if not tag or tag in _RAW_TEXT_TAGS:
+            return None  # a bare "<", or raw-text content
+        if start:
+            parser.handle_starttag(tag, [])
+        if end or slash:
+            parser.handle_endtag(tag)
+    return parser
+
+
 def parse_answer_post(html: str, question_id: int = 0) -> BlockSequence:
     """Segment an answer post's HTML body into an alternating block sequence.
 
     Raises EmptyPost when the body has no visible content. A post without
     code yields a single Text block.
     """
-    parser = _PostHTMLParser()
-    parser.feed(html)
-    parser.close()
+    parser = _scan(html)
+    if parser is None:
+        parser = _PostHTMLParser()
+        parser.feed(html)
+        parser.close()
     blocks = parser.finish()
     if not blocks:
         raise EmptyPost("post has no visible content")

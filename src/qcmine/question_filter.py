@@ -19,6 +19,7 @@ from .baselines import (
     predict_linear,
     train_linear,
 )
+from .models import CheckpointMismatch
 from .post_parser import BlockKind, BlockSequence
 from .tokenize import load_wordlist_resource, tokenize_text, wordpunct
 
@@ -98,6 +99,11 @@ class QuestionFilterModel:
     def load(cls, path) -> "QuestionFilterModel":
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
+        if not isinstance(obj, dict):
+            raise CheckpointMismatch(f"{path} does not hold a JSON object")
+        missing = [key for key in ("linear", "registry", "keywords") if key not in obj]
+        if missing:
+            raise CheckpointMismatch(f"{path}: question filter model lacks {missing}")
         return cls(
             linear=LinearModel.from_dict(obj["linear"]),
             registry=FeatureRegistry.from_dict(obj["registry"]),

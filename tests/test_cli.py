@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
-from qcmine import cli, tokenize, train_eval
+from qcmine import cli, question_filter, tokenize, train_eval
 from qcmine.models import CheckpointMismatch, load_model, predict_label
 from qcmine.nn_core import softmax
 from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
@@ -513,12 +514,12 @@ class TestReadsDumpOnce:
             reads.clear()
             cli.main(argv)
             assert reads == [dump], name
-        # the linear baseline's CodeClass harvest keeps its own pass over all answers
+        # the linear baseline's CodeClass harvest shares the labeled-instance pass
         reads.clear()
         cli.main(["train", "--dump", dump, "--train-labels", str(ws["train"]),
                   "--valid-labels", str(ws["valid"]), "--variant", "lr",
                   "--out", str(tmp_path / "lr.json"), "--config", str(config)])
-        assert reads == [dump, dump]
+        assert reads == [dump]
 
 
 JSON_VALUES = st.recursive(
@@ -714,6 +715,42 @@ class TestTokenizerRecord:
         expected = Tokenizer(keep=frozenset({"compute"})).fingerprint()
         assert load_model(out).preprocessing == expected
         assert load_model(ws["code_hnn"]).preprocessing == Tokenizer().fingerprint()
+
+
+class TestNonObjectCheckpoint:
+    """A model file whose JSON is not an object is refused with a
+    CheckpointMismatch that names the file, by every loader and command."""
+
+    @pytest.fixture(params=["[1, 2]", '"text"', "null"], ids=["list", "string", "null"])
+    def bad(self, request, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(request.param)
+        return path
+
+    def test_loaders(self, bad):
+        for load in (load_model, cli.LinearBundle.load, question_filter.QuestionFilterModel.load):
+            with pytest.raises(CheckpointMismatch, match=re.escape(str(bad))):
+                load(bad)
+
+    def test_eval_and_mine(self, bad, ws, tmp_path):
+        dump, out = str(ws["dump"]), str(tmp_path / "pairs.jsonl")
+        models = {"--biv": ws["biv_hnn"], "--text": ws["text_hnn"], "--code": ws["code_hnn"],
+                  "--filter-model": ws["filter"]}
+        argvs = [["eval", "--dump", dump, "--labels", str(ws["valid"]), "--checkpoint", str(bad)]]
+        for flag in models:
+            files = {**models, flag: bad}
+            argvs.append(["mine", "--dump", dump, "--out", out, *(str(x) for kv in files.items() for x in kv)])
+        for argv in argvs:
+            with pytest.raises(CheckpointMismatch, match=re.escape(str(bad))):
+                cli.main(argv)
+
+    def test_filter_model_missing_key(self, ws, tmp_path):
+        obj = json.loads(ws["filter"].read_text())
+        del obj["registry"]
+        path = tmp_path / "filter.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*registry"):
+            question_filter.QuestionFilterModel.load(path)
 
 
 class TestMergeAndStats:

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_post
 from qcmine.post_parser import (
     BlockKind,
     EmptyPost,
     PositionMismatch,
+    _PostHTMLParser,
     extract_instances,
     parse_answer_post,
     tokenize_sequence,
@@ -163,3 +166,118 @@ class TestProperties:
                 continue
             reconstructed = " ".join(" ".join(b.raw for b in seq.blocks).split())
             assert reconstructed == visible
+
+
+# --------------------------------------------------------------------------
+# The regex scanner against html.parser
+# --------------------------------------------------------------------------
+
+
+def stdlib_outcome(html):
+    """Blocks of html.parser driving the segmenter's handlers directly."""
+    parser = _PostHTMLParser()
+    parser.feed(html)
+    parser.close()
+    return [(b.kind, b.raw) for b in parser.finish()] or "EmptyPost"
+
+
+def outcome(html):
+    try:
+        return [(b.kind, b.raw) for b in parse_answer_post(html).blocks]
+    except EmptyPost:
+        return "EmptyPost"
+
+
+TEXT_RUNS = st.sampled_from([
+    "x", "two words", " ", "\n", "\t", "def f():\n    return 1", "a > b", "é\xa0ü",
+    "&amp;", "&lt;", "&gt", "&#39;", "&#x27", "&#10;", "&nbsp;", "&copy", "&bogus;", "&", "&amp",
+])
+VOID_TAGS = st.sampled_from([
+    "<br>", "<br/>", "<br />", "<BR>", "<Br/>", "<hr>", "<img src='a.png' alt=\"b\"/>",
+    "<a href=x/>", "<a href=x />", "<p/>", "<PRE />", "<pre class=x/>", "<li id='a'/>",
+])
+# Each leaves the scanner's subset, so the whole post goes to html.parser.
+FALLBACK_TRIGGERS = {
+    "comment": "<!-- note -->",
+    "declaration": "<!DOCTYPE html>",
+    "processing_instruction": "<?xml version='1.0'?>",
+    "cdata": "<![CDATA[x]]>",
+    "space_after_end_slash": "</ p>",
+    "empty_end_tag": "</>",
+    "bare_lt": "a < b",
+    "lt_gt": "<>",
+    "unclosed_at_end": "<pre",
+    "script": "<script>if (a<b) {}</script>",
+    "style": "<STYLE>p > a {}</STYLE>",
+    "escapable_raw_text": "<TEXTAREA><p>x</p></TEXTAREA>",
+    "gt_in_quoted_value": '<a title="x>y">',
+    "lt_in_quoted_value": "<a title='<'>",
+    "space_after_end_name": "</p >",
+    "attribute_in_end_tag": "</a href=x>",
+}
+TAG_NAMES = st.sampled_from(
+    ["p", "P", "pre", "PRE", "code", "CODE", "li", "ul", "ol", "blockquote", "h2", "div", "span", "a", "em"]
+)
+ATTRIBUTES = st.sampled_from(
+    ["", ' class="lang-py prettyprint-override"', " href='x.html'", " id=a1", ' a = "b" c', " href=x/"]
+)
+
+
+def _element(children):
+    """A (possibly unclosed) element around ``children``, or a code block."""
+    body = st.lists(children, max_size=4).map("".join)
+    tag = st.builds(
+        lambda name, attrs, inner, closed: f"<{name}{attrs}>{inner}" + (f"</{name}>" if closed else ""),
+        TAG_NAMES, ATTRIBUTES, body, st.booleans(),
+    )
+    return tag | body.map("<pre><code>{}</code></pre>".format)
+
+
+SUBSET_POSTS = st.lists(st.recursive(TEXT_RUNS | VOID_TAGS, _element, max_leaves=24), max_size=6).map("".join)
+# About half the posts stay in the subset; the rest get one fallback
+# trigger spliced in at any character, possibly inside a tag.
+POSTS = st.builds(
+    lambda post, trigger, at: post[:at] + trigger + post[at:],
+    SUBSET_POSTS,
+    st.just("") | st.sampled_from(sorted(FALLBACK_TRIGGERS.values())),
+    st.integers(0, 400),
+)
+
+
+class TestScanner:
+    @given(POSTS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_html_parser(self, html):
+        assert outcome(html) == stdlib_outcome(html)
+
+    @pytest.fixture
+    def fed(self, monkeypatch):
+        """The documents handed to html.parser while the test runs."""
+        fed, feed = [], _PostHTMLParser.feed
+
+        def counting(self, data):
+            fed.append(data)
+            return feed(self, data)
+
+        monkeypatch.setattr(_PostHTMLParser, "feed", counting)
+        return fed
+
+    def test_subset_post_skips_html_parser(self, fed):
+        html = (
+            "<P class='x'>Try &amp;&copy <code>a&lt;b</code><br/>then<BR />this:</p>"
+            '<pre class="lang-py"><code>if a &gt; b:&#10;    pass\n</code></pre>'
+            "<ul><li>one<li>two</ul><pre>bare</pre><blockquote><pre><code>q()</code></pre>"
+            "<p/>closed<PRE />open"
+        )
+        got = outcome(html)
+        assert fed == []
+        assert got == stdlib_outcome(html)
+        assert got[1] == (BlockKind.CODE, "if a > b:\n    pass")
+
+    @pytest.mark.parametrize("tail", ["<pre><code>y = 1</code></pre><p>after", ""], ids=["inside", "at_end"])
+    @pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS.keys())
+    def test_fallback_trigger_runs_html_parser(self, trigger, tail, fed):
+        html = f"<p>before <code>x</code></p>{trigger}{tail}"
+        got = outcome(html)
+        assert fed == [html]
+        assert got == stdlib_outcome(html)
