@@ -676,6 +676,9 @@ class LinearBundle:
         """The bundle of a parsed bundle file ``obj`` read from ``path``."""
         if not isinstance(obj, dict) or obj.get("format") != "qcmine-linear-v1":
             raise CheckpointMismatch(f"{path} is not a linear baseline bundle")
+        bad = [key for key in ("linear", "registry") if not isinstance(obj.get(key), dict)]
+        if bad:
+            raise CheckpointMismatch(f"{path}: linear baseline bundle lacks a JSON object under {bad}")
         cc = obj.get("codeclass")
         return cls(
             linear=baselines.LinearModel.from_dict(obj["linear"]),

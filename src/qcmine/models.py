@@ -459,6 +459,10 @@ def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParame
         raise CheckpointMismatch(
             f"{path} has format {obj.get('format')!r}, not {_CHECKPOINT_FORMAT}; retrain it"
         )
+    keys = ("config", "word_vocab", "code_vocab", "params")
+    bad = [key for key in keys if not isinstance(obj.get(key), dict)]
+    if bad:
+        raise CheckpointMismatch(f"{path}: checkpoint lacks a JSON object under {bad}")
     cfg = VariantConfig.from_dict(obj["config"])
     preprocessing = obj.get("preprocessing")
     if obj.get("config_hash") != _head_hash(cfg, preprocessing):

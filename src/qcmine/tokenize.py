@@ -4,9 +4,10 @@ Text is split wordpunct-style and lowercased. Code is normalized to tame
 vocabulary size: Python identifiers/numbers/strings collapse to VAR/NUMBER/
 STRING (keywords and common builtins survive via a keep-list), SQL table and
 column names become numbered placeholders shared across repeated mentions.
-Both normalizers are total: lines (Python) that defeat the lexer fall back
-to a plain word/punct split. A ``Tokenizer`` value carries the language and
-keep-list that every reader, trainer and miner of a dataset must share.
+Each normalizer is one compiled token regex. Both are total: a Python line
+the regex does not cover falls back to a plain word/punct split. A
+``Tokenizer`` value carries the language and keep-list that every reader,
+trainer and miner of a dataset must share.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class Language(Enum):
 class TokenStream:
     """A tokenized text or code fragment.
 
-    ``n_lines`` counts non-blank source lines (code only); a handful of
+    ``n_lines`` counts non-blank source lines (0 for text); a handful of
     shape features in the baselines need it after line structure is gone.
     """
 
@@ -51,8 +52,7 @@ def wordpunct(s: str) -> list[str]:
 
 def tokenize_text(s: str) -> TokenStream:
     """Tokenize natural-language text: wordpunct split, lowercased."""
-    tokens = [t.lower() for t in wordpunct(s)]
-    return TokenStream(tokens, Language.TEXT, n_lines=_count_lines(s))
+    return TokenStream([t.lower() for t in wordpunct(s)], Language.TEXT)
 
 
 def _count_lines(s: str) -> int:
@@ -92,22 +92,6 @@ def load_keep_list(path) -> frozenset[str]:
         return wordlist_entries(f)
 
 
-class _LexError(Exception):
-    pass
-
-
-_NAME_RE = re.compile(r"[^\W\d]\w*", re.UNICODE)
-_NUMBER_RE = re.compile(
-    r"""
-    0[xX][0-9a-fA-F_]+
-    | 0[oO][0-7_]+
-    | 0[bB][01_]+
-    | (?:\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[jJ]?
-    """,
-    re.VERBOSE,
-)
-_STRING_PREFIX_RE = re.compile(r"[rRbBuUfF]{0,3}")
-
 # Maximal-munch operator table. ">>>" is not a Python operator but marks a
 # console prompt and is predictive, so it is lexed as a single token.
 _PY_OPERATORS = sorted(
@@ -122,96 +106,27 @@ _PY_OPERATORS = sorted(
     reverse=True,
 )
 
-
-def _lex_python_line(line: str, in_triple: str | None):
-    """Lex one line into (kind, text) pairs.
-
-    ``in_triple`` carries an unterminated triple-quote delimiter from the
-    previous line. Returns (pairs, still_open_delimiter). Raises _LexError
-    on characters the lexer does not understand; the caller falls back to a
-    word/punct split for that line only.
-    """
-    pairs = []
-    i = 0
-    n = len(line)
-
-    if in_triple is not None:
-        end = line.find(in_triple)
-        if end < 0:
-            return [], in_triple
-        pairs.append(("STRING", ""))
-        i = end + len(in_triple)
-        in_triple = None
-
-    while i < n:
-        ch = line[i]
-        if ch in " \t\f":
-            i += 1
-            continue
-        if ch == "#":
-            pairs.append(("OP", "#"))
-            pairs.extend(("WORD", t) for t in wordpunct(line[i + 1 :]))
-            break
-        if ch == "\\" and line[i + 1 :].strip() == "":
-            break  # explicit line continuation
-        m = _NAME_RE.match(line, i)
-        if m:
-            prefix = m.group(0)
-            quote_at = m.end()
-            if quote_at < n and line[quote_at] in "'\"" and _STRING_PREFIX_RE.fullmatch(prefix):
-                i, in_triple = _lex_python_string(line, quote_at)
-                if in_triple:
-                    return pairs, in_triple  # STRING emitted once it closes
-                pairs.append(("STRING", ""))
-                continue
-            pairs.append(("NAME", prefix))
-            i = m.end()
-            continue
-        if ch in "'\"":
-            i, in_triple = _lex_python_string(line, i)
-            if in_triple:
-                return pairs, in_triple
-            pairs.append(("STRING", ""))
-            continue
-        m = _NUMBER_RE.match(line, i)
-        if m and m.group(0):
-            pairs.append(("NUMBER", m.group(0)))
-            i = m.end()
-            continue
-        for op in _PY_OPERATORS:
-            if line.startswith(op, i):
-                pairs.append(("OP", op))
-                i += len(op)
-                break
-        else:
-            raise _LexError(f"unexpected character {ch!r}")
-    return pairs, in_triple
-
-
-def _lex_python_string(line: str, i: int):
-    """Consume a string literal starting at the quote character.
-
-    Returns (index past the literal, open-triple delimiter or None).
-    Raises _LexError for a single-quoted string left open at end of line.
-    """
-    quote = line[i]
-    if line.startswith(quote * 3, i):
-        delim = quote * 3
-        end = line.find(delim, i + 3)
-        if end < 0:
-            return len(line), delim
-        return end + 3, None
-    j = i + 1
-    n = len(line)
-    while j < n:
-        c = line[j]
-        if c == "\\":
-            j += 2
-            continue
-        if c == quote:
-            return j + 1, None
-        j += 1
-    raise _LexError("unterminated string")
+# One token per match, alternatives tried in order. A string prefix is at
+# most three of rRbBuUfF, so "rrrr'x'" is a name and then a string. Names
+# start with a letter or "_", so "0xG" is a number and then a name.
+_PY_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\f]+)
+    | \#(?P<comment>.*)                               # kept as "#" + words
+    | (?P<continuation>\\\s*\Z)                       # explicit line joining
+    | (?P<triple>[rRbBuUfF]{0,3}(?:'{3}.*?'{3}|"{3}.*?"{3}))
+    | (?P<open>[rRbBuUfF]{0,3}(?P<delim>'{3}|"{3}))   # closes on a later line
+    | (?P<string>[rRbBuUfF]{0,3}(?:'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"))
+    | (?P<name>[^\W\d]\w*)
+    | (?P<number>0[xX][0-9a-fA-F_]+|0[oO][0-7_]+|0[bB][01_]+
+        |(?:\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[jJ]?)
+    | (?P<op>"""
+    + "|".join(re.escape(op) for op in _PY_OPERATORS)
+    + r""")
+    | (?P<other>.)                                    # the line is not Python
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def normalize_python(code: str, keep: frozenset[str] | None = None) -> TokenStream:
@@ -219,26 +134,41 @@ def normalize_python(code: str, keep: frozenset[str] | None = None) -> TokenStre
 
     Identifiers become VAR unless on the keep-list, numeric literals NUMBER,
     string literals STRING; keywords, operators and ">>>" prompts survive
-    verbatim. Lines the lexer cannot handle are word/punct split instead.
+    verbatim. Lines that ``_PY_TOKEN`` cannot cover are word/punct split.
     """
     if keep is None:
         keep = default_python_keep_list()
     tokens: list[str] = []
-    in_triple: str | None = None
+    delim: str | None = None  # the quotes of a triple-quoted string left open
     for line in code.splitlines():
-        try:
-            pairs, in_triple = _lex_python_line(line, in_triple)
-        except _LexError:
-            pairs, in_triple = [("WORD", t) for t in wordpunct(line)], None
-        for kind, text in pairs:
-            if kind == "NAME":
-                tokens.append(text if text in keep else VAR_TOKEN)
-            elif kind == "NUMBER":
-                tokens.append(NUMBER_TOKEN)
-            elif kind == "STRING":
-                tokens.append(STRING_TOKEN)
-            else:
-                tokens.append(text)
+        start = 0
+        line_tokens: list[str] = []
+        if delim is not None:
+            end = line.find(delim)
+            if end < 0:
+                continue
+            line_tokens.append(STRING_TOKEN)
+            start, delim = end + 3, None
+        for m in _PY_TOKEN.finditer(line, start):
+            kind = m.lastgroup
+            if kind == "name":
+                line_tokens.append(m[0] if m[0] in keep else VAR_TOKEN)
+            elif kind == "op":
+                line_tokens.append(m[0])
+            elif kind == "number":
+                line_tokens.append(NUMBER_TOKEN)
+            elif kind == "string" or kind == "triple":
+                line_tokens.append(STRING_TOKEN)
+            elif kind == "comment":
+                line_tokens.append("#")
+                line_tokens.extend(wordpunct(m["comment"]))
+            elif kind == "open":
+                delim = m["delim"]  # STRING is emitted once it closes
+                break
+            elif kind == "other":
+                line_tokens = wordpunct(line)
+                break
+        tokens.extend(line_tokens)
     return TokenStream(tokens, Language.PYTHON, n_lines=_count_lines(code))
 
 

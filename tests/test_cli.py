@@ -753,6 +753,57 @@ class TestNonObjectCheckpoint:
             question_filter.QuestionFilterModel.load(path)
 
 
+class TestMissingKeyCheckpoint:
+    """A model file that is a JSON object but lacks one of its parts, or
+    holds a non-object there, is refused with a CheckpointMismatch that
+    names the file and the key."""
+
+    @pytest.fixture(scope="class")
+    def linear(self, ws, tmp_path_factory):
+        path = tmp_path_factory.mktemp("linear") / "lr.json"
+        cli.train_linear_baseline(ws["dump"], ws["train"], cli.load_config(ws["config"]), "logistic", path)
+        return path
+
+    @staticmethod
+    def edited(src, tmp_path, key, value):
+        obj = json.loads(src.read_text())
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        path = tmp_path / f"{src.stem}-{key}.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("config", None), ("word_vocab", None), ("code_vocab", None), ("params", None),
+         ("params", [1]), ("word_vocab", ["a"])],
+        ids=["config", "word_vocab", "code_vocab", "params", "params_list", "word_vocab_list"],
+    )
+    def test_neural(self, ws, tmp_path, key, value):
+        path = self.edited(ws["biv_hnn"], tmp_path, key, value)
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*" + key):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("linear", None), ("registry", None), ("linear", [1])],
+        ids=["linear", "registry", "linear_list"],
+    )
+    def test_linear(self, linear, tmp_path, key, value):
+        path = self.edited(linear, tmp_path, key, value)
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*" + key):
+            cli.LinearBundle.load(path)
+
+    @pytest.mark.parametrize("kind", ["neural", "linear"])
+    def test_eval(self, ws, linear, tmp_path, kind):
+        src, key = (ws["biv_hnn"], "params") if kind == "neural" else (linear, "registry")
+        path = self.edited(src, tmp_path, key, None)
+        argv = ["eval", "--dump", str(ws["dump"]), "--labels", str(ws["valid"]), "--checkpoint", str(path)]
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*" + key):
+            cli.main(argv)
+
+
 class TestMergeAndStats:
     def test_merge_and_stats_consistency(self, ws, capsys):
         out = ws["root"] / "pairs_for_merge.jsonl"

@@ -1,10 +1,15 @@
+import hashlib
+import json
+import random
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
 from qcmine.tokenize import (
+    NORMALIZER_VERSION,
     Language,
     Tokenizer,
     load_keep_list,
@@ -25,13 +30,100 @@ class TestTokenizeText:
     def test_symbol_run_stays_together(self):
         assert tokenize_text("you can do...").tokens == ["you", "can", "do", "..."]
 
+    def test_no_line_count(self):
+        # n_lines serves the code-shape features only
+        assert tokenize_text("one\ntwo").n_lines == 0
+
     def test_lowercased(self):
         assert tokenize_text("CamelCase To snake_case").tokens == [
             "camelcase", "to", "snake_case",
         ]
 
 
+# One row per alternative of tokenize._PY_TOKEN, in its order, and per edge
+# case that the order or a detail of an alternative decides. Each row fails
+# under at least one of these mutants of the regex: single-quoted strings
+# tried before triple-quoted ones, names before strings, operators before
+# numbers, operators shortest first; no space, comment, continuation,
+# open-triple or catch-all alternative; no escapes in single-quoted strings;
+# a prefix of up to four letters; "\s" for "[ \t\f]" in spaces; "[ \t]" for
+# "\s" after a continuation; ASCII-only names; hex digits that take any
+# letter; no imaginary suffix.
+PYTHON_TOKEN_RULES = [
+    ("space", "x\t=  1", ["VAR", "=", "NUMBER"]),
+    ("comment", "x = 1  # Set X, twice", ["VAR", "=", "NUMBER", "#", "Set", "X", ",", "twice"]),
+    ("comment_only", "#!", ["#", "!"]),
+    ("continuation", "f(a, \\\n  b)", ["VAR", "(", "VAR", ",", "VAR", ")"]),
+    ("continuation_unicode_space", "x = \\\xa0\n1", ["VAR", "=", "NUMBER"]),
+    ("triple", "s = '''a ' b''' + 1", ["VAR", "=", "STRING", "+", "NUMBER"]),
+    ("triple_prefixed", 'x = rb"""a"""', ["VAR", "=", "STRING"]),
+    ("open", "s = '''one\n\ntwo'''.strip()", ["VAR", "=", "STRING", ".", "VAR", "(", ")"]),
+    ("open_hides_lines", 'x = """doc\n$ not code\n""" + y', ["VAR", "=", "STRING", "+", "VAR"]),
+    ("open_never_closed", "s = '''never closed\nx = 1", ["VAR", "="]),
+    ("open_closes_then_falls_back", "s = '''a\nb''' $", ["VAR", "=", "b", "'''", "$"]),
+    ("string_escapes", r"""a = 'it\'s' + "q\"" + ''""", ["VAR", "=", "STRING", "+", "STRING", "+", "STRING"]),
+    ("string_prefix", "print(f'{x}', rrr'x')", ["print", "(", "STRING", ",", "STRING", ")"]),
+    ("string_prefix_too_long", "rrrr'x'", ["VAR", "STRING"]),
+    ("name", "print(é_1, _a)", ["print", "(", "VAR", ",", "VAR", ")"]),
+    ("number", "1_0 + 0o17 + 0b1 + 1E5J", ["NUMBER", "+", "NUMBER", "+", "NUMBER", "+", "NUMBER"]),
+    ("number_then_name", "x = 0xG", ["VAR", "=", "NUMBER", "VAR"]),
+    ("number_number", "1..2", ["NUMBER", "NUMBER"]),
+    ("op", ">>> x **= y->z ... a>>b", [">>>", "VAR", "**=", "VAR", "->", "VAR", "...", "VAR", ">>", "VAR"]),
+    ("other", "x = y ? 1 : 2", ["x", "=", "y", "?", "1", ":", "2"]),
+    ("other_unicode_space", "a\xa0= 1", ["a", "=", "1"]),
+    ("other_unterminated", "a = 'unterminated", ["a", "=", "'", "unterminated"]),
+    ("other_escaped_end", "a = 'x\\", ["a", "=", "'", "x", "\\"]),
+]
+
+
+def _digest_corpus() -> list[str]:
+    """The rule rows plus 20,000 seeded random lines, in snippets of one to
+    four lines so that a triple quote can stay open across lines. The
+    alphabet keeps to characters whose Unicode properties have not changed
+    across the supported Python versions."""
+    alphabet = [
+        "'", '"', "'''", '"""', "\\", "#", " ", "\t", "x", "y1", "_a", "é", "名", "٣", "\xa0", "\x1c",
+        "r", "b", "f", "rb", "rrr", "rrrr", "0", "1", "0x", "0xG", "1e5", ".5", "e", "j", "+", "-", ".", "...",
+        ">>>", "->", "**=", "=", "==", "(", ")", "[", "]", ",", ":", "$", "?", "`", "--", "/*", "*/",
+        "print", "def", "SELECT", "from", "t", "AS", "[n]", "\r\n",
+    ]
+    rng = random.Random(0)
+    lines = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randrange(24))) for _ in range(20_000)
+    ]
+    corpus = [code for _, code, _ in PYTHON_TOKEN_RULES]
+    i = 0
+    while i < len(lines):
+        k = rng.randrange(1, 5)
+        corpus.append("\n".join(lines[i : i + k]))
+        i += k
+    return corpus
+
+
+# The sha256 of every normalizer's tokens over _digest_corpus(), by
+# NORMALIZER_VERSION. Checkpoints record that version; one string must
+# always name the same tokens.
+TOKEN_DIGESTS = {"qcmine-tokenize-1": "8c9db5d4a69edf812841e9b12165b33574dd66ce02137293523ebdb6a7e2f718"}
+
+
+def test_normalizer_version_pins_the_tokens():
+    digest = hashlib.sha256()
+    for code in _digest_corpus():
+        for normalize in (normalize_python, normalize_sql, tokenize_text):
+            digest.update(json.dumps(normalize(code).tokens).encode() + b"\n")
+    assert TOKEN_DIGESTS.get(NORMALIZER_VERSION) == digest.hexdigest(), (
+        f"the tokens changed: bump NORMALIZER_VERSION ({NORMALIZER_VERSION}) and "
+        f"record {digest.hexdigest()} under the new version in TOKEN_DIGESTS"
+    )
+
+
 class TestNormalizePython:
+    @pytest.mark.parametrize(
+        "code, expected", [row[1:] for row in PYTHON_TOKEN_RULES], ids=[row[0] for row in PYTHON_TOKEN_RULES]
+    )
+    def test_token_rules(self, code, expected):
+        assert normalize_python(code).tokens == expected
+
     def test_identifier_number(self):
         assert normalize_python("x = 1").tokens == ["VAR", "=", "NUMBER"]
 
