@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,54 +29,6 @@ class SingleClassData(ValueError):
 
 class UntrainedModel(ValueError):
     pass
-
-
-class FeatureRegistry:
-    """Stable mapping from feature keys to contiguous ids.
-
-    Unfrozen registries assign a fresh id to each new key; frozen ones
-    drop unknown keys, so feature ids never shift under a trained model.
-    """
-
-    def __init__(self):
-        self.key_to_id: dict[str, int] = {}
-        self.frozen = False
-
-    @property
-    def size(self) -> int:
-        return len(self.key_to_id)
-
-    def id_of(self, key: str) -> int | None:
-        idx = self.key_to_id.get(key)
-        if idx is None and not self.frozen:
-            idx = self.key_to_id[key] = len(self.key_to_id)
-        return idx
-
-    def freeze(self):
-        self.frozen = True
-
-    def to_dict(self) -> dict:
-        return dict(self.key_to_id)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FeatureRegistry":
-        reg = cls()
-        reg.key_to_id = {str(k): int(v) for k, v in obj.items()}
-        reg.frozen = True
-        return reg
-
-
-@dataclass
-class SparseFeatureVector:
-    values: dict[int, float] = field(default_factory=dict)
-
-    def add(self, idx: int | None, value: float = 1.0):
-        if idx is not None:
-            self.values[idx] = self.values.get(idx, 0.0) + value
-
-    def set(self, idx: int | None, value: float):
-        if idx is not None:
-            self.values[idx] = value
 
 
 @functools.cache
@@ -98,68 +51,59 @@ def _contains_seq(tokens: list[str], phrase: list[str]) -> bool:
 
 def extract_features(
     inst: CodeContextInstance,
-    registry: FeatureRegistry,
     codeclass_model: "LinearModel | None" = None,
     connectives: list[list[str]] | None = None,
-) -> SparseFeatureVector:
-    """Featurize one instance. The CodeClass probability is added only when
-    a sub-classifier is supplied (Python); SQL runs pass none."""
+) -> dict[str, float]:
+    """Featurize one instance as {feature name: value}. The CodeClass
+    probability is added only when a sub-classifier is supplied (Python);
+    SQL runs pass none."""
     if connectives is None:
         connectives = default_connectives()
-    vec = SparseFeatureVector()
+    feats: dict[str, float] = {}
+
+    def count(name):
+        feats[name] = feats.get(name, 0.0) + 1.0
+
     for context in (inst.pre_tokens, inst.post_tokens):
         if context:
-            vec.set(registry.id_of(f"first:{context[0]}"), 1.0)
+            feats[f"first:{context[0]}"] = 1.0
         for tok in context:
-            vec.add(registry.id_of(f"tok:{tok}"))
+            count(f"tok:{tok}")
         for a, b in zip(context, context[1:]):
-            vec.add(registry.id_of(f"bigram:{a}_{b}"))
+            count(f"bigram:{a}_{b}")
         for phrase in connectives:
             if _contains_seq(context, phrase):
-                vec.set(registry.id_of(f"conn:{'_'.join(phrase)}"), 1.0)
+                feats[f"conn:{'_'.join(phrase)}"] = 1.0
     for tok in inst.code_tokens:
-        vec.add(registry.id_of(f"code:{tok}"))
+        count(f"code:{tok}")
     if codeclass_model is not None:
-        stream = TokenStream(list(inst.code_tokens), n_lines=_estimate_lines(inst))
-        _, prob = predict_linear(codeclass_model, _dense_to_sparse(codeclass_features(stream)))
-        vec.set(registry.id_of("codeclass"), prob)
-    return vec
+        lines = sum(1 for line in inst.raw_code.splitlines() if line.strip())
+        stream = TokenStream(list(inst.code_tokens), n_lines=lines)
+        feats["codeclass"] = predict_linear(codeclass_model, codeclass_features(stream))[1]
+    return feats
 
 
-def _estimate_lines(inst: CodeContextInstance) -> int:
-    if inst.raw_code:
-        return sum(1 for line in inst.raw_code.splitlines() if line.strip())
-    return 1 if inst.code_tokens else 0
-
-
-CODECLASS_DIM = 10
-
-
-def codeclass_features(code: TokenStream) -> np.ndarray:
-    """Shape features of a code snippet for the working-code classifier."""
+def codeclass_features(code: TokenStream) -> dict[str, float]:
+    """Shape features of a code snippet for the working-code classifier,
+    in a fixed order; zero-valued ones are left out."""
     n = len(code.tokens)
-    lines = max(code.n_lines, 1) if n else 0
-    vec = np.zeros(CODECLASS_DIM)
     if n == 0:
-        return vec
-    counts = {}
-    for tok in code.tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    vec[0] = counts.get("NUMBER", 0) / n
-    vec[1] = (counts.get("(", 0) + counts.get(")", 0)) / n
-    vec[2] = min(counts.get(">>>", 0) / lines, 1.0)
-    vec[3] = counts.get("=", 0) / n
-    vec[4] = 1.0 if "def" in counts else 0.0
-    vec[5] = 1.0 if "import" in counts else 0.0
-    vec[6] = 1.0 if "class" in counts else 0.0
-    vec[7] = 1.0 if "print" in counts else 0.0
-    vec[8] = float(lines)
-    vec[9] = n / lines
-    return vec
-
-
-def _dense_to_sparse(vec: np.ndarray) -> SparseFeatureVector:
-    return SparseFeatureVector({i: float(v) for i, v in enumerate(vec) if v != 0.0})
+        return {}
+    lines = max(code.n_lines, 1)
+    counts = Counter(code.tokens)
+    feats = {
+        "number_share": counts["NUMBER"] / n,
+        "paren_share": (counts["("] + counts[")"]) / n,
+        "prompt_lines": min(counts[">>>"] / lines, 1.0),
+        "assign_share": counts["="] / n,
+        "has_def": 1.0 if "def" in counts else 0.0,
+        "has_import": 1.0 if "import" in counts else 0.0,
+        "has_class": 1.0 if "class" in counts else 0.0,
+        "has_print": 1.0 if "print" in counts else 0.0,
+        "lines": float(lines),
+        "tokens_per_line": n / lines,
+    }
+    return {name: v for name, v in feats.items() if v != 0.0}
 
 
 @dataclass
@@ -168,57 +112,66 @@ class LinearModel:
     weights: np.ndarray | None = None
     bias: float = 0.0
     l2: float = 0.0
+    index: dict[str, int] = field(default_factory=dict)  # feature name -> position in weights
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "weights": None if self.weights is None else self.weights.tolist(),
+            "features": sorted(self.index, key=self.index.__getitem__),
+            "weights": self.weights.tolist(),
             "bias": self.bias,
             "l2": self.l2,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LinearModel":
-        w = obj.get("weights")
+        index = {str(name): i for i, name in enumerate(obj["features"])}
+        weights = np.array(obj["weights"], dtype=np.float64)
+        if weights.shape != (len(index),):
+            raise ValueError(f"weights of shape {weights.shape} for {len(index)} distinct features")
         return cls(
             kind=obj["kind"],
-            weights=None if w is None else np.array(w, dtype=np.float64),
+            weights=weights,
             bias=float(obj["bias"]),
             l2=float(obj.get("l2", 0.0)),
+            index=index,
         )
 
 
-def _dot(weights: np.ndarray, features: SparseFeatureVector) -> float:
-    n = len(weights)
-    return sum(weights[i] * v for i, v in features.values.items() if i < n)
+def _dot(weights: np.ndarray, index: dict[str, int], features: dict[str, float]) -> float:
+    """The weighted sum over the features ``index`` names, in the features'
+    order; other names are ignored."""
+    return sum(weights[index[name]] * v for name, v in features.items() if name in index)
 
 
 def train_linear(
-    data: list[tuple[SparseFeatureVector, int]],
+    data: list[tuple[dict[str, float], int]],
     kind: str = LOGISTIC,
     l2: float = 0.0,
     epochs: int = 20,
     lr: float = 0.1,
     seed: int = 0,
-    dim: int | None = None,
 ) -> LinearModel:
     """SGD on log-loss (logistic) or hinge loss (SVM) with L2, shuffled
-    deterministically per seed."""
+    deterministically per seed. Each feature name gets the next weight
+    position the first time ``data`` names it."""
     if not data:
         raise SingleClassData("no training data")
     labels = {label for _, label in data}
     if len(labels) < 2:
         raise SingleClassData(f"training data contains a single class {labels}")
-    if dim is None:
-        dim = 1 + max((i for feats, _ in data for i in feats.values), default=-1)
-    w = np.zeros(dim)
+    index: dict[str, int] = {}
+    for feats, _ in data:
+        for name in feats:
+            index.setdefault(name, len(index))
+    w = np.zeros(len(index))
     b = 0.0
     rng = np.random.default_rng(seed)
     decay = max(0.0, 1.0 - lr * l2)  # clamp: the L2 step stops at the origin
     for _ in range(epochs):
         for idx in rng.permutation(len(data)):
             feats, label = data[idx]
-            score = _dot(w, feats) + b
+            score = _dot(w, index, feats) + b
             if l2 > 0.0:
                 w *= decay
             if kind == LOGISTIC:
@@ -228,19 +181,19 @@ def train_linear(
                 y = 2 * label - 1
                 coeff = lr * y if y * score < 1.0 else 0.0
             if coeff != 0.0:
-                for i, v in feats.values.items():
-                    if i < dim:
-                        w[i] += coeff * v
+                for name, v in feats.items():
+                    w[index[name]] += coeff * v
                 b += coeff
-    return LinearModel(kind=kind, weights=w, bias=b, l2=l2)
+    return LinearModel(kind=kind, weights=w, bias=b, l2=l2, index=index)
 
 
-def predict_linear(model: LinearModel, features: SparseFeatureVector):
+def predict_linear(model: LinearModel, features: dict[str, float]):
     """(label, score): sigmoid score thresholded at 0.5 for logistic,
-    raw margin thresholded at 0 for the SVM."""
+    raw margin thresholded at 0 for the SVM. Feature names the model was
+    not trained on are ignored."""
     if model.weights is None:
         raise UntrainedModel("model has no weights")
-    raw = _dot(model.weights, features) + model.bias
+    raw = _dot(model.weights, model.index, features) + model.bias
     if model.kind == LOGISTIC:
         score = 1.0 / (1.0 + math.exp(-raw)) if raw > -500 else 0.0
         return (1 if score >= 0.5 else 0), score
@@ -302,5 +255,5 @@ def train_codeclass(
     seed: int = 0,
 ) -> LinearModel:
     """Train the working-code LR on (token stream, label) pairs."""
-    data = [(_dense_to_sparse(codeclass_features(stream)), label) for stream, label in corpus]
-    return train_linear(data, LOGISTIC, l2=l2, epochs=epochs, lr=lr, seed=seed, dim=CODECLASS_DIM)
+    data = [(codeclass_features(stream), label) for stream, label in corpus]
+    return train_linear(data, LOGISTIC, l2=l2, epochs=epochs, lr=lr, seed=seed)

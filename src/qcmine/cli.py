@@ -20,18 +20,19 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from . import baselines, models, question_filter, train_eval
-from .models import CheckpointMismatch, Variant, VariantConfig
+from .models import CheckpointMismatch, Variant, VariantConfig, check_preprocessing, read_parts
 from .post_parser import (
     Block,
     BlockKind,
     BlockSequence,
     EmptyPost,
     PositionMismatch,
+    code_stream,
     extract_instances,
     parse_answer_post,
     tokenize_sequence,
 )
-from .tokenize import Language, Tokenizer, load_keep_list, normalize_code, tokenize_text
+from .tokenize import Language, Tokenizer, load_keep_list, tokenize_text
 from .train_eval import Decision, Metrics, TrainConfig, evaluate
 from .vocab_embed import build_vocab
 
@@ -96,16 +97,28 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path=None) -> dict:
+    """DEFAULT_CONFIG updated by the JSON file at ``path``; a key it lacks, at
+    the top or in a section, or a non-object section raises a ValueError."""
     config = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         with open(path, encoding="utf-8") as f:
             user = json.load(f)
-        for key, value in user.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
-                config[key].update(value)
+        for key, value in _known_items(path, user, config, "the config"):
+            if isinstance(config[key], dict):
+                config[key].update(_known_items(path, value, config[key], f"config section {key!r}"))
             else:
                 config[key] = value
     return config
+
+
+def _known_items(path, given, known: dict, where: str):
+    """``given.items()`` once ``given`` is a JSON object whose keys ``known`` has."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{path}: {where} is not a JSON object")
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown} in {where}")
+    return given.items()
 
 
 def config_tokenizer(config) -> Tokenizer:
@@ -541,7 +554,7 @@ def dataset_stats(dataset_path, tokenizer: Tokenizer = Tokenizer()) -> dict:
         n += 1
         by_provenance[pair.provenance.value] += 1
         q_toks = tokenize_text(pair.title).tokens
-        c_toks = normalize_code(pair.code, tokenizer.language, tokenizer.keep).tokens
+        c_toks = code_stream(pair.code, tokenizer).tokens
         question_tokens += len(q_toks)
         code_tokens += len(c_toks)
         distinct_q.update(q_toks)
@@ -610,21 +623,16 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
 
     codeclass_model = None
     if len({label for _, label in corpus}) == 2:
-        streams = [
-            (normalize_code(raw, tokenizer.language, tokenizer.keep), label)
-            for raw, label in corpus
-        ]
+        streams = [(code_stream(raw, tokenizer), label) for raw, label in corpus]
         codeclass_model = baselines.train_codeclass(
             streams, l2=section["l2"], epochs=section["linear_epochs"],
             lr=section["linear_lr"], seed=section["seed"],
         )
 
-    registry = baselines.FeatureRegistry()
     data = [
-        (baselines.extract_features(inst, registry, codeclass_model, connectives), inst.label)
+        (baselines.extract_features(inst, codeclass_model, connectives), inst.label)
         for inst in train_insts
     ]
-    registry.freeze()
     linear = baselines.train_linear(
         data,
         kind=kind,
@@ -632,34 +640,38 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
         epochs=section["linear_epochs"],
         lr=section["linear_lr"],
         seed=section["seed"],
-        dim=registry.size,
     )
     # a copy: the default lexicon is a shared cache the bundle must not alias
-    bundle = LinearBundle(linear, registry, codeclass_model, [list(p) for p in connectives])
+    connectives = [list(p) for p in connectives]
+    bundle = LinearBundle(linear, tokenizer.fingerprint(), codeclass_model, connectives)
     if out_path:
         bundle.save(out_path)
     return bundle, (valid[0] if valid else None)
 
 
+_LINEAR_FORMAT = "qcmine-linear-v2"
+
+
 @dataclass
 class LinearBundle:
-    """A trained linear baseline with its frozen feature space, connective
-    lexicon, and optional CodeClass sub-classifier."""
+    """A trained linear baseline with the record of the tokenizer its code
+    features read (``Tokenizer.fingerprint()``), its connective lexicon, and
+    optional CodeClass sub-classifier."""
 
     linear: baselines.LinearModel
-    registry: baselines.FeatureRegistry
+    preprocessing: dict
     codeclass: baselines.LinearModel | None = None
     connectives: list | None = None
 
     def predict(self, inst):
-        feats = baselines.extract_features(inst, self.registry, self.codeclass, self.connectives)
+        feats = baselines.extract_features(inst, self.codeclass, self.connectives)
         return baselines.predict_linear(self.linear, feats)
 
     def save(self, path):
         obj = {
-            "format": "qcmine-linear-v1",
+            "format": _LINEAR_FORMAT,
             "linear": self.linear.to_dict(),
-            "registry": self.registry.to_dict(),
+            "preprocessing": self.preprocessing,
             "codeclass": self.codeclass.to_dict() if self.codeclass else None,
             "connectives": self.connectives,
         }
@@ -672,20 +684,19 @@ class LinearBundle:
             return cls.from_obj(json.load(f), path)
 
     @classmethod
-    def from_obj(cls, obj, path) -> "LinearBundle":
-        """The bundle of a parsed bundle file ``obj`` read from ``path``."""
-        if not isinstance(obj, dict) or obj.get("format") != "qcmine-linear-v1":
-            raise CheckpointMismatch(f"{path} is not a linear baseline bundle")
-        bad = [key for key in ("linear", "registry") if not isinstance(obj.get(key), dict)]
-        if bad:
-            raise CheckpointMismatch(f"{path}: linear baseline bundle lacks a JSON object under {bad}")
-        cc = obj.get("codeclass")
-        return cls(
-            linear=baselines.LinearModel.from_dict(obj["linear"]),
-            registry=baselines.FeatureRegistry.from_dict(obj["registry"]),
-            codeclass=baselines.LinearModel.from_dict(cc) if cc else None,
-            connectives=obj.get("connectives"),
-        )
+    def from_obj(cls, obj, path, tokenizer: Tokenizer | None = None) -> "LinearBundle":
+        """The bundle of a parsed bundle file ``obj`` read from ``path``;
+        given ``tokenizer``, one trained on other tokens is refused."""
+        if not isinstance(obj, dict) or obj.get("format") != _LINEAR_FORMAT:
+            raise CheckpointMismatch(f"{path} is not a {_LINEAR_FORMAT} bundle; retrain it")
+        parts = read_parts(path, obj, {
+            "linear": baselines.LinearModel.from_dict,
+            "preprocessing": dict,
+            "codeclass": lambda cc: None if cc is None else baselines.LinearModel.from_dict(cc),
+            "connectives": list,
+        })
+        check_preprocessing(path, parts["preprocessing"], tokenizer)
+        return cls(**parts)
 
 
 def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
@@ -694,9 +705,10 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     tokenizer = config_tokenizer(config)
     with open(checkpoint_path, encoding="utf-8") as f:
         obj = json.load(f)
-    linear = isinstance(obj, dict) and obj.get("format") == "qcmine-linear-v1"
+    # any bundle version, so an older one is refused as a bundle
+    linear = isinstance(obj, dict) and str(obj.get("format")).startswith("qcmine-linear-")
     if linear:
-        model = LinearBundle.from_obj(obj, checkpoint_path)
+        model = LinearBundle.from_obj(obj, checkpoint_path, tokenizer)
     else:
         model = models.model_from_obj(obj, checkpoint_path, tokenizer)
     del obj

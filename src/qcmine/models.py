@@ -430,6 +430,29 @@ def _head_hash(cfg: VariantConfig, preprocessing: dict) -> str:
     return hashlib.sha256(json.dumps(head, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def read_parts(path, obj: dict, builders: dict) -> dict:
+    """{part: builders[part](obj[part])} for the parts of a parsed model
+    file read from ``path``. A missing part, or one its builder cannot
+    build (KeyError, TypeError, ValueError, AttributeError), raises a
+    CheckpointMismatch that names the file and the part."""
+    parts = {}
+    for part, build in builders.items():
+        try:
+            parts[part] = build(obj[part])
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise CheckpointMismatch(f"{path}: part {part!r} does not fit: {e!r}") from None
+    return parts
+
+
+def check_preprocessing(path, preprocessing, tokenizer: Tokenizer | None) -> None:
+    """Refuse a model file trained on other tokens than ``tokenizer``'s."""
+    if tokenizer is not None and preprocessing != tokenizer.fingerprint():
+        raise CheckpointMismatch(
+            f"{path} was trained on tokens from {preprocessing}, "
+            f"but the config tokenizes with {tokenizer.fingerprint()}"
+        )
+
+
 def save_model(model: ModelParameters, path) -> None:
     """One JSON object; each tensor is ``nn_core.tensor_to_obj``'s base64."""
     obj = {
@@ -463,23 +486,14 @@ def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParame
     bad = [key for key in keys if not isinstance(obj.get(key), dict)]
     if bad:
         raise CheckpointMismatch(f"{path}: checkpoint lacks a JSON object under {bad}")
-    cfg = VariantConfig.from_dict(obj["config"])
+    cfg = read_parts(path, obj, {"config": VariantConfig.from_dict})["config"]
     preprocessing = obj.get("preprocessing")
     if obj.get("config_hash") != _head_hash(cfg, preprocessing):
         raise CheckpointMismatch(f"{path}: config hash does not match its config")
-    if tokenizer is not None and preprocessing != tokenizer.fingerprint():
-        raise CheckpointMismatch(
-            f"{path} was trained on tokens from {preprocessing}, "
-            f"but the config tokenizes with {tokenizer.fingerprint()}"
-        )
+    check_preprocessing(path, preprocessing, tokenizer)
     word_vocab = Vocabulary(dict(obj["word_vocab"]))
     code_vocab = Vocabulary(dict(obj["code_vocab"]))
-    tensors = {}
-    for name, t in obj["params"].items():
-        try:
-            tensors[name] = nn_core.tensor_from_obj(t)
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointMismatch(f"{path}: parameter {name}: {e}") from None
+    tensors = read_parts(path, obj["params"], dict.fromkeys(obj["params"], nn_core.tensor_from_obj))
 
     def get(name, shape, _init):
         if name not in tensors:

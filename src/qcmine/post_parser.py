@@ -17,7 +17,7 @@ from enum import Enum
 from html import unescape
 from html.parser import HTMLParser
 
-from .tokenize import Tokenizer, normalize_code, tokenize_text, wordpunct
+from .tokenize import Tokenizer, TokenStream, normalize_code, tokenize_text, wordpunct
 
 
 class EmptyPost(ValueError):
@@ -234,12 +234,18 @@ def tokenize_sequence(seq: BlockSequence, tokenizer: Tokenizer) -> BlockSequence
 
 
 def _tokens_of(block: Block, tokenizer: Tokenizer) -> list[str]:
-    """Prose via the text tokenizer; code via the language normalizer, or a
-    word/punct split where that yields nothing."""
+    """Prose via the text tokenizer, code via ``code_stream``."""
     if block.kind is BlockKind.TEXT:
         return tokenize_text(block.raw).tokens
-    code = normalize_code(block.raw, tokenizer.language, tokenizer.keep)
-    return code.tokens or wordpunct(block.raw)
+    return code_stream(block.raw, tokenizer).tokens
+
+
+def code_stream(raw: str, tokenizer: Tokenizer) -> TokenStream:
+    """The tokens of a code snippet: the language normalizer's, or a
+    word/punct split where that yields nothing. Instances, the CodeClass
+    corpus and dataset statistics all read code through this one rule."""
+    code = normalize_code(raw, tokenizer.language, tokenizer.keep)
+    return code if code.tokens else TokenStream(wordpunct(raw), code.language, code.n_lines)
 
 
 def extract_instances(

@@ -12,14 +12,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .baselines import (
-    FeatureRegistry,
-    LinearModel,
-    SparseFeatureVector,
-    predict_linear,
-    train_linear,
-)
-from .models import CheckpointMismatch
+from .baselines import LinearModel, predict_linear, train_linear
+from .models import CheckpointMismatch, read_parts
 from .post_parser import BlockKind, BlockSequence
 from .tokenize import load_wordlist_resource, tokenize_text, wordpunct
 
@@ -66,32 +60,27 @@ def featurize_question(
     )
 
 
-def features_to_sparse(features: QuestionFeatures, registry: FeatureRegistry) -> SparseFeatureVector:
-    vec = SparseFeatureVector()
-    for kw, flag in sorted(features.keyword_flags.items()):
-        if flag:
-            vec.set(registry.id_of(f"kw:{kw}"), 1.0)
-    vec.set(registry.id_of("n_code_q"), float(features.n_code_blocks_question))
-    vec.set(registry.id_of("n_code_a"), float(features.n_code_blocks_answer))
-    vec.set(registry.id_of("max_code_len"), float(features.max_code_block_len))
-    vec.set(registry.id_of("title_len"), float(features.title_len))
-    return vec
+def features_to_sparse(features: QuestionFeatures) -> dict[str, float]:
+    feats = {f"kw:{kw}": 1.0 for kw, flag in sorted(features.keyword_flags.items()) if flag}
+    feats["n_code_q"] = float(features.n_code_blocks_question)
+    feats["n_code_a"] = float(features.n_code_blocks_answer)
+    feats["max_code_len"] = float(features.max_code_block_len)
+    feats["title_len"] = float(features.title_len)
+    return feats
+
+
+_FORMAT = "qcmine-filter-v2"
 
 
 @dataclass
 class QuestionFilterModel:
-    """A trained filter: the linear model plus its frozen feature space."""
+    """A trained filter: the linear model and its keyword lexicon."""
 
     linear: LinearModel
-    registry: FeatureRegistry
     keywords: list[str]
 
     def save(self, path):
-        obj = {
-            "linear": self.linear.to_dict(),
-            "registry": self.registry.to_dict(),
-            "keywords": self.keywords,
-        }
+        obj = {"format": _FORMAT, "linear": self.linear.to_dict(), "keywords": self.keywords}
         with open(path, "w", encoding="utf-8") as f:
             json.dump(obj, f, sort_keys=True)
 
@@ -99,16 +88,10 @@ class QuestionFilterModel:
     def load(cls, path) -> "QuestionFilterModel":
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
-        if not isinstance(obj, dict):
-            raise CheckpointMismatch(f"{path} does not hold a JSON object")
-        missing = [key for key in ("linear", "registry", "keywords") if key not in obj]
-        if missing:
-            raise CheckpointMismatch(f"{path}: question filter model lacks {missing}")
-        return cls(
-            linear=LinearModel.from_dict(obj["linear"]),
-            registry=FeatureRegistry.from_dict(obj["registry"]),
-            keywords=list(obj["keywords"]),
-        )
+        if not isinstance(obj, dict) or obj.get("format") != _FORMAT:
+            raise CheckpointMismatch(f"{path} is not a {_FORMAT} question filter; retrain it")
+        parts = read_parts(path, obj, {"linear": LinearModel.from_dict, "keywords": list})
+        return cls(**parts)
 
 
 def train_question_filter(
@@ -121,19 +104,16 @@ def train_question_filter(
 ) -> QuestionFilterModel:
     if keywords is None:
         keywords = default_keywords()
-    registry = FeatureRegistry()
     data = [
-        (features_to_sparse(f, registry), 1 if label is QuestionLabel.HOW_TO else 0)
+        (features_to_sparse(f), 1 if label is QuestionLabel.HOW_TO else 0)
         for f, label in labeled
     ]
-    registry.freeze()
-    linear = train_linear(data, l2=l2, epochs=epochs, lr=lr, seed=seed, dim=registry.size)
+    linear = train_linear(data, l2=l2, epochs=epochs, lr=lr, seed=seed)
     # a copy: the default lexicon is a shared cache the model must not alias
-    return QuestionFilterModel(linear, registry, list(keywords))
+    return QuestionFilterModel(linear, list(keywords))
 
 
 def classify_question(features: QuestionFeatures, model: QuestionFilterModel):
     """(label, p(HowTo)); the p = 0.5 tie goes to HowTo."""
-    vec = features_to_sparse(features, model.registry)
-    label, prob = predict_linear(model.linear, vec)
+    label, prob = predict_linear(model.linear, features_to_sparse(features))
     return (QuestionLabel.HOW_TO if label == 1 else QuestionLabel.NON_HOW_TO), prob

@@ -1,13 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from qcmine.baselines import (
     HINGE_SVM,
     LOGISTIC,
-    FeatureRegistry,
     LinearModel,
     SingleClassData,
-    SparseFeatureVector,
     UntrainedModel,
     codeclass_features,
     extract_features,
@@ -27,90 +27,71 @@ def make_inst(pre=(), code=("VAR",), post=(), q=("how",)):
     )
 
 
-def feature_keys(vec, registry):
-    id_to_key = {v: k for k, v in registry.key_to_id.items()}
-    return {id_to_key[i] for i in vec.values}
-
-
 class TestExtractFeatures:
     def test_context_namespaces(self):
-        registry = FeatureRegistry()
-        vec = extract_features(make_inst(pre=["try", "this"], code=["x"]), registry)
-        keys = feature_keys(vec, registry)
+        keys = set(extract_features(make_inst(pre=["try", "this"], code=["x"])))
         assert {"first:try", "tok:try", "tok:this", "bigram:try_this"} <= keys
         assert "code:x" in keys
         assert not any(k.startswith("conn:") for k in keys)
 
     def test_empty_contexts_only_code_features(self):
-        registry = FeatureRegistry()
-        vec = extract_features(make_inst(code=["select", "col0"]), registry)
-        keys = feature_keys(vec, registry)
-        assert keys == {"code:select", "code:col0"}
+        assert extract_features(make_inst(code=["select", "col0"])) == {
+            "code:select": 1.0, "code:col0": 1.0,
+        }
 
     def test_no_codeclass_without_submodel(self):
-        registry = FeatureRegistry()
-        vec = extract_features(make_inst(), registry, codeclass_model=None)
-        assert "codeclass" not in feature_keys(vec, registry)
+        assert "codeclass" not in extract_features(make_inst(), codeclass_model=None)
 
     def test_codeclass_present_with_submodel(self):
-        registry = FeatureRegistry()
-        submodel = LinearModel(LOGISTIC, weights=np.zeros(10), bias=0.0)
-        vec = extract_features(make_inst(), registry, codeclass_model=submodel)
-        keys = feature_keys(vec, registry)
-        assert "codeclass" in keys
-        assert vec.values[registry.key_to_id["codeclass"]] == 0.5
+        submodel = LinearModel(LOGISTIC, weights=np.zeros(0), bias=0.0)
+        assert extract_features(make_inst(), codeclass_model=submodel)["codeclass"] == 0.5
 
     def test_connective_flags(self):
-        registry = FeatureRegistry()
-        vec = extract_features(
-            make_inst(pre=["alternatively", "you", "can"]), registry
-        )
-        assert "conn:alternatively" in feature_keys(vec, registry)
+        assert "conn:alternatively" in extract_features(make_inst(pre=["alternatively", "you", "can"]))
 
     def test_token_counts_preserve_repetition(self):
-        registry = FeatureRegistry()
-        vec = extract_features(make_inst(pre=["go", "go", "go"]), registry)
-        assert vec.values[registry.key_to_id["tok:go"]] == 3.0
+        assert extract_features(make_inst(pre=["go", "go", "go"]))["tok:go"] == 3.0
 
-    def test_deterministic_ids_when_frozen(self):
-        registry = FeatureRegistry()
-        extract_features(make_inst(pre=["try"]), registry)
-        registry.freeze()
-        before = dict(registry.key_to_id)
-        extract_features(make_inst(pre=["brand", "new", "words"]), registry)
-        assert registry.key_to_id == before
+    def test_unseen_names_ignored_and_index_unchanged(self):
+        data = [(extract_features(make_inst(pre=["try"])), 1),
+                (extract_features(make_inst(pre=["no"])), 0)]
+        model = train_linear(data, epochs=3, seed=0)
+        before = dict(model.index)
+        new = extract_features(make_inst(pre=["brand", "new", "words"]))
+        known = {name: v for name, v in new.items() if name in model.index}
+        assert predict_linear(model, new) == predict_linear(model, known)
+        assert model.index == before
 
 
 class TestCodeclassFeatures:
     def test_prompt_line_fraction(self):
         vec = codeclass_features(TokenStream([">>>", "VAR"], n_lines=1))
-        assert vec[2] == 1.0
+        assert vec["prompt_lines"] == 1.0
 
     def test_def_presence_no_numbers(self):
         vec = codeclass_features(TokenStream(["def", "VAR", "(", ")", ":"], n_lines=1))
-        assert vec[4] == 1.0
-        assert vec[0] == 0.0
+        assert vec["has_def"] == 1.0
+        assert "number_share" not in vec  # zero-valued features are left out
 
     def test_empty_all_zero(self):
-        np.testing.assert_array_equal(codeclass_features(TokenStream([])), np.zeros(10))
+        assert codeclass_features(TokenStream([])) == {}
 
     def test_fractions(self):
         vec = codeclass_features(
             TokenStream(["VAR", "=", "NUMBER", "(", ")"], n_lines=1)
         )
-        assert vec[0] == pytest.approx(1 / 5)  # NUMBER fraction
-        assert vec[1] == pytest.approx(2 / 5)  # parenthesis fraction
-        assert vec[3] == pytest.approx(1 / 5)  # '=' fraction
-        assert vec[8] == 1.0
-        assert vec[9] == 5.0
+        assert vec["number_share"] == pytest.approx(1 / 5)
+        assert vec["paren_share"] == pytest.approx(2 / 5)
+        assert vec["assign_share"] == pytest.approx(1 / 5)
+        assert vec["lines"] == 1.0
+        assert vec["tokens_per_line"] == 5.0
 
 
 def separable_toy(n=40):
     data = []
     for i in range(n):
         label = i % 2
-        vec = SparseFeatureVector({0: 1.0, 1: 1.0} if label else {0: 1.0, 2: 1.0})
-        data.append((vec, label))
+        data.append(({"a": 1.0, "b": 1.0} if label else {"a": 1.0, "c": 1.0}, label))
     return data
 
 
@@ -127,13 +108,20 @@ class TestTrainLinear:
         model = train_linear(data, LOGISTIC, l2=1e6, epochs=30, lr=0.001, seed=0)
         assert np.all(np.abs(model.weights) < 1e-3)
         label, score = predict_linear(
-            LinearModel(LOGISTIC, np.zeros_like(model.weights), 0.0), data[0][0]
+            LinearModel(LOGISTIC, np.zeros_like(model.weights), 0.0, index=model.index), data[0][0]
         )
         assert label == 1 and score == 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
-            train_linear([(SparseFeatureVector({0: 1.0}), 1)] * 4)
+            train_linear([({"a": 1.0}, 1)] * 4)
+
+    def test_positions_first_seen_and_round_trip(self):
+        model = train_linear(separable_toy(), epochs=5, lr=0.5, seed=0)
+        assert model.index == {"a": 0, "c": 1, "b": 2}
+        back = LinearModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        assert back.index == model.index and back.bias == model.bias
+        np.testing.assert_array_equal(back.weights, model.weights)
 
     def test_deterministic_per_seed(self):
         data = separable_toy()
@@ -145,36 +133,35 @@ class TestTrainLinear:
 
 class TestPredictLinear:
     def test_zero_logistic_model_ties_to_one(self):
-        model = LinearModel(LOGISTIC, weights=np.zeros(3), bias=0.0)
-        label, score = predict_linear(model, SparseFeatureVector({1: 5.0}))
+        model = LinearModel(LOGISTIC, weights=np.zeros(3), bias=0.0, index={"a": 0, "b": 1, "c": 2})
+        label, score = predict_linear(model, {"b": 5.0})
         assert (label, score) == (1, 0.5)
 
     def test_negative_margin_hinge(self):
-        model = LinearModel(HINGE_SVM, weights=np.array([-3.0]), bias=0.0)
-        label, score = predict_linear(model, SparseFeatureVector({0: 1.0}))
+        model = LinearModel(HINGE_SVM, weights=np.array([-3.0]), bias=0.0, index={"a": 0})
+        label, score = predict_linear(model, {"a": 1.0})
         assert label == 0 and score == -3.0
 
     def test_untrained_model(self):
         with pytest.raises(UntrainedModel):
-            predict_linear(LinearModel(LOGISTIC), SparseFeatureVector())
+            predict_linear(LinearModel(LOGISTIC), {})
 
     def test_hinge_label_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(8)
         w = rng.uniform(-1, 1, 6)
         b = 0.3
+        index = {f"f{i}": i for i in range(6)}
         for c in (0.5, 2.0, 17.0):
-            scaled = LinearModel(HINGE_SVM, weights=c * w, bias=c * b)
-            base = LinearModel(HINGE_SVM, weights=w.copy(), bias=b)
+            scaled = LinearModel(HINGE_SVM, weights=c * w, bias=c * b, index=index)
+            base = LinearModel(HINGE_SVM, weights=w.copy(), bias=b, index=index)
             for _ in range(30):
-                feats = SparseFeatureVector(
-                    {int(i): float(v) for i, v in enumerate(rng.uniform(-2, 2, 6))}
-                )
+                feats = {f"f{i}": float(v) for i, v in enumerate(rng.uniform(-2, 2, 6))}
                 assert predict_linear(base, feats)[0] == predict_linear(scaled, feats)[0]
 
     def test_logistic_score_in_open_interval(self):
-        model = LinearModel(LOGISTIC, weights=np.array([50.0]), bias=0.0)
-        _, hi = predict_linear(model, SparseFeatureVector({0: 10.0}))
-        _, lo = predict_linear(model, SparseFeatureVector({0: -10.0}))
+        model = LinearModel(LOGISTIC, weights=np.array([50.0]), bias=0.0, index={"a": 0})
+        _, hi = predict_linear(model, {"a": 10.0})
+        _, lo = predict_linear(model, {"a": -10.0})
         assert 0.0 <= lo < 0.5 < hi <= 1.0
 
 
@@ -201,8 +188,8 @@ class TestCodeclassPipeline:
         model = train_codeclass(streams, epochs=80, lr=0.5, seed=0)
         demo = normalize_python(">>> 3\n3")
         work = normalize_python("def f(x):\n    return x + 1")
-        _, p_demo = predict_linear(model, _sparse(codeclass_features(demo)))
-        _, p_work = predict_linear(model, _sparse(codeclass_features(work)))
+        _, p_demo = predict_linear(model, codeclass_features(demo))
+        _, p_work = predict_linear(model, codeclass_features(work))
         assert p_work > p_demo
 
     def test_cap_sampling_deterministic(self):
@@ -213,7 +200,3 @@ class TestCodeclassPipeline:
         c2 = harvest_codeclass_corpus(posts, per_class_cap=7, seed=3)
         assert c1 == c2
         assert len(c1) == 7
-
-
-def _sparse(vec):
-    return SparseFeatureVector({i: float(v) for i, v in enumerate(vec) if v != 0.0})

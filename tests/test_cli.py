@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
-from qcmine import cli, question_filter, tokenize, train_eval
+from qcmine import baselines, cli, question_filter, tokenize, train_eval
 from qcmine.models import CheckpointMismatch, load_model, predict_label
 from qcmine.nn_core import softmax
 from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
@@ -43,6 +43,14 @@ def ws(tmp_path_factory):
         )
         paths[variant] = out
     return paths
+
+
+@pytest.fixture(scope="module")
+def linear(ws, tmp_path_factory):
+    """An lr bundle trained on the workspace with its config."""
+    path = tmp_path_factory.mktemp("linear") / "lr.json"
+    cli.train_linear_baseline(ws["dump"], ws["train"], cli.load_config(ws["config"]), "logistic", path)
+    return path
 
 
 class TestParseCommand:
@@ -232,6 +240,24 @@ class TestTrainEval:
         loaded = cli.LinearBundle.load(path)
         assert loaded.connectives == bundle.connectives
         assert loaded.connectives  # the default lexicon travels with the model
+
+    def test_codeclass_corpus_reads_code_like_instances(self, ws, tmp_path, monkeypatch):
+        """A snippet the normalizer yields nothing for is word/punct split in
+        the CodeClass corpus, as in the instances CodeClass predicts on."""
+        html = "<p>Do it</p><pre><code>'''unterminated docstring\nstill inside</code></pre>"
+        demo = "<p>run</p><pre><code>f(1)</code></pre><p>output:</p><pre><code>1</code></pre>"
+        dump = tmp_path / "dump.jsonl"
+        extra = [dump_record(600, "How to a", ["python"], html), dump_record(601, "How to b", ["python"], demo)]
+        dump.write_text(ws["dump"].read_text() + "".join(json.dumps(r) + "\n" for r in extra))
+        corpus = []
+        train = baselines.train_codeclass
+        monkeypatch.setattr(baselines, "train_codeclass", lambda c, **kw: train(corpus.extend(c) or c, **kw))
+        bundle, _ = cli.train_linear_baseline(dump, ws["train"], cli.load_config(ws["config"]), "logistic")
+        assert bundle.codeclass is not None
+        seq = tokenize_sequence(parse_answer_post(html, 600), Tokenizer())
+        expected = seq.code_blocks()[0].tokens
+        assert len(expected) == 5
+        assert expected in [stream.tokens for stream, label in corpus if label == 1]
 
     def test_linear_bundle_does_not_alias_default_connectives(self, ws):
         from qcmine.baselines import default_connectives
@@ -664,9 +690,9 @@ class TestKeepListConfig:
 
 
 class TestTokenizerRecord:
-    """A neural checkpoint records how its inputs were tokenized, and every
-    command that reads one with a config refuses other tokens before it reads
-    the dump."""
+    """A neural checkpoint and a linear bundle record how their inputs were
+    tokenized, and every command that reads one with a config refuses other
+    tokens before it reads the dump."""
 
     @pytest.fixture(params=["language", "keep", "normalizer"])
     def other(self, request, ws, tmp_path, monkeypatch):
@@ -681,7 +707,7 @@ class TestTokenizerRecord:
             monkeypatch.setattr(tokenize, "NORMALIZER_VERSION", "qcmine-tokenize-0")
         return config
 
-    def test_refused_before_the_dump_is_read(self, ws, other, monkeypatch):
+    def test_refused_before_the_dump_is_read(self, ws, linear, other, monkeypatch):
         def no_read(path):
             raise AssertionError(f"read {path}")
 
@@ -691,8 +717,9 @@ class TestTokenizerRecord:
             cli.mine(ws["dump"], *voters, ws["filter"], ws["root"] / "nope.jsonl", other)
         with pytest.raises(CheckpointMismatch, match="trained on tokens"):
             cli.ensemble_evaluate(ws["dump"], ws["valid"], *voters, other)
-        with pytest.raises(CheckpointMismatch, match="trained on tokens"):
-            cli.evaluate_checkpoint(ws["dump"], ws["valid"], ws["biv_hnn"], other)
+        for checkpoint in (ws["biv_hnn"], linear):
+            with pytest.raises(CheckpointMismatch, match="trained on tokens"):
+                cli.evaluate_checkpoint(ws["dump"], ws["valid"], checkpoint, other)
 
     def test_packaged_keep_list_file_matches_default(self, ws, tmp_path):
         keep = tmp_path / "keep.txt"
@@ -715,6 +742,8 @@ class TestTokenizerRecord:
         expected = Tokenizer(keep=frozenset({"compute"})).fingerprint()
         assert load_model(out).preprocessing == expected
         assert load_model(ws["code_hnn"]).preprocessing == Tokenizer().fingerprint()
+        cli.train_linear_baseline(ws["dump"], ws["train"], config, "logistic", tmp_path / "lr.json")
+        assert cli.LinearBundle.load(tmp_path / "lr.json").preprocessing == expected
 
 
 class TestNonObjectCheckpoint:
@@ -746,10 +775,10 @@ class TestNonObjectCheckpoint:
 
     def test_filter_model_missing_key(self, ws, tmp_path):
         obj = json.loads(ws["filter"].read_text())
-        del obj["registry"]
+        del obj["keywords"]
         path = tmp_path / "filter.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*registry"):
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*keywords"):
             question_filter.QuestionFilterModel.load(path)
 
 
@@ -757,12 +786,6 @@ class TestMissingKeyCheckpoint:
     """A model file that is a JSON object but lacks one of its parts, or
     holds a non-object there, is refused with a CheckpointMismatch that
     names the file and the key."""
-
-    @pytest.fixture(scope="class")
-    def linear(self, ws, tmp_path_factory):
-        path = tmp_path_factory.mktemp("linear") / "lr.json"
-        cli.train_linear_baseline(ws["dump"], ws["train"], cli.load_config(ws["config"]), "logistic", path)
-        return path
 
     @staticmethod
     def edited(src, tmp_path, key, value):
@@ -787,8 +810,8 @@ class TestMissingKeyCheckpoint:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "key, value", [("linear", None), ("registry", None), ("linear", [1])],
-        ids=["linear", "registry", "linear_list"],
+        "key, value", [("linear", None), ("preprocessing", None), ("linear", [1])],
+        ids=["linear", "preprocessing", "linear_list"],
     )
     def test_linear(self, linear, tmp_path, key, value):
         path = self.edited(linear, tmp_path, key, value)
@@ -797,11 +820,43 @@ class TestMissingKeyCheckpoint:
 
     @pytest.mark.parametrize("kind", ["neural", "linear"])
     def test_eval(self, ws, linear, tmp_path, kind):
-        src, key = (ws["biv_hnn"], "params") if kind == "neural" else (linear, "registry")
+        src, key = (ws["biv_hnn"], "params") if kind == "neural" else (linear, "linear")
         path = self.edited(src, tmp_path, key, None)
         argv = ["eval", "--dump", str(ws["dump"]), "--labels", str(ws["valid"]), "--checkpoint", str(path)]
         with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*" + key):
             cli.main(argv)
+
+    @pytest.mark.parametrize(
+        "kind, part, edit",
+        [
+            ("neural", "config", lambda obj: obj["config"].pop("variant")),
+            ("linear", "linear", lambda obj: obj["linear"].pop("kind")),
+            ("linear", "codeclass", lambda obj: obj.update(codeclass=[1])),
+            ("linear", "linear", lambda obj: obj["linear"]["features"].pop()),
+        ],
+        ids=["config_variant", "linear_kind", "codeclass_list", "features_weights_length"],
+    )
+    def test_part_that_does_not_fit(self, ws, linear, tmp_path, kind, part, edit):
+        src, load = (ws["biv_hnn"], load_model) if kind == "neural" else (linear, cli.LinearBundle.load)
+        obj = json.loads(src.read_text())
+        edit(obj)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + f".*part '{part}'"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["v1_bundle", "untagged_filter"])
+    def test_old_layout_refused(self, ws, linear, tmp_path, kind):
+        if kind == "v1_bundle":
+            obj, load = json.loads(linear.read_text()), cli.LinearBundle.load
+            obj["format"] = "qcmine-linear-v1"
+        else:
+            obj, load = json.loads(ws["filter"].read_text()), question_filter.QuestionFilterModel.load
+            del obj["format"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*retrain"):
+            load(path)
 
 
 class TestMergeAndStats:
@@ -893,6 +948,12 @@ class TestMergeAndStats:
         with pytest.raises(ValueError, match=rf"pairs\.jsonl:3: not a mined pair"):
             cli.merge_annotated(pairs, annotated, ws["dump"], tmp_path / "merged.jsonl")
 
+    def test_stats_reads_code_like_instances(self, tmp_path):
+        ds = tmp_path / "one.jsonl"
+        code = "'''unterminated docstring\nstill inside"
+        ds.write_text(cli.MinedPair(1, "How to x", code, 1, cli.Provenance.SINGLE_CODE).to_json() + "\n")
+        assert cli.dataset_stats(ds)["avg_code_tokens"] == 5.0  # ''' unterminated docstring still inside
+
     def test_stats_single_pair(self, tmp_path):
         ds = tmp_path / "one.jsonl"
         pair = cli.MinedPair(1, "How to sort", "x = sorted(y)", 1, cli.Provenance.SINGLE_CODE)
@@ -901,3 +962,23 @@ class TestMergeAndStats:
         assert stats["pairs"] == 1
         assert stats["avg_question_tokens"] == 3.0  # how, to, sort
         assert stats["avg_code_tokens"] == 6.0  # VAR = sorted ( VAR )
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "user, key",
+        [({"trian": {"lr": 0.1}}, "trian"), ({"model": {"d_embd": 9}}, "d_embd"), ({"train": 5}, "train")],
+        ids=["top_level", "in_section", "section_not_object"],
+    )
+    def test_unknown_key_refused(self, tmp_path, user, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(user))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
+            cli.load_config(path)
+
+    def test_readme_config_block_is_the_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r'```json\n(\{\n  "language".*?)```', readme, re.S).group(1)
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        assert cli.load_config(path) == cli.load_config()

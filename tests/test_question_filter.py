@@ -100,10 +100,7 @@ class TestClassify:
         assert 0.0 < p_why < p_howto < 1.0
 
     def test_untrained_model_raises(self):
-        model = QuestionFilterModel(LinearModel(LOGISTIC), registry=None, keywords=[])
-        from qcmine.baselines import FeatureRegistry
-
-        model.registry = FeatureRegistry()
+        model = QuestionFilterModel(LinearModel(LOGISTIC), keywords=[])
         q, a = seqs()
         with pytest.raises(UntrainedModel):
             classify_question(featurize_question("t", q, a), model)
@@ -132,12 +129,8 @@ def test_trained_filter_does_not_alias_default_keywords():
 
 
 def test_features_to_sparse_deterministic():
-    from qcmine.baselines import FeatureRegistry
-
     q, a = seqs()
     feats = featurize_question("How to sort a list", q, a)
-    r1, r2 = FeatureRegistry(), FeatureRegistry()
-    v1 = features_to_sparse(feats, r1)
-    v2 = features_to_sparse(feats, r2)
-    assert r1.key_to_id == r2.key_to_id
-    assert v1.values == v2.values
+    v1, v2 = features_to_sparse(feats), features_to_sparse(feats)
+    assert list(v1.items()) == list(v2.items())
+    assert list(v1) == ["kw:how to", "n_code_q", "n_code_a", "max_code_len", "title_len"]
