@@ -20,7 +20,9 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from . import baselines, models, question_filter, train_eval
-from .models import CheckpointMismatch, Variant, VariantConfig, check_preprocessing, read_parts
+from .models import (
+    CheckpointMismatch, Variant, VariantConfig, check_preprocessing, read_parts, string_list,
+)
 from .post_parser import (
     Block,
     BlockKind,
@@ -693,10 +695,17 @@ class LinearBundle:
             "linear": baselines.LinearModel.from_dict,
             "preprocessing": dict,
             "codeclass": lambda cc: None if cc is None else baselines.LinearModel.from_dict(cc),
-            "connectives": list,
+            "connectives": _token_lists,
         })
         check_preprocessing(path, parts["preprocessing"], tokenizer)
         return cls(**parts)
+
+
+def _token_lists(obj) -> list[list[str]]:
+    """``obj`` if it is a list of token lists (the connective phrases)."""
+    if not isinstance(obj, list):
+        raise TypeError(f"expected a list of token lists, got {obj!r:.80}")
+    return [string_list(phrase) for phrase in obj]
 
 
 def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:

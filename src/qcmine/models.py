@@ -249,39 +249,43 @@ def _check_inputs(model: ModelParameters, instances) -> None:
             raise EmptyCode(f"instance at position {inst.position} has no code tokens")
 
 
-def _bigru_ends(x: Node, lengths, gru: BiGru, grad: bool) -> Node:
+def _bigru_ends(table: Node, ids, lengths, gru: BiGru, grad: bool) -> Node:
     """[last forward state, first backward state] of each sequence, where
-    the sequences are consecutive runs of ``lengths`` rows of ``x``."""
+    the sequences are consecutive runs of ``lengths`` of the rows ``ids`` of
+    ``table``."""
     stops = np.cumsum(lengths, dtype=np.intp)
     spans = np.column_stack([stops - lengths, stops])
     return concat(
-        gru_final_states(x, spans, gru.fwd, grad=grad),
-        gru_final_states(x, spans, gru.bwd, reverse=True, grad=grad),
+        gru_final_states(table, ids, spans, gru.fwd, grad=grad),
+        gru_final_states(table, ids, spans, gru.bwd, reverse=True, grad=grad),
     )
 
 
-def _bigru_at(x: Node, starts, code_at, stops, gru: BiGru, grad: bool) -> Node:
-    """Bidirectional states at row ``code_at`` of each sequence
-    ``starts:stops`` of ``x``: the forward state after reading up to it and
-    the backward state after reading back down to it."""
+def _bigru_at(table: Node, ids, starts, code_at, stops, gru: BiGru, grad: bool) -> Node:
+    """Bidirectional states at input ``code_at`` of each sequence
+    ``starts:stops`` of the rows ``ids`` of ``table``: the forward state
+    after reading up to it and the backward state after reading back down
+    to it."""
+    fwd_spans, bwd_spans = np.column_stack([starts, code_at + 1]), np.column_stack([code_at, stops])
     return concat(
-        gru_final_states(x, np.column_stack([starts, code_at + 1]), gru.fwd, grad=grad),
-        gru_final_states(x, np.column_stack([code_at, stops]), gru.bwd, reverse=True, grad=grad),
+        gru_final_states(table, ids, fwd_spans, gru.fwd, grad=grad),
+        gru_final_states(table, ids, bwd_spans, gru.bwd, reverse=True, grad=grad),
     )
 
 
 def _token_vectors(model: ModelParameters, groups, vocab, emb: Node, gru: BiGru, grad: bool):
     """One encoder-vector node per group of token lists, a row per list.
 
-    Each distinct non-empty list of all groups is encoded once; empty lists
-    get the learned empty-block vector, or zeros in variants without one.
+    Each distinct non-empty list of all groups is encoded once, straight
+    from the rows of ``emb``; empty lists get the learned empty-block
+    vector, or zeros in variants without one.
     """
     keys = [[tuple(tokens) for tokens in group] for group in groups]
     distinct = list(dict.fromkeys(k for group in keys for k in group if k))
     d = 2 * model.config.d_token_gru
     if distinct:
         ids = np.concatenate([vocab.lookup_all(k) for k in distinct])
-        ends = _bigru_ends(take_rows(emb, ids), [len(k) for k in distinct], gru, grad)
+        ends = _bigru_ends(emb, ids, [len(k) for k in distinct], gru, grad)
     else:
         ends = Node(np.zeros((0, d)))
     empty = model.empty_block if model.empty_block is not None else Node(np.zeros(d))
@@ -349,12 +353,13 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
             + vocab.lookup_all(inst.post_tokens)
             for inst in instances
         ]
-        x = take_rows(model.word_emb, np.concatenate(ids))
         pre = np.array([len(inst.pre_tokens) for inst in instances], dtype=np.intp)
         lengths = np.array([len(row) for row in ids], dtype=np.intp)
         stops = np.cumsum(lengths)
         starts = stops - lengths
-        z = _bigru_at(x, starts, starts + pre, stops, model.text_token, grad)
+        z = _bigru_at(
+            model.word_emb, np.concatenate(ids), starts, starts + pre, stops, model.text_token, grad
+        )
     elif v is Variant.BIV_RNN:
         words, codes = model.word_emb, model.code_emb
         wv, cv = model.word_vocab, model.code_vocab
@@ -366,7 +371,7 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
             )
         ], axis=0)
         lengths = [len(i.pre_tokens) + len(i.code_tokens) + len(i.post_tokens) for i in instances]
-        z = _bigru_ends(x, lengths, model.text_token, grad)
+        z = _bigru_ends(x, np.arange(len(x.value)), lengths, model.text_token, grad)
     else:
         s_pre, s_post, c = _block_vectors(model, instances, grad)
         if v is Variant.CODE_HNN:
@@ -374,10 +379,11 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
         elif v is Variant.BIV_HFF:
             z = dense_rows(concat(s_pre, c, s_post), model.block_ff)
         else:
-            # rows pre_i, c_i, post_i of each instance in turn
-            x = take_rows(concat(s_pre, c, s_post, axis=0), np.arange(3 * n).reshape(3, n).T.ravel())
+            # read rows pre_i, c_i, post_i of each instance in turn
+            blocks = concat(s_pre, c, s_post, axis=0)
+            order = np.arange(3 * n).reshape(3, n).T.ravel()
             starts = 3 * np.arange(n)
-            z = _bigru_at(x, starts, starts + 1, starts + 3, model.block, grad)
+            z = _bigru_at(blocks, order, starts, starts + 1, starts + 3, model.block, grad)
     return dense_rows(z, model.output), z
 
 
@@ -442,6 +448,14 @@ def read_parts(path, obj: dict, builders: dict) -> dict:
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise CheckpointMismatch(f"{path}: part {part!r} does not fit: {e!r}") from None
     return parts
+
+
+def string_list(obj) -> list[str]:
+    """``obj`` if it is a list of strings, else TypeError: a ``read_parts``
+    builder for lexicon parts."""
+    if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
+        raise TypeError(f"expected a list of strings, got {obj!r:.80}")
+    return obj
 
 
 def check_preprocessing(path, preprocessing, tokenizer: Tokenizer | None) -> None:

@@ -7,10 +7,11 @@ parameter gradients accumulate across calls until ``zero_grad``, which is
 what mini-batch averaging relies on.
 
 The model's graph is built from row-level ops, so a whole slice of
-instances is a handful of nodes: ``take_rows`` (embedding gathers and row
-selections), ``concat``, ``dense_rows``, ``softmax_xent_rows`` and
-``gru_final_states``, one node per GRU run over many sequences. The
-per-vector ops (``gru_step``, ``bigru_encode``, ``dense``, ``softmax_xent``,
+instances is a handful of nodes: ``take_rows`` (row selections),
+``concat``, ``dense_rows``, ``softmax_xent_rows`` and ``gru_final_states``,
+one node per GRU run over many sequences, which reads its input rows
+straight from an embedding table through token ids. The per-vector ops
+(``gru_step``, ``bigru_encode``, ``dense``, ``softmax_xent``,
 ``embedding_row``) compute the same formulas one step at a time; the tests
 use them as the reference.
 
@@ -156,9 +157,10 @@ def take_rows(x, idx, fill=None) -> Node:
 
 
 def _sigmoid(x):
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 1/(1+e^-x) written as (1 + tanh(x/2))/2: one transcendental, no branch,
+    # and tanh saturates to +-1 rather than overflowing, so the extremes are
+    # exactly 0 and 1
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 # --------------------------------------------------------------------------
@@ -288,36 +290,43 @@ def _gate_weights(p: GruParams):
     return w_x, np.concatenate([w_r[:, d_x:], w_u[:, d_x:]]).T, w[:, d_x:].T
 
 
-def gru_final_states(x, spans, p: GruParams, reverse: bool = False, grad: bool = True) -> Node:
+def gru_final_states(
+    table, ids, spans, p: GruParams, reverse: bool = False, grad: bool = True
+) -> Node:
     """Final states of a GRU run over many sequences at once, as one node.
 
-    ``x`` holds input rows (N x d_x). Sequence i is rows ``spans[i][0]`` up
-    to ``spans[i][1] - 1``, read last row first when ``reverse``. Every run
+    Input row k is row ``ids[k]`` of ``table`` (V x d_x): an embedding table
+    read through token ids, or stacked rows read through ``np.arange`` or a
+    permutation. Sequence i is input rows ``spans[i][0]`` up to
+    ``spans[i][1] - 1``, read last row first when ``reverse``. Every run
     starts from a zero state. The value is a B x d_h array in span order.
 
     The sequences are sorted by length, longest first, and packed time-major,
     so the sequences still running at step t are a prefix of the batch and
-    no padded step is computed. The input projections x [W_r; W_u; W] + b of
-    all steps are one matmul; each step then multiplies only the state, and
-    r and u come from one sigmoid call. Same formulas as ``gru_step``.
+    no padded step is computed. The input projection x [W_r; W_u; W] + b is
+    one matmul over the distinct table rows the sequences use, each projected
+    once however often its id recurs, and is then gathered into packed
+    time-major order. Only those rows must be finite. Each step then
+    multiplies only the state, and r and u come from one sigmoid call. Same
+    formulas as ``gru_step``.
 
     With ``grad`` the node keeps, per step, the previous state, r, u and
     h_tilde. Its backward runs back through time over the packed prefixes,
-    forms each weight gradient as one matmul over all steps and scatters the
-    input gradient with one ``np.add.at``. Without ``grad`` (inference)
+    sums the projection gradients per distinct row with one ``np.add.at``,
+    forms each weight gradient as one matmul and adds the input gradient
+    straight into the table's gradient rows. Without ``grad`` (inference)
     nothing is kept and the node has no backward.
     """
-    x = as_node(x)
-    xv = x.value
+    table = as_node(table)
+    tv = table.value
+    ids = np.asarray(ids, dtype=np.intp)
     spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
     lengths = spans[:, 1] - spans[:, 0]
     if (lengths < 1).any():
         raise EmptySequence("gru_final_states needs at least one input vector per sequence")
     d_x, d_h = p.d_x, p.d_h
-    if xv.ndim != 2 or xv.shape[1] != d_x:
-        raise ShapeMismatch(f"expected rows of {d_x} inputs, got shape {xv.shape}")
-    if not np.isfinite(xv).all():
-        raise NonFiniteInput("x contains NaN or Inf")
+    if tv.ndim != 2 or tv.shape[1] != d_x:
+        raise ShapeMismatch(f"expected rows of {d_x} inputs, got shape {tv.shape}")
 
     order = np.argsort(-lengths, kind="stable")
     first = spans[order, 1] - 1 if reverse else spans[order, 0]
@@ -326,9 +335,14 @@ def gru_final_states(x, spans, p: GruParams, reverse: bool = False, grad: bool =
     steps = lengths.max(initial=0)
     running = len(order) - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]
     rows = np.concatenate([first[:n] + step * t for t, n in enumerate(running)] or [first[:0]])
+    # packed row k reads table row used[slot[k]]
+    used, slot = np.unique(ids[rows], return_inverse=True)
+    x_used = tv[used]
+    if not np.isfinite(x_used).all():
+        raise NonFiniteInput("a table row the sequences read contains NaN or Inf")
 
     w_x, u_ru, u_c = _gate_weights(p)
-    proj = xv[rows] @ w_x.T + np.concatenate([p.b_r.value, p.b_u.value, p.b.value])
+    proj = (x_used @ w_x.T + np.concatenate([p.b_r.value, p.b_u.value, p.b.value]))[slot]
 
     if grad:
         h_prevs, rus, h_tildes = (np.empty((len(rows), k * d_h)) for k in (1, 2, 1))
@@ -348,7 +362,7 @@ def gru_final_states(x, spans, p: GruParams, reverse: bool = False, grad: bool =
         h[:n] = u * h_prev + (1.0 - u) * h_tilde
     out = np.empty_like(h)
     out[order] = h
-    node = Node(out, (x, p.w_r, p.w_u, p.w, p.b_r, p.b_u, p.b))
+    node = Node(out, (table, p.w_r, p.w_u, p.w, p.b_r, p.b_u, p.b))
     if not grad:
         return node
 
@@ -369,7 +383,9 @@ def gru_final_states(x, spans, p: GruParams, reverse: bool = False, grad: bool =
             d_a[at, d_h : 2 * d_h] = dh * (h_prev - h_tilde) * u * (1.0 - u)
             d_a[at, 2 * d_h :] = d_ac
             d_h_state[:n] = dh * u + d_rh * r + d_a[at, : 2 * d_h] @ u_ru.T
-        d_w_x = d_a.T @ xv[rows]
+        d_used = np.zeros((len(used), 3 * d_h))
+        np.add.at(d_used, slot, d_a)
+        d_w_x = d_used.T @ x_used
         d_b = d_a.sum(axis=0)
         for k, (wp, bp, h_in) in enumerate(
             [(p.w_r, p.b_r, h_prevs), (p.w_u, p.b_u, h_prevs), (p.w, p.b, rus[:, :d_h] * h_prevs)]
@@ -377,9 +393,9 @@ def gru_final_states(x, spans, p: GruParams, reverse: bool = False, grad: bool =
             gates = slice(k * d_h, (k + 1) * d_h)
             _acc(wp, np.hstack([d_w_x[gates], d_a[:, gates].T @ h_in]))
             _acc(bp, d_b[gates])
-        if x.grad is None:
-            x.grad = np.zeros_like(xv)
-        np.add.at(x.grad, rows, d_a @ w_x)
+        if table.grad is None:
+            table.grad = np.zeros_like(tv)
+        table.grad[used] += d_used @ w_x
 
     node.backward_fn = backward_fn
     return node

@@ -859,6 +859,54 @@ class TestMissingKeyCheckpoint:
             load(path)
 
 
+class TestLexiconParts:
+    """A question filter whose keywords are not a list of strings, or a
+    linear bundle whose connectives are not a list of token lists, is
+    refused on load with a CheckpointMismatch that names the file and the
+    part, so neither `mine` nor `eval` runs with it."""
+
+    @staticmethod
+    def edited(src, tmp_path, key, value):
+        obj = json.loads(src.read_text())
+        obj[key] = value
+        path = tmp_path / f"{src.stem}-{key}.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize(
+        "keywords", [[1], "how to", [["how"]], None], ids=["int", "string", "nested", "null"]
+    )
+    def test_filter_keywords(self, ws, tmp_path, keywords):
+        path = self.edited(ws["filter"], tmp_path, "keywords", keywords)
+        refused = re.escape(str(path)) + ".*part 'keywords'"
+        with pytest.raises(CheckpointMismatch, match=refused):
+            question_filter.QuestionFilterModel.load(path)
+        argv = ["mine", "--dump", str(ws["dump"]), "--out", str(tmp_path / "pairs.jsonl"),
+                "--biv", str(ws["biv_hnn"]), "--text", str(ws["text_hnn"]),
+                "--code", str(ws["code_hnn"]), "--filter-model", str(path)]
+        with pytest.raises(CheckpointMismatch, match=refused):
+            cli.main(argv)
+
+    @pytest.mark.parametrize(
+        "connectives", [["instead"], [[1]], "instead", None],
+        ids=["strings", "int_token", "string", "null"],
+    )
+    def test_bundle_connectives(self, ws, linear, tmp_path, connectives):
+        path = self.edited(linear, tmp_path, "connectives", connectives)
+        refused = re.escape(str(path)) + ".*part 'connectives'"
+        with pytest.raises(CheckpointMismatch, match=refused):
+            cli.LinearBundle.load(path)
+        argv = ["eval", "--dump", str(ws["dump"]), "--labels", str(ws["valid"]), "--checkpoint", str(path)]
+        with pytest.raises(CheckpointMismatch, match=refused):
+            cli.main(argv)
+
+    def test_trained_files_load(self, ws, linear):
+        keywords = question_filter.QuestionFilterModel.load(ws["filter"]).keywords
+        assert keywords and all(isinstance(kw, str) for kw in keywords)
+        connectives = cli.LinearBundle.load(linear).connectives
+        assert connectives and all(isinstance(tok, str) for phrase in connectives for tok in phrase)
+
+
 class TestMergeAndStats:
     def test_merge_and_stats_consistency(self, ws, capsys):
         out = ws["root"] / "pairs_for_merge.jsonl"

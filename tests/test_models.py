@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from helpers import finite_diff_check
+from qcmine import models, nn_core
 from qcmine.models import (
     _forward_batch,
     CheckpointMismatch,
@@ -18,6 +19,7 @@ from qcmine.models import (
     forward,
     forward_graph,
     init_model,
+    label_of,
     load_model,
     predict_label,
     predict_scores,
@@ -188,14 +190,18 @@ def mixed_batch(rng):
     return insts + insts[:4]
 
 
+# every variant with the shared question encoder, and those with a question
+# encoder also with their own
+VARIANTS = (
+    [(v, True) for v in Variant]
+    + [(v, False) for v in (Variant.BIV_HNN, Variant.CODE_HNN, Variant.BIV_HFF)]
+)
+
+
 class TestBatchedInference:
     """predict_scores against the per-timestep reference graph."""
 
-    @pytest.mark.parametrize(
-        "variant,shared",
-        [(v, True) for v in Variant]
-        + [(v, False) for v in (Variant.BIV_HNN, Variant.CODE_HNN, Variant.BIV_HFF)],
-    )
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
     def test_matches_tape(self, vocabs, variant, shared):
         model = init_model(
             tiny_cfg(variant, seed=4, d_token_gru=5, d_block=6, share_text_question_encoder=shared),
@@ -238,6 +244,76 @@ class TestBatchedInference:
         insts.append(CodeContextInstance(["how"], ["try"], [], ["works"], position=1))
         with pytest.raises(EmptyCode):
             predict_scores(model, insts)
+
+
+def gather_then_project(table, ids, spans, p, **kw):
+    """The GRU kernel fed an already-gathered copy of the rows it reads."""
+    return nn_core.gru_final_states(nn_core.take_rows(table, ids), np.arange(len(ids)), spans, p, **kw)
+
+
+class TestIndexedEncoders:
+    """The model reading embedding rows through token ids against the same
+    model gathering them first. Numeric contract: scores, code vectors and
+    gradients within 1e-12, labels identical."""
+
+    def model(self, vocabs, variant, shared):
+        model = init_model(
+            tiny_cfg(variant, seed=5, d_token_gru=4, d_block=5, share_text_question_encoder=shared),
+            *vocabs,
+        )
+        rng = np.random.default_rng(8)
+        for node in model.params.values():
+            if node.value.ndim == 1:  # biases start at zero; move them
+                node.value[...] = rng.uniform(-1, 1, node.value.shape)
+        return model
+
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
+    def test_scores_match_gather_then_project(self, vocabs, variant, shared, monkeypatch):
+        model = self.model(vocabs, variant, shared)
+        insts = mixed_batch(random.Random(31))  # tokens repeat within and across blocks
+        scores = predict_scores(model, insts)
+        _, z = _forward_batch(model, insts)
+        with monkeypatch.context() as m:
+            m.setattr(models, "gru_final_states", gather_then_project)
+            ref_scores = predict_scores(model, insts)
+            _, ref_z = _forward_batch(model, insts)
+        np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z.value, ref_z.value, rtol=0, atol=1e-12)
+        assert [label_of(s) for s in scores] == [label_of(s) for s in ref_scores]
+
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
+    def test_gradients_match_gather_then_project(self, vocabs, variant, shared, monkeypatch):
+        model = self.model(vocabs, variant, shared)
+        insts = mixed_batch(random.Random(32))[:TRAIN_SLICE]
+        for i, inst in enumerate(insts):
+            inst.label = i % 2
+        model.zero_grad()
+        loss = _slice_backward(model, insts, 1.0 / 40)
+        got = model.named_grads()
+        model.zero_grad()
+        with monkeypatch.context() as m:
+            m.setattr(models, "gru_final_states", gather_then_project)
+            ref_loss = _slice_backward(model, insts, 1.0 / 40)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name, ref in model.named_grads().items():
+            if ref is None:
+                assert got[name] is None, name
+                continue
+            np.testing.assert_allclose(got[name], ref, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_non_finite_rows_never_read_are_harmless(self, vocabs, variant):
+        wv, cv = vocabs
+        model = init_model(tiny_cfg(variant, seed=3), wv, cv)
+        insts = [
+            CodeContextInstance(["how", "to"], ["try", "this"], ["VAR", "=", "NUMBER"], ["works"], 1),
+            CodeContextInstance(["how"], [], ["print", "(", ")"], ["try"], 2),
+        ]
+        before = predict_scores(model, insts)
+        model.word_emb.value[wv.lookup("shown")] = np.nan
+        if model.code_emb is not None:
+            model.code_emb.value[cv.lookup("def")] = np.inf
+        np.testing.assert_allclose(predict_scores(model, insts), before, rtol=0, atol=1e-12)
 
 
 class TestVariantInvariances:
@@ -325,11 +401,7 @@ class TestTrainingGraph:
                 node.value[...] = rng.uniform(-1, 1, node.value.shape)
         return model
 
-    @pytest.mark.parametrize(
-        "variant,shared",
-        [(v, True) for v in Variant]
-        + [(v, False) for v in (Variant.BIV_HNN, Variant.CODE_HNN, Variant.BIV_HFF)],
-    )
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
     def test_slice_gradients_match_per_step_reference(self, vocabs, variant, shared):
         model = self.model(vocabs, variant, shared)
         insts = self.labeled_slice(1)

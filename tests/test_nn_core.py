@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qcmine.nn_core import (
     Node,
     NonFiniteInput,
     ShapeMismatch,
+    _sigmoid,
     adam_update,
     backward,
     bigru_encode,
@@ -171,30 +173,30 @@ class TestGruFinalStates:
         x = rng.uniform(-2, 2, (30, 3))
         # unsorted lengths, ties, a one-step sequence, overlapping spans
         spans = [(0, 4), (4, 13), (13, 14), (14, 30), (2, 6), (20, 29)]
-        got = gru_final_states(x, spans, p, reverse=reverse).value
+        got = gru_final_states(x, np.arange(len(x)), spans, p, reverse=reverse).value
         assert got.shape == (len(spans), 4)
         for row, (start, stop) in zip(got, spans):
             np.testing.assert_allclose(row, self.chain(x, start, stop, p, reverse), rtol=0, atol=1e-14)
 
     def test_empty_batch(self):
         p = zero_gru(2, 3)
-        assert gru_final_states(np.zeros((0, 2)), np.zeros((0, 2)), p).value.shape == (0, 3)
+        assert gru_final_states(np.zeros((0, 2)), [], np.zeros((0, 2)), p).value.shape == (0, 3)
 
     def test_empty_sequence_rejected(self):
         p = zero_gru(2, 3)
         with pytest.raises(EmptySequence):
-            gru_final_states(np.ones((3, 2)), [(0, 2), (2, 2)], p)
+            gru_final_states(np.ones((3, 2)), np.arange(3), [(0, 2), (2, 2)], p)
 
     def test_non_finite_rejected(self):
         p = zero_gru(2, 3)
         x = np.ones((3, 2))
         x[1, 0] = np.inf
         with pytest.raises(NonFiniteInput):
-            gru_final_states(x, [(0, 3)], p)
+            gru_final_states(x, np.arange(3), [(0, 3)], p)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            gru_final_states(np.ones((3, 5)), [(0, 3)], zero_gru(2, 3))
+            gru_final_states(np.ones((3, 5)), np.arange(3), [(0, 3)], zero_gru(2, 3))
 
     def test_saturated_gates_stay_finite(self):
         # the branch-free sigmoid must not overflow at extreme pre-activations
@@ -202,8 +204,111 @@ class TestGruFinalStates:
         p.w_r.value[...] = p.w_u.value[...] = p.w.value[...] = 1e3
         x = np.array([[1e3], [-1e3], [1e3]])
         with np.errstate(over="raise"):
-            got = gru_final_states(x, [(0, 3)], p).value
+            got = gru_final_states(x, np.arange(3), [(0, 3)], p).value
         np.testing.assert_allclose(got, [self.chain(x, 0, 3, p, False)], atol=1e-14)
+
+
+class TestIndexedInput:
+    """Reading input rows through ids against gathering them first.
+
+    Numeric contract: ``gru_final_states(table, ids, ...)`` gives the final
+    states and gradients of ``gru_final_states(take_rows(table, ids),
+    np.arange(len(ids)), ...)`` within 1e-12."""
+
+    # ids repeat inside a sequence (2 in the first) and across sequences
+    # (0, 2, 4); table rows 1, 6 and 7 are never read
+    IDS = np.array([2, 0, 2, 5, 4, 0, 0, 3, 2, 4, 5, 2])
+    SPANS = [(0, 3), (3, 8), (8, 9), (1, 5), (6, 12), (2, 4)]  # unsorted, overlapping
+
+    def make(self, seed):
+        rng = np.random.default_rng(seed)
+        p = init_gru(3, 2, rng)
+        for node in (p.b_r, p.b_u, p.b):
+            node.value[...] = rng.uniform(-1, 1, 2)
+        table = Node(rng.uniform(-1.5, 1.5, (8, 3)))
+        head = init_dense(2, 2, LINEAR, rng)
+        golds = rng.integers(0, 2, len(self.SPANS))
+        return p, table, head, golds
+
+    @staticmethod
+    def gathered(table, ids, spans, p, **kw):
+        return gru_final_states(take_rows(table, ids), np.arange(len(ids)), spans, p, **kw)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_states_match_gather_then_project(self, reverse):
+        p, table, _, _ = self.make(11)
+        got = gru_final_states(table, self.IDS, self.SPANS, p, reverse=reverse).value
+        ref = self.gathered(table, self.IDS, self.SPANS, p, reverse=reverse).value
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_gather_then_project(self, reverse):
+        p, table, head, golds = self.make(12)
+        nodes = [n for _, n in p.nodes()] + [table]
+        grads = []
+        for kernel in (gru_final_states, self.gathered):
+            zero_grad(nodes)
+            states = kernel(table, self.IDS, self.SPANS, p, reverse=reverse)
+            backward(softmax_xent_rows(dense_rows(states, head), golds)[1])
+            grads.append([n.grad.copy() for n in nodes])
+        for got, ref in zip(*grads):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(grads[0][-1][[1, 6, 7]], 0.0)  # rows never read
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_finite_differences(self, reverse):
+        p, table, head, golds = self.make(13)
+
+        def loss_fn():
+            states = gru_final_states(table, self.IDS, self.SPANS, p, reverse=reverse)
+            return softmax_xent_rows(dense_rows(states, head), golds)[1]
+
+        nodes = [n for _, n in p.nodes() + head.nodes()] + [table]
+        assert finite_diff_check(loss_fn, nodes) < 1e-4
+
+    def test_non_finite_row_never_read_is_harmless(self):
+        p, table, _, _ = self.make(14)
+        before = gru_final_states(table, self.IDS, self.SPANS, p).value
+        table.value[6] = np.nan  # no id names it
+        table.value[3, 1] = np.inf  # named only by id position 7 ...
+        spans = [(0, 3), (3, 7), (8, 9), (1, 5), (8, 12), (2, 4)]  # ... which no span covers
+        got = gru_final_states(table, self.IDS, spans, p).value
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got[[0, 2, 3, 5]], before[[0, 2, 3, 5]], rtol=0, atol=1e-12)
+
+    def test_non_finite_row_read_is_rejected(self):
+        p, table, _, _ = self.make(15)
+        table.value[5, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            gru_final_states(table, self.IDS, self.SPANS, p)
+
+
+class TestSigmoid:
+    """The tanh form 0.5 * tanh(x/2) + 0.5 against 1/(1+e^-x)."""
+
+    GRID = np.concatenate([
+        np.linspace(-40.0, 40.0, 20001),
+        [-1e3, -745.0, -710.0, -100.0, -38.0, 0.0, 38.0, 100.0, 710.0, 745.0, 1e3],
+    ])
+
+    @staticmethod
+    def exp_form(x):
+        e = np.exp(-np.abs(x))  # never overflows
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def test_matches_exp_form(self):
+        got = _sigmoid(self.GRID)
+        assert np.abs(got - self.exp_form(self.GRID)).max() <= 2.3e-16
+
+    def test_exact_and_quiet_at_the_extremes(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = _sigmoid(np.array([-np.inf, -1e3, -710.0, 710.0, 1e3, np.inf]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+    def test_symmetric(self):
+        x = self.GRID
+        assert np.abs(_sigmoid(-x) + _sigmoid(x) - 1.0).max() <= np.spacing(1.0)
 
 
 class TestDense:
@@ -375,6 +480,7 @@ class TestRowOpGradients:
     error < 1e-4) and agreement with the per-vector ops they batch."""
 
     SPANS = [(0, 3), (3, 8), (8, 9), (1, 5), (6, 12), (2, 4)]  # unsorted, overlapping
+    IDS = np.arange(12)  # the rows of x in turn
 
     def gru_setup(self, seed):
         rng = np.random.default_rng(seed)
@@ -392,7 +498,7 @@ class TestRowOpGradients:
         p, x, head, golds = self.gru_setup(seed)
 
         def loss_fn():
-            states = gru_final_states(x, self.SPANS, p, reverse=reverse)
+            states = gru_final_states(x, self.IDS, self.SPANS, p, reverse=reverse)
             return softmax_xent_rows(dense_rows(states, head), golds)[1]
 
         nodes = [n for _, n in p.nodes() + head.nodes()] + [x]
@@ -405,7 +511,7 @@ class TestRowOpGradients:
         weights = np.random.default_rng(1).uniform(-1, 1, (len(self.SPANS), 2))
 
         zero_grad(nodes)
-        gru_final_states(x, self.SPANS, p, reverse=reverse).backward_fn(weights)
+        gru_final_states(x, self.IDS, self.SPANS, p, reverse=reverse).backward_fn(weights)
         batched = [n.grad.copy() for n in nodes]
 
         zero_grad(nodes)
@@ -419,8 +525,8 @@ class TestRowOpGradients:
 
     def test_gru_final_states_without_grad(self):
         p, x, _, _ = self.gru_setup(3)
-        kept = gru_final_states(x, self.SPANS, p)
-        bare = gru_final_states(x, self.SPANS, p, grad=False)
+        kept = gru_final_states(x, self.IDS, self.SPANS, p)
+        bare = gru_final_states(x, self.IDS, self.SPANS, p, grad=False)
         np.testing.assert_array_equal(kept.value, bare.value)
         assert bare.backward_fn is None
 
@@ -492,7 +598,7 @@ class TestRowOpGradients:
 
     def test_backward_consumes_the_graph(self):
         p, x, head, golds = self.gru_setup(2)
-        states = gru_final_states(x, self.SPANS, p)
+        states = gru_final_states(x, self.IDS, self.SPANS, p)
         _, loss = softmax_xent_rows(dense_rows(states, head), golds)
         backward(loss)
         assert states.backward_fn is None and states.grad is None
