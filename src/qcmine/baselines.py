@@ -10,14 +10,18 @@ than an input-output demo.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import json_object, read_model_file, string_list
 from .post_parser import BlockKind, CodeContextInstance
-from .tokenize import TokenStream, load_wordlist_resource, tokenize_text, wordlist_entries
+from .tokenize import (
+    TokenStream, Tokenizer, load_wordlist_resource, tokenize_text, wordlist_entries,
+)
 
 LOGISTIC = "logistic"
 HINGE_SVM = "hinge_svm"
@@ -198,6 +202,59 @@ def predict_linear(model: LinearModel, features: dict[str, float]):
         score = 1.0 / (1.0 + math.exp(-raw)) if raw > -500 else 0.0
         return (1 if score >= 0.5 else 0), score
     return (1 if raw >= 0.0 else 0), raw
+
+
+_LINEAR_FORMAT = "qcmine-linear-v2"
+
+
+@dataclass
+class LinearBundle:
+    """A trained linear baseline with the record of the tokenizer its code
+    features read (``Tokenizer.fingerprint()``), its connective lexicon, and
+    optional CodeClass sub-classifier."""
+
+    linear: LinearModel
+    preprocessing: dict
+    codeclass: LinearModel | None = None
+    connectives: list | None = None
+
+    def predict(self, inst):
+        feats = extract_features(inst, self.codeclass, self.connectives)
+        return predict_linear(self.linear, feats)
+
+    def save(self, path):
+        obj = {
+            "format": _LINEAR_FORMAT,
+            "linear": self.linear.to_dict(),
+            "preprocessing": self.preprocessing,
+            "codeclass": self.codeclass.to_dict() if self.codeclass else None,
+            "connectives": self.connectives,
+        }
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(obj, f, sort_keys=True)
+
+    @classmethod
+    def load(cls, path) -> "LinearBundle":
+        with open(path, encoding="utf-8") as f:
+            return cls.from_obj(json.load(f), path)
+
+    @classmethod
+    def from_obj(cls, obj, path, tokenizer: Tokenizer | None = None) -> "LinearBundle":
+        """The bundle of a parsed bundle file ``obj`` read from ``path``;
+        see ``models.read_model_file``."""
+        return cls(**read_model_file(path, obj, _LINEAR_FORMAT, {
+            "linear": LinearModel.from_dict,
+            "preprocessing": json_object,
+            "codeclass": lambda cc: None if cc is None else LinearModel.from_dict(cc),
+            "connectives": _token_lists,
+        }, tokenizer))
+
+
+def _token_lists(obj) -> list[list[str]]:
+    """``obj`` if it is a list of token lists (the connective phrases)."""
+    if not isinstance(obj, list):
+        raise TypeError(f"expected a list of token lists, got {obj!r:.80}")
+    return [string_list(phrase) for phrase in obj]
 
 
 # --------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from . import baselines, models, question_filter, train_eval
-from .models import (
-    CheckpointMismatch, Variant, VariantConfig, check_preprocessing, read_parts, string_list,
-)
+from .baselines import LinearBundle
+from .models import CheckpointMismatch, Variant, VariantConfig, check_json_type
 from .post_parser import (
     Block,
     BlockKind,
@@ -59,18 +58,8 @@ class MinedPair:
     score: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "question_id": self.question_id,
-                "title": self.title,
-                "code": self.code,
-                "position": self.position,
-                "provenance": self.provenance.value,
-                "score": self.score,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        obj = {**vars(self), "provenance": self.provenance.value}
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json(cls, line: str) -> "MinedPair":
@@ -99,8 +88,10 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path=None) -> dict:
-    """DEFAULT_CONFIG updated by the JSON file at ``path``; a key it lacks, at
-    the top or in a section, or a non-object section raises a ValueError."""
+    """DEFAULT_CONFIG updated by the JSON file at ``path``. A key it lacks,
+    at the top or in a section, a non-object section, a value of another
+    JSON type than its default's (``models.check_json_type``) or a
+    language other than python or sql raises a ValueError naming the key."""
     config = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         with open(path, encoding="utf-8") as f:
@@ -110,16 +101,22 @@ def load_config(path=None) -> dict:
                 config[key].update(_known_items(path, value, config[key], f"config section {key!r}"))
             else:
                 config[key] = value
+        if config["language"] not in ("python", "sql"):
+            raise ValueError(f"{path}: 'language' must be python or sql, not {user['language']!r}")
     return config
 
 
 def _known_items(path, given, known: dict, where: str):
-    """``given.items()`` once ``given`` is a JSON object whose keys ``known`` has."""
+    """``given.items()`` once ``given`` is a JSON object whose keys ``known``
+    has, each value a section or of its default's JSON type."""
     if not isinstance(given, dict):
         raise ValueError(f"{path}: {where} is not a JSON object")
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise ValueError(f"{path}: unknown keys {unknown} in {where}")
+    for key, value in given.items():
+        if not isinstance(known[key], dict):
+            check_json_type(path, key, value, known[key])
     return given.items()
 
 
@@ -332,14 +329,8 @@ def load_labeled_instances(dump_path, label_maps, tokenizer: Tokenizer, every_an
 
 
 def build_vocabs(instances, min_count: int = 1):
-    word_streams = []
-    code_streams = []
-    for inst in instances:
-        word_streams.append(inst.question_tokens)
-        word_streams.append(inst.pre_tokens)
-        word_streams.append(inst.post_tokens)
-        code_streams.append(inst.code_tokens)
-    return build_vocab(word_streams, min_count), build_vocab(code_streams, min_count)
+    words = [t for i in instances for t in (i.question_tokens, i.pre_tokens, i.post_tokens)]
+    return build_vocab(words, min_count), build_vocab([i.code_tokens for i in instances], min_count)
 
 
 # --------------------------------------------------------------------------
@@ -355,11 +346,7 @@ def _load_ensemble(biv_path, text_path, code_path, tokenizer: Tokenizer):
     actual = (biv.config.variant, text.config.variant, code.config.variant)
     if actual != expected:
         raise CheckpointMismatch(f"ensemble needs variants {expected}, got {actual}")
-    if not (
-        biv.word_vocab.token_to_id
-        == text.word_vocab.token_to_id
-        == code.word_vocab.token_to_id
-    ):
+    if not biv.word_vocab.token_to_id == text.word_vocab.token_to_id == code.word_vocab.token_to_id:
         raise CheckpointMismatch("ensemble checkpoints disagree on the word vocabulary")
     if biv.code_vocab.token_to_id != code.code_vocab.token_to_id:
         raise CheckpointMismatch("ensemble checkpoints disagree on the code vocabulary")
@@ -471,18 +458,10 @@ def _flush(pending, voters, out, abstain_out, report) -> None:
             elif decision.decision is Decision.LABEL0:
                 report["ensemble_rejections"] += 1
             else:
-                abstain_out.write(
-                    json.dumps(
-                        {
-                            "question_id": qid,
-                            "position": inst.position,
-                            "votes": list(decision.votes),
-                            "scores": list(decision.scores),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                abstain_out.write(json.dumps({
+                    "question_id": qid, "position": inst.position,
+                    "votes": list(decision.votes), "scores": list(decision.scores),
+                }, sort_keys=True) + "\n")
                 report["abstentions"] += 1
     pending.clear()
 
@@ -651,63 +630,6 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
     return bundle, (valid[0] if valid else None)
 
 
-_LINEAR_FORMAT = "qcmine-linear-v2"
-
-
-@dataclass
-class LinearBundle:
-    """A trained linear baseline with the record of the tokenizer its code
-    features read (``Tokenizer.fingerprint()``), its connective lexicon, and
-    optional CodeClass sub-classifier."""
-
-    linear: baselines.LinearModel
-    preprocessing: dict
-    codeclass: baselines.LinearModel | None = None
-    connectives: list | None = None
-
-    def predict(self, inst):
-        feats = baselines.extract_features(inst, self.codeclass, self.connectives)
-        return baselines.predict_linear(self.linear, feats)
-
-    def save(self, path):
-        obj = {
-            "format": _LINEAR_FORMAT,
-            "linear": self.linear.to_dict(),
-            "preprocessing": self.preprocessing,
-            "codeclass": self.codeclass.to_dict() if self.codeclass else None,
-            "connectives": self.connectives,
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "LinearBundle":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_obj(json.load(f), path)
-
-    @classmethod
-    def from_obj(cls, obj, path, tokenizer: Tokenizer | None = None) -> "LinearBundle":
-        """The bundle of a parsed bundle file ``obj`` read from ``path``;
-        given ``tokenizer``, one trained on other tokens is refused."""
-        if not isinstance(obj, dict) or obj.get("format") != _LINEAR_FORMAT:
-            raise CheckpointMismatch(f"{path} is not a {_LINEAR_FORMAT} bundle; retrain it")
-        parts = read_parts(path, obj, {
-            "linear": baselines.LinearModel.from_dict,
-            "preprocessing": dict,
-            "codeclass": lambda cc: None if cc is None else baselines.LinearModel.from_dict(cc),
-            "connectives": _token_lists,
-        })
-        check_preprocessing(path, parts["preprocessing"], tokenizer)
-        return cls(**parts)
-
-
-def _token_lists(obj) -> list[list[str]]:
-    """``obj`` if it is a list of token lists (the connective phrases)."""
-    if not isinstance(obj, list):
-        raise TypeError(f"expected a list of token lists, got {obj!r:.80}")
-    return [string_list(phrase) for phrase in obj]
-
-
 def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     """Evaluate any checkpoint (neural or linear) plus the two heuristics
     on a labeled set. The checkpoint is read once, before the dump."""
@@ -778,18 +700,10 @@ def cmd_parse(args, config):
     report = Counter()
     with open(args.out, "w", encoding="utf-8") as out:
         for record, seq in read_answers(args.dump, report):
-            out.write(
-                json.dumps(
-                    {
-                        "question_id": record["question_id"],
-                        "title": record["title"],
-                        "blocks": [{"kind": b.kind.value, "raw": b.raw} for b in seq.blocks],
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            out.write(json.dumps({
+                "question_id": record["question_id"], "title": record["title"],
+                "blocks": [{"kind": b.kind.value, "raw": b.raw} for b in seq.blocks],
+            }, sort_keys=True, ensure_ascii=False) + "\n")
     return {"parsed": report["records"] - report["parse_errors"], "skipped": report["parse_errors"]}
 
 
@@ -826,13 +740,10 @@ def cmd_filter(args, config):
             answer_seq = _parse_or_empty(record["accepted_answer_html"], record["question_id"])
             feats = _question_features(record, answer_seq, model.keywords)
             label, prob = question_filter.classify_question(feats, model)
-            out.write(
-                json.dumps(
-                    {"question_id": record["question_id"], "label": label.value, "probability": prob},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            out.write(json.dumps(
+                {"question_id": record["question_id"], "label": label.value, "probability": prob},
+                sort_keys=True,
+            ) + "\n")
             report["classified"] += 1
     return report
 

@@ -93,16 +93,26 @@ class VariantConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "VariantConfig":
-        cfg = cls(
-            variant=Variant(obj["variant"]),
-            d_embed=int(obj["d_embed"]),
-            d_token_gru=int(obj["d_token_gru"]),
-            d_block=int(obj["d_block"]),
-            seed=int(obj["seed"]),
-            share_text_question_encoder=bool(obj["share_text_question_encoder"]),
-        )
+        """The config of ``obj``'s keys of this class (others are ignored),
+        each of its default's JSON type (``check_json_type``)."""
+        defaults = cls().to_dict()
+        for key, default in defaults.items():
+            check_json_type("config", key, obj[key], default)
+        cfg = cls(**{**{key: obj[key] for key in defaults}, "variant": Variant(obj["variant"])})
         cfg.validate()
         return cfg
+
+
+def check_json_type(where, key, value, default) -> None:
+    """Raise ConfigInvalid naming ``key`` unless ``value`` has the JSON type
+    of ``default``: a bool is not a number, an int may stand for a float,
+    and a null default (an optional path) takes a string."""
+    wider = {float: (int, float), type(None): (str, type(None))}
+    types = wider.get(type(default), (type(default),))
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ConfigInvalid(
+            f"{where}: key {key!r} must have the JSON type of {default!r}, not {value!r:.80}"
+        )
 
 
 @dataclass
@@ -361,17 +371,20 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
             model.word_emb, np.concatenate(ids), starts, starts + pre, stops, model.text_token, grad
         )
     elif v is Variant.BIV_RNN:
-        words, codes = model.word_emb, model.code_emb
-        wv, cv = model.word_vocab, model.code_vocab
-        x = concat(*[
-            take_rows(emb, vocab.lookup_all(tokens))
-            for inst in instances
-            for emb, vocab, tokens in (
-                (words, wv, inst.pre_tokens), (codes, cv, inst.code_tokens), (words, wv, inst.post_tokens)
-            )
-        ], axis=0)
-        lengths = [len(i.pre_tokens) + len(i.code_tokens) + len(i.post_tokens) for i in instances]
-        z = _bigru_ends(x, np.arange(len(x.value)), lengths, model.text_token, grad)
+        # pre_i, code_i, post_i of each instance in turn, as ids into the
+        # word table stacked on the code table; each table is gathered once,
+        # at the distinct ids the batch reads
+        wv, cv, n_words = model.word_vocab, model.code_vocab, model.word_vocab.size
+        rows = [
+            wv.lookup_all(i.pre_tokens) + [n_words + c for c in cv.lookup_all(i.code_tokens)]
+            + wv.lookup_all(i.post_tokens)
+            for i in instances
+        ]
+        used, order = np.unique(np.concatenate(rows), return_inverse=True)
+        k = np.searchsorted(used, n_words)
+        word_rows = take_rows(model.word_emb, used[:k])
+        x = concat(word_rows, take_rows(model.code_emb, used[k:] - n_words), axis=0)
+        z = _bigru_ends(x, order, [len(r) for r in rows], model.text_token, grad)
     else:
         s_pre, s_post, c = _block_vectors(model, instances, grad)
         if v is Variant.CODE_HNN:
@@ -450,21 +463,39 @@ def read_parts(path, obj: dict, builders: dict) -> dict:
     return parts
 
 
+def read_model_file(path, obj, fmt: str, builders: dict, tokenizer: Tokenizer | None = None):
+    """The ``read_parts`` of a parsed model file ``obj`` read from ``path``,
+    the one reader of every trained file. Anything but a JSON object tagged
+    ``fmt``, and, given ``tokenizer``, a ``preprocessing`` part other than
+    its fingerprint (a file trained on other tokens) raise a
+    CheckpointMismatch that names the file."""
+    if not isinstance(obj, dict):
+        raise CheckpointMismatch(f"{path} does not hold a JSON object")
+    if obj.get("format") != fmt:
+        raise CheckpointMismatch(f"{path} has format {obj.get('format')!r}, not {fmt}; retrain it")
+    parts = read_parts(path, obj, builders)
+    if tokenizer is not None and parts["preprocessing"] != tokenizer.fingerprint():
+        raise CheckpointMismatch(
+            f"{path} was trained on tokens from {parts['preprocessing']}, "
+            f"but the config tokenizes with {tokenizer.fingerprint()}"
+        )
+    return parts
+
+
+def json_object(obj) -> dict:
+    """``obj`` if it is a JSON object, else TypeError: a ``read_parts``
+    builder."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {obj!r:.80}")
+    return obj
+
+
 def string_list(obj) -> list[str]:
     """``obj`` if it is a list of strings, else TypeError: a ``read_parts``
     builder for lexicon parts."""
     if not isinstance(obj, list) or not all(isinstance(s, str) for s in obj):
         raise TypeError(f"expected a list of strings, got {obj!r:.80}")
     return obj
-
-
-def check_preprocessing(path, preprocessing, tokenizer: Tokenizer | None) -> None:
-    """Refuse a model file trained on other tokens than ``tokenizer``'s."""
-    if tokenizer is not None and preprocessing != tokenizer.fingerprint():
-        raise CheckpointMismatch(
-            f"{path} was trained on tokens from {preprocessing}, "
-            f"but the config tokenizes with {tokenizer.fingerprint()}"
-        )
 
 
 def save_model(model: ModelParameters, path) -> None:
@@ -489,25 +520,19 @@ def load_model(path, tokenizer: Tokenizer | None = None) -> ModelParameters:
 
 
 def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParameters:
-    """The model of a parsed checkpoint ``obj`` read from ``path``."""
-    if not isinstance(obj, dict):
-        raise CheckpointMismatch(f"{path} does not hold a JSON object")
-    if obj.get("format") != _CHECKPOINT_FORMAT:
-        raise CheckpointMismatch(
-            f"{path} has format {obj.get('format')!r}, not {_CHECKPOINT_FORMAT}; retrain it"
-        )
-    keys = ("config", "word_vocab", "code_vocab", "params")
-    bad = [key for key in keys if not isinstance(obj.get(key), dict)]
-    if bad:
-        raise CheckpointMismatch(f"{path}: checkpoint lacks a JSON object under {bad}")
-    cfg = read_parts(path, obj, {"config": VariantConfig.from_dict})["config"]
-    preprocessing = obj.get("preprocessing")
+    """The model of a parsed checkpoint ``obj`` read from ``path``; see
+    ``read_model_file``."""
+    parts = read_model_file(path, obj, _CHECKPOINT_FORMAT, {
+        "config": VariantConfig.from_dict,
+        "preprocessing": json_object,
+        "word_vocab": lambda v: Vocabulary(json_object(v)),
+        "code_vocab": lambda v: Vocabulary(json_object(v)),
+        "params": json_object,
+    }, tokenizer)
+    cfg, preprocessing, params = parts["config"], parts["preprocessing"], parts["params"]
     if obj.get("config_hash") != _head_hash(cfg, preprocessing):
         raise CheckpointMismatch(f"{path}: config hash does not match its config")
-    check_preprocessing(path, preprocessing, tokenizer)
-    word_vocab = Vocabulary(dict(obj["word_vocab"]))
-    code_vocab = Vocabulary(dict(obj["code_vocab"]))
-    tensors = read_parts(path, obj["params"], dict.fromkeys(obj["params"], nn_core.tensor_from_obj))
+    tensors = read_parts(path, params, dict.fromkeys(params, nn_core.tensor_from_obj))
 
     def get(name, shape, _init):
         if name not in tensors:
@@ -517,7 +542,7 @@ def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParame
             raise CheckpointMismatch(f"{path}: parameter {name} has shape {arr.shape}, not {shape}")
         return arr
 
-    model = _build(cfg, word_vocab, code_vocab, preprocessing, get)
+    model = _build(cfg, parts["word_vocab"], parts["code_vocab"], preprocessing, get)
     extra = set(tensors) - set(model.params)
     if extra:
         raise CheckpointMismatch(f"{path}: unexpected parameters {sorted(extra)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .baselines import LinearModel, predict_linear, train_linear
-from .models import CheckpointMismatch, read_parts, string_list
+from .models import read_model_file, string_list
 from .post_parser import BlockKind, BlockSequence
 from .tokenize import load_wordlist_resource, tokenize_text, wordpunct
 
@@ -88,10 +88,9 @@ class QuestionFilterModel:
     def load(cls, path) -> "QuestionFilterModel":
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
-        if not isinstance(obj, dict) or obj.get("format") != _FORMAT:
-            raise CheckpointMismatch(f"{path} is not a {_FORMAT} question filter; retrain it")
-        parts = read_parts(path, obj, {"linear": LinearModel.from_dict, "keywords": string_list})
-        return cls(**parts)
+        return cls(**read_model_file(
+            path, obj, _FORMAT, {"linear": LinearModel.from_dict, "keywords": string_list}
+        ))
 
 
 def train_question_filter(

@@ -300,11 +300,11 @@ class Tokenizer:
 
     def fingerprint(self) -> dict:
         """What a checkpoint records of this tokenizer: the language, the
-        sha256 of the keep-list in effect (the packaged one when ``keep`` is
-        None) and the normalizer version."""
-        keep = default_python_keep_list() if self.keep is None else self.keep
-        return {
-            "language": self.language.value,
-            "keep_sha256": hashlib.sha256("\n".join(sorted(keep)).encode()).hexdigest(),
-            "normalizer": NORMALIZER_VERSION,
-        }
+        normalizer version and, for Python only, the sha256 of the keep-list
+        in effect (the packaged one when ``keep`` is None). No other
+        language reads a keep-list, so its record names none."""
+        record = {"language": self.language.value}
+        if self.language is Language.PYTHON:
+            keep = default_python_keep_list() if self.keep is None else self.keep
+            record["keep_sha256"] = hashlib.sha256("\n".join(sorted(keep)).encode()).hexdigest()
+        return {**record, "normalizer": NORMALIZER_VERSION}

@@ -1024,6 +1024,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
             cli.load_config(path)
 
+    @pytest.mark.parametrize(
+        "user, key",
+        [
+            ({"model": {"share_text_question_encoder": "false"}}, "share_text_question_encoder"),
+            ({"model": {"d_token_gru": 64.9}}, "d_token_gru"),
+            ({"model": {"seed": True}}, "seed"),
+            ({"train": {"freeze_embeddings": "false"}}, "freeze_embeddings"),
+            ({"train": {"batch_size": 100.0}}, "batch_size"),
+            ({"train": {"lr": "0.1"}}, "lr"),
+            ({"vocab": {"min_count": None}}, "min_count"),
+            ({"tokenize": {"python_keep_list": 5}}, "python_keep_list"),
+            ({"language": "text"}, "language"),
+            ({"language": None}, "language"),
+        ],
+        ids=["bool_as_string", "float_for_int", "bool_for_int", "freeze_as_string",
+             "float_batch_size", "string_for_float", "null_for_int", "number_for_path",
+             "text_language", "null_language"],
+    )
+    def test_wrong_type_or_value_refused(self, tmp_path, user, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(user))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
+            cli.load_config(path)
+
+    def test_int_for_float_and_string_for_null_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        user = {"language": "sql", "train": {"lr": 1, "l2": 0}, "tokenize": {"connectives": "c.txt"}}
+        path.write_text(json.dumps(user))
+        config = cli.load_config(path)
+        assert (config["language"], config["train"]["lr"], config["train"]["l2"]) == ("sql", 1, 0)
+        assert config["tokenize"]["connectives"] == "c.txt"
+
     def test_readme_config_block_is_the_default(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r'```json\n(\{\n  "language".*?)```', readme, re.S).group(1)

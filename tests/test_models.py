@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -453,6 +454,17 @@ class TestTrainingGraph:
             counts.append(tape_nodes(softmax_xent_rows(logits, [i.label for i in insts])[1]))
         assert counts[0] == counts[1] < 100  # per-step graphs have thousands
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_node_count_does_not_grow_with_batch_size(self, vocabs, variant):
+        model = init_model(tiny_cfg(variant), *vocabs)
+        rng = random.Random(4)
+        counts = []
+        for n in (16, 64):
+            insts = [random_instance(rng) for _ in range(n)]
+            logits, _ = _forward_batch(model, insts, grad=True)
+            counts.append(tape_nodes(softmax_xent_rows(logits, [i % 2 for i in range(n)])[1]))
+        assert counts[0] == counts[1], counts
+
     def test_forward_graph_wraps_the_batched_forward(self, vocabs):
         model = self.model(vocabs, Variant.BIV_HNN)
         inst = self.labeled_slice(3)[0]
@@ -598,6 +610,31 @@ class TestCheckpoints:
             monkeypatch.setattr(tokenize, "NORMALIZER_VERSION", "qcmine-tokenize-0")
         with pytest.raises(CheckpointMismatch, match="trained on tokens"):
             load_model(path, tokenizer)
+
+    @pytest.mark.parametrize("key, value", [
+        ("share_text_question_encoder", "false"), ("share_text_question_encoder", 0),
+        ("d_token_gru", 3.9), ("d_token_gru", 3.0), ("d_embed", True), ("seed", None),
+        ("variant", 1),
+    ])
+    def test_config_value_of_wrong_type_refused(self, vocabs, tmp_path, key, value):
+        path = self.edited(vocabs, tmp_path, lambda obj: obj["config"].update({key: value}))
+        refused = re.escape(str(path)) + f".*part 'config'.*{key}"
+        with pytest.raises(CheckpointMismatch, match=refused):
+            load_model(path)
+
+    def test_sql_file_ignores_the_keep_list(self, vocabs, tmp_path, monkeypatch):
+        """A SQL file's tokenizer record names no keep-list, so a keep-list
+        SQL never reads cannot refuse it; language and normalizer still do."""
+        path = tmp_path / "m.json"
+        sql = Tokenizer(Language.SQL)
+        save_model(init_model(tiny_cfg(), *vocabs, tokenizer=sql), path)
+        other_keep = Tokenizer(Language.SQL, frozenset({"print"}))
+        assert load_model(path, other_keep).preprocessing == sql.fingerprint()
+        with pytest.raises(CheckpointMismatch, match="trained on tokens"):
+            load_model(path, Tokenizer())
+        monkeypatch.setattr(tokenize, "NORMALIZER_VERSION", "qcmine-tokenize-0")
+        with pytest.raises(CheckpointMismatch, match="trained on tokens"):
+            load_model(path, sql)
 
     def test_checkpoint_carries_variant(self, vocabs, tmp_path):
         path = tmp_path / "m.json"

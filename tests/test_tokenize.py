@@ -12,6 +12,7 @@ from qcmine.tokenize import (
     NORMALIZER_VERSION,
     Language,
     Tokenizer,
+    default_python_keep_list,
     load_keep_list,
     normalize_code,
     normalize_python,
@@ -266,3 +267,19 @@ def test_keep_list_override(tmp_path):
     assert lazy[0].code_tokens == eager[0].code_tokens == ["foo", "(", "VAR", ")"]
     default = extract_instances("t", parse_answer_post(html), None, Tokenizer())
     assert default[0].code_tokens == ["VAR", "(", "print", ")"]
+
+
+class TestFingerprint:
+    def test_sql_records_no_keep_list(self):
+        expected = {"language": "sql", "normalizer": NORMALIZER_VERSION}
+        assert Tokenizer(Language.SQL).fingerprint() == expected
+        assert Tokenizer(Language.SQL, frozenset({"print"})).fingerprint() == expected
+
+    @pytest.mark.parametrize("keep", [None, frozenset({"print", "compute"})], ids=["packaged", "custom"])
+    def test_python_record_unchanged(self, keep):
+        """Key for key and byte for byte, so Python checkpoints, bundles and
+        their config hashes stay valid."""
+        listed = default_python_keep_list() if keep is None else keep
+        sha = hashlib.sha256("\n".join(sorted(listed)).encode()).hexdigest()
+        expected = {"language": "python", "keep_sha256": sha, "normalizer": NORMALIZER_VERSION}
+        assert json.dumps(Tokenizer(Language.PYTHON, keep).fingerprint()) == json.dumps(expected)
