@@ -196,10 +196,11 @@ def read_dump(path):
             yield record, None
 
 
-def read_answers(path, report, skip=None):
+def read_answers(path, report, skip=None, prose=True):
     """Yield (record, parsed accepted answer) for each usable dump record.
 
-    The one path from a dump line to a parsed answer. Adds to ``report``:
+    The one path from a dump line to a parsed answer, parsed without its
+    prose unless ``prose`` (see ``parse_answer_post``). Adds to ``report``:
     ``records`` per line, ``parse_errors`` per malformed record or empty
     answer, and the key ``skip(record)`` returns for a record it drops
     before its answer is parsed (None keeps the record).
@@ -214,7 +215,7 @@ def read_answers(path, report, skip=None):
             report[reason] += 1
             continue
         try:
-            seq = parse_answer_post(record["accepted_answer_html"], record["question_id"])
+            seq = parse_answer_post(record["accepted_answer_html"], record["question_id"], prose)
         except EmptyPost:
             report["parse_errors"] += 1
             continue
@@ -277,8 +278,9 @@ def read_question_labels_csv(path) -> dict[int, question_filter.QuestionLabel]:
 
 
 def _parse_or_empty(html: str, qid: int) -> BlockSequence:
+    """A body's blocks without their prose, which no question feature reads."""
     try:
-        return parse_answer_post(html or "", qid)
+        return parse_answer_post(html or "", qid, prose=False)
     except EmptyPost:
         return BlockSequence(qid, [Block(BlockKind.TEXT, "")])
 
@@ -367,7 +369,9 @@ def mine(
     Per question: drop non-how-to questions; single-code answers emit the
     pair directly; multi-code answers go through the agreement ensemble,
     with unanimous label-1 blocks mined, unanimous label-0 dropped, and
-    disagreements recorded in an abstentions sidecar.
+    disagreements recorded in an abstentions sidecar. Answers and question
+    bodies are parsed without their prose; an answer bound for the ensemble
+    is parsed again with it.
 
     Multi-code answers are collected until they hold ``INFERENCE_CHUNK``
     instances, and each voter then runs once over the whole chunk. Output
@@ -402,7 +406,7 @@ def mine(
     with open(out_path, "w", encoding="utf-8") as out, open(
         abstention_path, "w", encoding="utf-8"
     ) as abstain_out:
-        for record, answer_seq in read_answers(dump_path, report, off_domain):
+        for record, answer_seq in read_answers(dump_path, report, off_domain, prose=False):
             code_blocks = answer_seq.code_blocks()
             if not code_blocks:
                 report["no_code"] += 1
@@ -425,6 +429,8 @@ def mine(
                 report["single_code_pairs"] += 1
                 continue
 
+            # only the ensemble reads the prose around each code block
+            answer_seq = parse_answer_post(record["accepted_answer_html"], qid)
             tokenize_sequence(answer_seq, tokenizer)
             instances = extract_instances(title, answer_seq, None, tokenizer)
             pending.append((qid, title, instances))
@@ -474,7 +480,7 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
     """
     labels = read_annotation_csv(annotated_csv)
     posts: dict[int, tuple[str, list[str]]] = {}
-    for record, seq in read_answers(dump_path, Counter(), _unlabeled(labels)):
+    for record, seq in read_answers(dump_path, Counter(), _unlabeled(labels), prose=False):
         posts[record["question_id"]] = (
             record["title"],
             [b.raw for b in seq.code_blocks()],

@@ -498,6 +498,18 @@ def string_list(obj) -> list[str]:
     return obj
 
 
+def vocabulary(obj) -> Vocabulary:
+    """The Vocabulary of a JSON object whose ids are distinct non-bool ints
+    covering ``range(len(obj))``, else TypeError or ValueError: a
+    ``read_parts`` builder for vocabulary parts."""
+    # n ids that cover range(n) are distinct; but 1, True and 1.0 are one
+    # set element, so the types are checked too
+    ids = set(json_object(obj).values())
+    if not ids.issuperset(range(len(obj))) or not {int}.issuperset(map(type, ids)):
+        raise ValueError(f"vocabulary ids are not the distinct integers 0..{len(obj) - 1}")
+    return Vocabulary(obj)
+
+
 def save_model(model: ModelParameters, path) -> None:
     """One JSON object; each tensor is ``nn_core.tensor_to_obj``'s base64."""
     obj = {
@@ -525,8 +537,8 @@ def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParame
     parts = read_model_file(path, obj, _CHECKPOINT_FORMAT, {
         "config": VariantConfig.from_dict,
         "preprocessing": json_object,
-        "word_vocab": lambda v: Vocabulary(json_object(v)),
-        "code_vocab": lambda v: Vocabulary(json_object(v)),
+        "word_vocab": vocabulary,
+        "code_vocab": vocabulary,
         "params": json_object,
     }, tokenizer)
     cfg, preprocessing, params = parts["config"], parts["preprocessing"], parts["params"]

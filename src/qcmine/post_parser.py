@@ -5,8 +5,10 @@ A code block is a top-level ``<pre><code>`` element; everything else
 prose. The resulting sequence strictly alternates Text, Code, ..., Text:
 empty dummy text blocks are inserted wherever a code block starts the
 post, ends it, or abuts another code block, so every code block has both
-a pre- and a post-context. A regex scanner drives the parser's handlers;
-a post outside the scanner's subset of HTML goes whole to html.parser.
+a pre- and a post-context. One rule function, ``_segment``, reads the
+tags and text runs of a regex scanner; a post outside the scanner's subset
+of HTML goes whole to html.parser, whose events become the same tuples.
+A reader of code blocks only skips the prose (``prose=False``).
 """
 
 from __future__ import annotations
@@ -71,113 +73,6 @@ _PARAGRAPH_TAGS = {
 _SKIP_TAGS = {"script", "style"}
 
 
-class _PostHTMLParser(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.blocks: list[Block] = []
-        self._containers: list[str] = []
-        self._paragraphs: list[str] = []
-        self._inline: list[str] = []
-        self._pre_depth = 0
-        self._pre_buf: list[str] = []
-        self._pre_has_code = False
-        self._pre_top_level = False
-        self._skip_depth = 0
-
-    # -- prose buffering ---------------------------------------------------
-
-    def _flush_inline(self):
-        if not self._inline:
-            return
-        text = " ".join("".join(self._inline).split())
-        if text:
-            self._paragraphs.append(text)
-        self._inline.clear()
-
-    def _take_text(self) -> str:
-        self._flush_inline()
-        text = "\n".join(self._paragraphs)
-        self._paragraphs.clear()
-        return text
-
-    def _emit_code(self, raw: str):
-        raw = raw.strip("\n\r")
-        if not raw.strip():
-            return  # whitespace-only code contributes nothing
-        text = self._take_text()
-        if text or not self.blocks or self.blocks[-1].kind is BlockKind.CODE:
-            self.blocks.append(Block(BlockKind.TEXT, text))
-        self.blocks.append(Block(BlockKind.CODE, raw))
-
-    # -- parser events -----------------------------------------------------
-
-    def handle_starttag(self, tag, attrs):
-        if self._skip_depth or tag in _SKIP_TAGS:
-            if tag in _SKIP_TAGS:
-                self._skip_depth += 1
-            return
-        if self._pre_depth:
-            if tag == "pre":
-                self._pre_depth += 1
-            elif tag == "code":
-                self._pre_has_code = True
-            elif tag == "br":
-                self._pre_buf.append("\n")
-            return
-        if tag == "pre":
-            # <p> cannot contain <pre>; browsers auto-close it
-            if self._containers and self._containers[-1] == "p":
-                self._containers.pop()
-                self._flush_inline()
-            self._pre_depth = 1
-            self._pre_top_level = not self._containers
-            self._pre_buf = []
-            self._pre_has_code = False
-        elif tag == "br":
-            self._flush_inline()
-        elif tag in _PARAGRAPH_TAGS:
-            self._flush_inline()
-            self._containers.append(tag)
-
-    def handle_endtag(self, tag):
-        if tag in _SKIP_TAGS:
-            self._skip_depth = max(0, self._skip_depth - 1)
-            return
-        if self._pre_depth:
-            if tag == "pre":
-                self._pre_depth -= 1
-                if self._pre_depth == 0:
-                    raw = "".join(self._pre_buf)
-                    if self._pre_top_level and self._pre_has_code:
-                        self._emit_code(raw)
-                    else:
-                        # bare or nested <pre>: preformatted prose
-                        self._inline.append(" " + raw + " ")
-                        self._flush_inline()
-            return
-        if tag in _PARAGRAPH_TAGS:
-            self._flush_inline()
-            if tag in self._containers:  # stray close tags are ignored
-                while self._containers.pop() != tag:
-                    pass
-
-    def handle_data(self, data):
-        if self._skip_depth:
-            return
-        if self._pre_depth:
-            self._pre_buf.append(data)
-        else:
-            self._inline.append(data)
-
-    def finish(self) -> list[Block]:
-        text = self._take_text()
-        if text:
-            self.blocks.append(Block(BlockKind.TEXT, text))
-        elif self.blocks and self.blocks[-1].kind is BlockKind.CODE:
-            self.blocks.append(Block(BlockKind.TEXT, ""))
-        return self.blocks
-
-
 # The scanner's subset of HTML, one token per match: a text run, an end tag
 # with nothing after its name, a start tag whose quoted values hold no "<"
 # or ">", or a bare "<" (which sends the post to html.parser). Names use
@@ -191,36 +86,152 @@ _TOKEN = re.compile(rf"([^<]+)|</({_NAME})>|<({_NAME})(?:{_ATTR})*{_WS}*(/?)>|<"
 _RAW_TEXT_TAGS = _SKIP_TAGS | {"textarea", "title", "xmp", "iframe", "noembed", "noframes", "noscript"}
 
 
-def _scan(html: str) -> _PostHTMLParser | None:
-    """Drive the handlers over ``html`` with ``_TOKEN``; None when the post
-    leaves the scanner's subset."""
-    parser = _PostHTMLParser()
-    for text, end, start, slash in _TOKEN.findall(html):
+def _segment(tokens, scanned: bool, prose: bool = True) -> list[Block] | None:
+    """The segmentation rules over ``(text, end, start, slash)`` tuples, each
+    a text run or a tag that opens (``start``), closes (``end``) or opens
+    and closes (``start`` and ``slash``) an element.
+
+    ``scanned`` tuples come from ``_TOKEN``: their text is still escaped,
+    their names keep their case, and a bare "<" or a raw-text element
+    returns None. Without ``prose`` every text block is left empty: only
+    the code blocks and whether any text is visible are worked out, which
+    decide the block kinds and EmptyPost as the full parse does.
+    """
+    blocks: list[Block] = []
+    containers: list[str] = []  # open paragraph elements
+    paragraphs: list[str] = []  # prose since the last code block
+    inline: list[str] = []  # text runs of the current paragraph; prose only
+    visible = False  # without prose: some text outside code is visible
+    pre: list[str] = []  # the content of the open top <pre>
+    pre_depth = skip_depth = 0
+    pre_has_code = pre_top_level = False
+
+    def flush_inline():
+        text = " ".join("".join(inline).split())
         if text:
-            parser.handle_data(unescape(text) if "&" in text else text)
+            paragraphs.append(text)
+        inline.clear()
+
+    def take_text() -> str:
+        if inline:
+            flush_inline()
+        text = "\n".join(paragraphs)
+        paragraphs.clear()
+        return text
+
+    for text, end, start, slash in tokens:
+        if text:
+            if skip_depth:
+                continue
+            if scanned and "&" in text:
+                text = unescape(text)
+            if pre_depth:
+                pre.append(text)
+            elif prose:
+                inline.append(text)
+            elif not visible:
+                visible = not text.isspace()
             continue
-        tag = (end or start).lower()
-        if not tag or tag in _RAW_TEXT_TAGS:
-            return None  # a bare "<", or raw-text content
+        tag = end or start
+        if scanned:
+            tag = tag.lower()
+            if not tag or tag in _RAW_TEXT_TAGS:
+                return None  # a bare "<", or raw-text content
         if start:
-            parser.handle_starttag(tag, [])
-        if end or slash:
-            parser.handle_endtag(tag)
-    return parser
+            if skip_depth or tag in _SKIP_TAGS:
+                if tag in _SKIP_TAGS:
+                    skip_depth += 1
+            elif pre_depth:
+                if tag == "pre":
+                    pre_depth += 1
+                elif tag == "code":
+                    pre_has_code = True
+                elif tag == "br":
+                    pre.append("\n")
+            elif tag == "pre":
+                # <p> cannot contain <pre>; browsers auto-close it
+                if containers and containers[-1] == "p":
+                    containers.pop()
+                    if inline:
+                        flush_inline()
+                pre_depth = 1
+                pre_top_level = not containers
+                pre = []
+                pre_has_code = False
+            elif tag == "br":
+                if inline:
+                    flush_inline()
+            elif tag in _PARAGRAPH_TAGS:
+                if inline:
+                    flush_inline()
+                containers.append(tag)
+        if not (end or slash):
+            continue
+        if tag in _SKIP_TAGS:
+            skip_depth = max(0, skip_depth - 1)
+        elif pre_depth:
+            if tag == "pre":
+                pre_depth -= 1
+                if pre_depth == 0:
+                    raw = "".join(pre)
+                    if pre_top_level and pre_has_code:
+                        raw = raw.strip("\n\r")
+                        if raw.strip():  # whitespace-only code contributes nothing
+                            blocks.append(Block(BlockKind.TEXT, take_text()))
+                            blocks.append(Block(BlockKind.CODE, raw))
+                    elif prose:
+                        # bare or nested <pre>: preformatted prose
+                        inline.append(" " + raw + " ")
+                        flush_inline()
+                    elif raw.strip():
+                        visible = True
+        elif tag in _PARAGRAPH_TAGS:
+            if inline:
+                flush_inline()
+            if tag in containers:  # stray close tags are ignored
+                while containers.pop() != tag:
+                    pass
+    text = take_text()
+    if blocks or text or visible:
+        blocks.append(Block(BlockKind.TEXT, text))
+    return blocks
 
 
-def parse_answer_post(html: str, question_id: int = 0) -> BlockSequence:
+class _PostHTMLParser(HTMLParser):
+    """html.parser's reading of a post outside the scanner's subset, kept
+    as ``_segment``'s tuples: its data is decoded and its names lowercased."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.tokens: list[tuple[str, str, str, str]] = []
+
+    def handle_starttag(self, tag, attrs):
+        self.tokens.append(("", "", tag, ""))
+
+    def handle_endtag(self, tag):
+        self.tokens.append(("", tag, "", ""))
+
+    def handle_data(self, data):
+        self.tokens.append((data, "", "", ""))
+
+    def finish(self, prose: bool = True) -> list[Block]:
+        return _segment(self.tokens, False, prose)
+
+
+def parse_answer_post(html: str, question_id: int = 0, prose: bool = True) -> BlockSequence:
     """Segment an answer post's HTML body into an alternating block sequence.
 
     Raises EmptyPost when the body has no visible content. A post without
-    code yields a single Text block.
+    code yields a single Text block. Without ``prose`` the blocks and
+    EmptyPost are the same, but every Text block's ``raw`` is empty: for
+    readers of code blocks only.
     """
-    parser = _scan(html)
-    if parser is None:
+    blocks = _segment(_TOKEN.findall(html), True, prose)
+    if blocks is None:
         parser = _PostHTMLParser()
         parser.feed(html)
         parser.close()
-    blocks = parser.finish()
+        blocks = parser.finish(prose)
     if not blocks:
         raise EmptyPost("post has no visible content")
     return BlockSequence(question_id, blocks)

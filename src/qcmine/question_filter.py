@@ -15,7 +15,7 @@ from enum import Enum
 from .baselines import LinearModel, predict_linear, train_linear
 from .models import read_model_file, string_list
 from .post_parser import BlockKind, BlockSequence
-from .tokenize import load_wordlist_resource, tokenize_text, wordpunct
+from .tokenize import load_wordlist_resource, tokenize_text, wordpunct_count
 
 
 class QuestionLabel(Enum):
@@ -55,7 +55,7 @@ def featurize_question(
             1 for b in question_seq.blocks if b.kind is BlockKind.CODE
         ),
         n_code_blocks_answer=len(answer_code),
-        max_code_block_len=max((len(wordpunct(b.raw)) for b in answer_code), default=0),
+        max_code_block_len=max((wordpunct_count(b.raw) for b in answer_code), default=0),
         title_len=len(tokenize_text(title).tokens),
     )
 

@@ -50,6 +50,23 @@ def wordpunct(s: str) -> list[str]:
     return _WORDPUNCT.findall(s)
 
 
+# Each ASCII character as a word ("w"), space (" ") or symbol ("p")
+# character of _WORDPUNCT. Spaces include \x0b, \x0c and \x1c-\x1f, as for re
+# and str.split; bytes.split() sees only the " " they all become.
+_ASCII_CLASSES = bytes(
+    ord("w" if re.match(r"\w", chr(c)) else " " if re.match(r"\s", chr(c)) else "p") for c in range(128)
+) + b"p" * 128
+
+
+def wordpunct_count(s: str) -> int:
+    """``len(wordpunct(s))`` without building the tokens: in ASCII text,
+    the runs of non-space classes plus the word/symbol boundaries in them."""
+    if not s.isascii():
+        return len(_WORDPUNCT.findall(s))
+    b = s.encode("ascii").translate(_ASCII_CLASSES)
+    return len(b.split()) + b.count(b"wp") + b.count(b"pw")
+
+
 def tokenize_text(s: str) -> TokenStream:
     """Tokenize natural-language text: wordpunct split, lowercased."""
     return TokenStream([t.lower() for t in wordpunct(s)], Language.TEXT)

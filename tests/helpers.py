@@ -229,6 +229,21 @@ SOLUTION_HTML = (
     "<p>works fine</p>"
 )
 SINGLE_HTML = "<p>Do it like so</p><pre><code>def frob(x):\n    return x + 1</code></pre>"
+SQL_SOLUTION_HTML = (
+    "<p>You can try this approach</p>"
+    "<pre><code>SELECT name, price FROM items\nWHERE price &gt; 10</code></pre>"
+    "<p>The output is</p>"
+    "<pre><code>name | price\n-----+------\nfrob | 42</code></pre>"
+    "<p>works fine</p>"
+)
+SQL_SINGLE_HTML = "<p>Do it like so</p><pre><code>UPDATE items SET price = price + 1</code></pre>"
+
+# Per language: the multi-code and single-code answers, the tags of the
+# multi-code, single-code and non-how-to questions, and an off-domain tag.
+_DOMAINS = {
+    "python": (SOLUTION_HTML, SINGLE_HTML, ["python"], ["python-3.x"], ["python"], ["sql"]),
+    "sql": (SQL_SOLUTION_HTML, SQL_SINGLE_HTML, ["sql"], ["database"], ["oracle"], ["python"]),
+}
 
 
 def dump_record(qid, title, tags, answer_html, question_html="<p>context</p>"):
@@ -241,26 +256,28 @@ def dump_record(qid, title, tags, answer_html, question_html="<p>context</p>"):
     }
 
 
-def build_workspace(root):
-    """A small self-consistent pipeline workspace: a dump of how-to and
-    non-how-to questions (multi-code posts have a cue-separable solution at
-    position 1 and a demo at position 2), annotation CSVs, a question-type
-    CSV, and a tiny-model config. Returns a dict of paths."""
+def build_workspace(root, language="python"):
+    """A small self-consistent pipeline workspace in ``language`` (python
+    or sql): a dump of how-to and non-how-to questions (multi-code posts
+    have a cue-separable solution at position 1 and a demo at position 2),
+    one off-domain question, annotation CSVs, a question-type CSV, and a
+    tiny-model config. Returns a dict of paths."""
+    solution, single, multi_tags, single_tags, other_tags, off_domain = _DOMAINS[language]
     dump = root / "dump.jsonl"
     lines = []
     train_rows, valid_rows = [], []
     for i in range(14):
         qid = 100 + i
-        lines.append(dump_record(qid, f"How to frob the {i} widget", ["python"], SOLUTION_HTML))
+        lines.append(dump_record(qid, f"How to frob the {i} widget", multi_tags, solution))
         target = train_rows if i < 10 else valid_rows
         target.append((qid, 1, 1))
         target.append((qid, 2, 0))
     for i in range(4):
-        lines.append(dump_record(200 + i, f"How to unfrob {i} things", ["python-3.x"], SINGLE_HTML))
+        lines.append(dump_record(200 + i, f"How to unfrob {i} things", single_tags, single))
     for i in range(8):
-        lines.append(dump_record(300 + i, f"Why does widget {i} explode", ["python"], SINGLE_HTML))
-    lines.append(dump_record(400, "How to join tables", ["sql"], SINGLE_HTML))
-    lines.append(dump_record(401, "How to think about it", ["python"], "<p>just think</p>"))
+        lines.append(dump_record(300 + i, f"Why does widget {i} explode", other_tags, single))
+    lines.append(dump_record(400, "How to join tables", off_domain, single))
+    lines.append(dump_record(401, "How to think about it", multi_tags, "<p>just think</p>"))
 
     with open(dump, "w", encoding="utf-8") as f:
         for rec in lines:
@@ -292,7 +309,7 @@ def build_workspace(root):
     config.write_text(
         json.dumps(
             {
-                "language": "python",
+                "language": language,
                 "model": {"d_embed": 4, "d_token_gru": 3, "d_block": 3, "seed": 0},
                 "train": {
                     "lr": 0.05, "batch_size": 8, "max_epochs": 15,

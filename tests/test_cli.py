@@ -20,10 +20,9 @@ from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_se
 from qcmine.tokenize import Tokenizer, default_python_keep_list, normalize_python
 
 
-@pytest.fixture(scope="module")
-def ws(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pipeline")
-    paths = build_workspace(root)
+def trained_workspace(root, language="python"):
+    """``build_workspace`` with a trained filter and the three voters."""
+    paths = build_workspace(root, language)
     paths["root"] = root
     paths["filter"] = root / "filter.json"
     cli.main(
@@ -43,6 +42,11 @@ def ws(tmp_path_factory):
         )
         paths[variant] = out
     return paths
+
+
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory):
+    return trained_workspace(tmp_path_factory.mktemp("pipeline"))
 
 
 @pytest.fixture(scope="module")
@@ -403,12 +407,75 @@ class TestMine:
         capsys.readouterr()
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_ensemble_instances_carry_their_context(self, ws, tmp_path, monkeypatch):
+        """Answers are read without their prose, so an answer bound for the
+        ensemble must be parsed again with it: each instance keeps the
+        tokens of the text before and after its code block."""
+        fed, ensemble_batch = [], train_eval.ensemble_batch
+
+        def spy(biv, text, code, instances):
+            fed.extend(instances)
+            return ensemble_batch(biv, text, code, instances)
+
+        monkeypatch.setattr(train_eval, "ensemble_batch", spy)
+        cli.mine(
+            ws["dump"], ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"],
+            ws["filter"], tmp_path / "pairs.jsonl", cli.load_config(ws["config"]),
+        )
+        seq = tokenize_sequence(parse_answer_post(SOLUTION_HTML), Tokenizer())
+        want = [(i.pre_tokens, i.code_tokens, i.post_tokens) for i in extract_instances("t", seq)]
+        assert want[0][0] == ["you", "can", "try", "this", "approach"]
+        assert want[1][2] == ["works", "fine"]
+        assert [(i.pre_tokens, i.code_tokens, i.post_tokens) for i in fed] == want * 14
+
     def test_wrong_variant_checkpoint_rejected(self, ws):
         with pytest.raises(CheckpointMismatch):
             cli.mine(
                 ws["dump"], ws["text_hnn"], ws["text_hnn"], ws["code_hnn"],
                 ws["filter"], ws["root"] / "nope.jsonl", cli.load_config(ws["config"]),
             )
+
+
+@pytest.fixture(scope="module")
+def sql_ws(tmp_path_factory):
+    return trained_workspace(tmp_path_factory.mktemp("sql_pipeline"), "sql")
+
+
+class TestSqlPipeline:
+    """The paper's second domain through filter-train, train and mine."""
+
+    def mine(self, sql_ws, name):
+        out = sql_ws["root"] / name
+        report = cli.mine(
+            sql_ws["dump"], sql_ws["biv_hnn"], sql_ws["text_hnn"], sql_ws["code_hnn"],
+            sql_ws["filter"], out, cli.load_config(sql_ws["config"]),
+        )
+        return out, report
+
+    def test_mine_report(self, sql_ws):
+        _, report = self.mine(sql_ws, "pairs.jsonl")
+        assert report["domain_skipped"] == 1  # the python-tagged record
+        assert report["records"] == 30 and report["parse_errors"] == 2
+        assert report["no_code"] == 1 and report["single_code_pairs"] == 4
+        assert report["non_howto"] == 8
+        decided = report["ensemble_pairs"] + report["ensemble_rejections"] + report["abstentions"]
+        assert decided == 14 * 2
+
+    def test_voters_record_sql_tokens(self, sql_ws):
+        sql = cli.config_tokenizer(cli.load_config(sql_ws["config"]))
+        for variant in ("biv_hnn", "text_hnn", "code_hnn"):
+            model = load_model(sql_ws[variant], sql)
+            assert model.preprocessing == sql.fingerprint()
+            assert {"select", "from", "where", "tab0", "col0"} <= set(model.code_vocab.token_to_id)
+
+    def test_rerun_is_byte_identical(self, sql_ws):
+        first, report = self.mine(sql_ws, "first.jsonl")
+        again, report_again = self.mine(sql_ws, "again.jsonl")
+        assert report_again == report
+        for suffix in ("", ".abstentions.jsonl"):
+            assert Path(f"{again}{suffix}").read_bytes() == Path(f"{first}{suffix}").read_bytes()
+        singles = [cli.MinedPair.from_json(line) for line in first.read_text().splitlines()]
+        assert "UPDATE items SET price = price + 1" in {p.code for p in singles}
 
 
 def tape_ensemble_batch(biv, text, code, instances):

@@ -636,6 +636,23 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatch, match="trained on tokens"):
             load_model(path, sql)
 
+    @pytest.mark.parametrize("part", ["word_vocab", "code_vocab"])
+    @pytest.mark.parametrize("token_id, new_id", [
+        (3, 10**6), (3, -1), (3, 0), ("last", 0), (3, "3"), (3, 3.0), (3, None), (1, True), (1, 1.0),
+    ], ids=["out_of_range", "negative", "duplicate", "duplicate_last", "string", "float", "null", "bool",
+            "float_one"])
+    def test_vocabulary_ids_not_a_range_refused(self, vocabs, tmp_path, part, token_id, new_id):
+        """An id the embedding tables cannot index is refused on load, not
+        met as an IndexError once a dump is being mined."""
+        def edit(obj):
+            vocab = obj[part]
+            old = len(vocab) - 1 if token_id == "last" else token_id
+            vocab[next(t for t, i in vocab.items() if i == old)] = new_id
+
+        path = self.edited(vocabs, tmp_path, edit)
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + f".*part '{part}'"):
+            load_model(path)
+
     def test_checkpoint_carries_variant(self, vocabs, tmp_path):
         path = tmp_path / "m.json"
         save_model(init_model(tiny_cfg(Variant.TEXT_RNN), *vocabs), path)

@@ -50,6 +50,10 @@ class TestParseAnswerPost:
         seq = parse_answer_post("<pre><code>if a &gt; b:&#10;    pass</code></pre>")
         assert seq.blocks[1].raw == "if a > b:\n    pass"
 
+    def test_entities_decoded_once_after_fallback(self):
+        seq = parse_answer_post("<!-- c --><p>&amp;lt; &amp;amp;</p><pre><code>a &amp;gt; b</code></pre>")
+        assert raws(seq) == [("text", "&lt; &amp;"), ("code", "a &gt; b"), ("text", "")]
+
     def test_inline_code_stays_in_text(self):
         seq = parse_answer_post("<p>Use <code>dict.get</code> here</p>")
         assert raws(seq) == [("text", "Use dict.get here")]
@@ -281,3 +285,43 @@ class TestScanner:
         got = outcome(html)
         assert fed == [html]
         assert got == stdlib_outcome(html)
+
+
+def prose_free_outcome(html):
+    """``outcome`` of the prose-free parse."""
+    try:
+        return [(b.kind, b.raw) for b in parse_answer_post(html, prose=False).blocks]
+    except EmptyPost:
+        return "EmptyPost"
+
+
+def without_prose(got):
+    """A full parse's outcome with every Text block emptied."""
+    return got if got == "EmptyPost" else [(k, r if k is BlockKind.CODE else "") for k, r in got]
+
+
+class TestProseFree:
+    """Without prose, a parse keeps the same blocks, code raws and EmptyPost
+    bodies as the full parse; only the Text blocks are left empty."""
+
+    @given(POSTS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_parse(self, html):
+        assert prose_free_outcome(html) == without_prose(outcome(html))
+
+    @pytest.mark.parametrize(
+        "tail", ["<pre><code>y = 1</code></pre><p>after", "<pre>bare</pre>", ""],
+        ids=["code", "bare_pre", "at_end"],
+    )
+    @pytest.mark.parametrize("head", ["<p>before <code>x</code></p>", ""], ids=["prose", "alone"])
+    @pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS.keys())
+    def test_fallback_trigger(self, trigger, head, tail):
+        html = f"{head}{trigger}{tail}"
+        assert prose_free_outcome(html) == without_prose(outcome(html))
+
+    @pytest.mark.parametrize("html", [
+        "", " \n ", "&nbsp;", "<p> &#32; </p>", "<pre> </pre>", "<pre><code> \n</code></pre>",
+        "<pre>unclosed", "<script>x</script>", "<p>&#65;</p>", "<pre>x</pre>",
+    ])
+    def test_visible_text_decides_empty_post(self, html):
+        assert prose_free_outcome(html) == without_prose(outcome(html))

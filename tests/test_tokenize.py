@@ -18,6 +18,8 @@ from qcmine.tokenize import (
     normalize_python,
     normalize_sql,
     tokenize_text,
+    wordpunct,
+    wordpunct_count,
 )
 
 
@@ -39,6 +41,26 @@ class TestTokenizeText:
         assert tokenize_text("CamelCase To snake_case").tokens == [
             "camelcase", "to", "snake_case",
         ]
+
+
+# Where the ASCII class table of wordpunct_count could part from the regex:
+# ASCII whitespace other than " \t\n\r", "_" and digits as word characters,
+# control characters, and text that is not ASCII, which takes the regex.
+WORDPUNCT_COUNT_ROWS = [
+    "", " ", "\x0b", "a\x0bb", "a\x0cb", "a\x1cb\x1dc\x1ed\x1fe", "x\x85y", "x\xa0y", "_", "__init__",
+    "a_b-c", "0123", "x1 2y", "3.14", "é", "naïve café", "名前=1", "...", "a..b", "\x00\x7f",
+]
+
+
+class TestWordpunctCount:
+    @pytest.mark.parametrize("s", WORDPUNCT_COUNT_ROWS)
+    def test_rows(self, s):
+        assert wordpunct_count(s) == len(wordpunct(s))
+
+    @given(st.text() | st.text(st.characters(max_codepoint=127)))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_token_count(self, s):
+        assert wordpunct_count(s) == len(wordpunct(s))
 
 
 # One row per alternative of tokenize._PY_TOKEN, in its order, and per edge
