@@ -156,9 +156,11 @@ def _type_error(record: dict) -> str | None:
         return "question_body_html must be a string or null"
     try:
         # A lone surrogate (a "\ud800" escape, or a byte that is not UTF-8)
-        # cannot be written to the UTF-8 outputs.
+        # cannot be written to the UTF-8 outputs. An ASCII string holds none,
+        # and isascii() reads a flag, so only other strings are encoded.
         for text in (record["title"], record["accepted_answer_html"], body or "", *tags):
-            text.encode("utf-8")
+            if not text.isascii():
+                text.encode("utf-8")
     except UnicodeEncodeError:
         return "text is not valid Unicode"
     return None

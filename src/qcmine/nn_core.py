@@ -3,14 +3,15 @@
 Everything is double precision. Each op takes Nodes (or arrays), returns a
 Node carrying its value, and records a closure that routes the incoming
 gradient to its parents. ``backward`` replays the tape once per loss;
-parameter gradients accumulate across calls until ``zero_grad``, which is
-what mini-batch averaging relies on.
+parameter gradients accumulate across calls until ``zero_grad``.
 
-The model's graph is built from row-level ops, so a whole slice of
+The model's graph is built from row-level ops, so a whole mini-batch of
 instances is a handful of nodes: ``take_rows`` (row selections),
 ``concat``, ``dense_rows``, ``softmax_xent_rows`` and ``gru_final_states``,
 one node per GRU run over many sequences, which reads its input rows
-straight from an embedding table through token ids. The per-vector ops
+straight from an embedding table through token ids. For training that node
+keeps only the GRU's states and recomputes its gates in the backward, so a
+whole mini-batch fits in one graph. The per-vector ops
 (``gru_step``, ``bigru_encode``, ``dense``, ``softmax_xent``,
 ``embedding_row``) compute the same formulas one step at a time; the tests
 use them as the reference.
@@ -73,7 +74,7 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     """Reverse-mode sweep from ``loss``, seeding dL/dloss = seed.
 
     Gradients accumulate into ``.grad`` of every reachable leaf, so calling
-    this once per instance (or slice) with seed 1/N yields mean-loss
+    this once per instance (or batch) with seed 1/N yields mean-loss
     gradients. The sweep consumes the graph: once an op has passed its
     gradient on, its closure and its own gradient are dropped, so saved
     activations are freed as the sweep goes. Build a new graph for each
@@ -290,6 +291,69 @@ def _gate_weights(p: GruParams):
     return w_x, np.concatenate([w_r[:, d_x:], w_u[:, d_x:]]).T, w[:, d_x:].T
 
 
+def _projection(x_used, p: GruParams, w_x):
+    """x [W_r; W_u; W] + [b_r; b_u; b] of each row of ``x_used``. The bias
+    is added in place, so the only array made is the result."""
+    out = np.matmul(x_used, w_x.T)
+    out += np.concatenate([p.b_r.value, p.b_u.value, p.b.value])
+    return out
+
+
+def _step_blocks(running, n_seqs: int):
+    """The backward's blocks of consecutive steps, last block first, as
+    (first step, stop step) pairs. Walking back from the last step, a block
+    closes once it holds at least ``n_seqs`` packed rows."""
+    blocks, stop, rows = [], len(running), 0
+    for t in range(len(running) - 1, -1, -1):
+        rows += running[t]
+        if rows >= n_seqs or t == 0:
+            blocks.append((t, stop))
+            stop, rows = t, 0
+    return blocks
+
+
+def _blocked_bptt(g, proj, slot, running, h_prevs, u_ru, u_c):
+    """Back through time over the packed rows, block by block.
+
+    ``g`` holds the gradients of the final states in packed order. Returns
+    the pre-activation gradients summed per distinct row (used x 3 d_h, the
+    rows of ``proj``), summed over all rows (the bias gradients), and the
+    state-weight gradients [r; u; h_tilde] (3 d_h x d_h). Only one block's
+    gates and pre-activation gradients are alive at a time.
+    """
+    d_h = h_prevs.shape[1]
+    offsets = np.concatenate([[0], np.cumsum(running)])
+    d_used = np.zeros_like(proj)
+    d_b = np.zeros(3 * d_h)
+    d_w_state = np.zeros((3 * d_h, d_h))
+    for t0, t1 in _step_blocks(running, len(g)):
+        r0, r1 = offsets[t0], offsets[t1]
+        h_prev = h_prevs[r0:r1]
+        d_a = proj[slot[r0:r1]]  # pre-activations now, their gradients below
+        ru = _sigmoid(d_a[:, : 2 * d_h] + h_prev @ u_ru)
+        r, u = ru[:, :d_h], ru[:, d_h:]
+        rh = r * h_prev
+        h_tilde = np.tanh(d_a[:, 2 * d_h :] + rh @ u_c)
+        # d_a = [d_rh * c_r, dh * c_u, dh * c_c] for the gradient dh of h
+        c_r = h_prev * r * (1.0 - r)
+        c_u = (h_prev - h_tilde) * u * (1.0 - u)
+        c_c = (1.0 - u) * (1.0 - h_tilde * h_tilde)
+        for t in range(t1 - 1, t0 - 1, -1):
+            n = running[t]
+            at = slice(offsets[t] - r0, offsets[t] - r0 + n)
+            dh = g[:n]
+            d_c = np.multiply(dh, c_c[at], out=d_a[at, 2 * d_h :])
+            d_rh = d_c @ u_c.T
+            np.multiply(d_rh, c_r[at], out=d_a[at, :d_h])
+            np.multiply(dh, c_u[at], out=d_a[at, d_h : 2 * d_h])
+            g[:n] = dh * u[at] + d_rh * r[at] + d_a[at, : 2 * d_h] @ u_ru.T
+        np.add.at(d_used, slot[r0:r1], d_a)
+        d_b += d_a.sum(axis=0)
+        d_w_state[: 2 * d_h] += d_a[:, : 2 * d_h].T @ h_prev
+        d_w_state[2 * d_h :] += d_a[:, 2 * d_h :].T @ rh
+    return d_used, d_b, d_w_state
+
+
 def gru_final_states(
     table, ids, spans, p: GruParams, reverse: bool = False, grad: bool = True
 ) -> Node:
@@ -305,17 +369,21 @@ def gru_final_states(
     so the sequences still running at step t are a prefix of the batch and
     no padded step is computed. The input projection x [W_r; W_u; W] + b is
     one matmul over the distinct table rows the sequences use, each projected
-    once however often its id recurs, and is then gathered into packed
-    time-major order. Only those rows must be finite. Each step then
-    multiplies only the state, and r and u come from one sigmoid call. Same
-    formulas as ``gru_step``.
+    once however often its id recurs, and each step gathers its rows of it.
+    Only those rows must be finite. Each step then multiplies only the
+    state, and r and u come from one sigmoid call. Same formulas as
+    ``gru_step``.
 
-    With ``grad`` the node keeps, per step, the previous state, r, u and
-    h_tilde. Its backward runs back through time over the packed prefixes,
-    sums the projection gradients per distinct row with one ``np.add.at``,
-    forms each weight gradient as one matmul and adds the input gradient
-    straight into the table's gradient rows. Without ``grad`` (inference)
-    nothing is kept and the node has no backward.
+    With ``grad`` the node keeps only the previous state of every packed
+    row, R x d_h for R rows, besides its index arrays. Its backward
+    recomputes the projection and walks back over blocks of consecutive
+    steps (``_blocked_bptt``): for each block it recomputes r, u and h_tilde
+    from the kept states with bulk matmuls, runs back through time inside
+    the block, and folds the block into the bias, state-weight and
+    per-distinct-row gradients. It then forms the input-weight gradient as
+    one matmul and adds the input gradient straight into the table's
+    gradient rows. Without ``grad`` (inference) nothing is kept and the node
+    has no backward.
     """
     table = as_node(table)
     tv = table.value
@@ -342,22 +410,19 @@ def gru_final_states(
         raise NonFiniteInput("a table row the sequences read contains NaN or Inf")
 
     w_x, u_ru, u_c = _gate_weights(p)
-    proj = (x_used @ w_x.T + np.concatenate([p.b_r.value, p.b_u.value, p.b.value]))[slot]
-
+    proj = _projection(x_used, p, w_x)
     if grad:
-        h_prevs, rus, h_tildes = (np.empty((len(rows), k * d_h)) for k in (1, 2, 1))
+        h_prevs = np.empty((len(rows), d_h))
     h = np.zeros((len(order), d_h))
     start = 0
     for n in running:
-        a = proj[start : start + n]
+        a = proj[slot[start : start + n]]
         h_prev = h[:n]
         ru = _sigmoid(a[:, : 2 * d_h] + h_prev @ u_ru)
         r, u = ru[:, :d_h], ru[:, d_h:]
         h_tilde = np.tanh(a[:, 2 * d_h :] + (r * h_prev) @ u_c)
         if grad:
             h_prevs[start : start + n] = h_prev
-            rus[start : start + n] = ru
-            h_tildes[start : start + n] = h_tilde
         start += n
         h[:n] = u * h_prev + (1.0 - u) * h_tilde
     out = np.empty_like(h)
@@ -368,34 +433,19 @@ def gru_final_states(
 
     def backward_fn(g):
         w_x, u_ru, u_c = _gate_weights(p)
-        d_a = np.empty((len(rows), 3 * d_h))  # pre-activation gradients [r, u, h_tilde]
-        d_h_state = g[order]
-        stop = len(rows)
-        for n in running[::-1]:
-            at = slice(stop - n, stop)
-            stop -= n
-            h_prev, h_tilde = h_prevs[at], h_tildes[at]
-            r, u = rus[at, :d_h], rus[at, d_h:]
-            dh = d_h_state[:n]
-            d_ac = dh * (1.0 - u) * (1.0 - h_tilde * h_tilde)
-            d_rh = d_ac @ u_c.T
-            d_a[at, :d_h] = d_rh * h_prev * r * (1.0 - r)
-            d_a[at, d_h : 2 * d_h] = dh * (h_prev - h_tilde) * u * (1.0 - u)
-            d_a[at, 2 * d_h :] = d_ac
-            d_h_state[:n] = dh * u + d_rh * r + d_a[at, : 2 * d_h] @ u_ru.T
-        d_used = np.zeros((len(used), 3 * d_h))
-        np.add.at(d_used, slot, d_a)
-        d_w_x = d_used.T @ x_used
-        d_b = d_a.sum(axis=0)
-        for k, (wp, bp, h_in) in enumerate(
-            [(p.w_r, p.b_r, h_prevs), (p.w_u, p.b_u, h_prevs), (p.w, p.b, rus[:, :d_h] * h_prevs)]
-        ):
+        d_used, d_b, d_w_state = _blocked_bptt(
+            g[order], _projection(tv[used], p, w_x), slot, running, h_prevs, u_ru, u_c
+        )
+        d_w_x = d_used.T @ tv[used]
+        for k, (wp, bp) in enumerate([(p.w_r, p.b_r), (p.w_u, p.b_u), (p.w, p.b)]):
             gates = slice(k * d_h, (k + 1) * d_h)
-            _acc(wp, np.hstack([d_w_x[gates], d_a[:, gates].T @ h_in]))
+            _acc(wp, np.hstack([d_w_x[gates], d_w_state[gates]]))
             _acc(bp, d_b[gates])
+        d_x = d_used @ w_x
+        del d_used, d_w_x  # freed before a table gradient is allocated
         if table.grad is None:
             table.grad = np.zeros_like(tv)
-        table.grad[used] += d_used @ w_x
+        table.grad[used] += d_x
 
     node.backward_fn = backward_fn
     return node
@@ -585,11 +635,22 @@ def adam_update(params: dict, grads: dict, state: AdamState):
             m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
+        # lr * (m / c1) / (sqrt(v / c2) + eps), in the same operations and
+        # order, in two scratch buffers rather than a temporary per operation
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+        v += step
+        np.divide(m, correction1, out=step)
+        step *= state.lr
+        denom = np.divide(v, correction2)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
     return params, state
 
 

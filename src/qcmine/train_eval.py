@@ -147,13 +147,6 @@ def combine_votes(votes) -> Decision:
 # more instances; the bound keeps the working set small.
 INFERENCE_CHUNK = 128
 
-# Instances per training forward and backward. A mini-batch runs in slices
-# of at most this many; gradients add up across slices and Adam steps once
-# per mini-batch. Larger slices run faster per instance but keep more GRU
-# activations alive at once; at the paper's sizes 16 is nearly as fast as a
-# whole 100-instance batch, at a fraction of its peak memory.
-TRAIN_SLICE = 16
-
 
 def chunked(items):
     """Consecutive slices of at most INFERENCE_CHUNK items."""
@@ -210,7 +203,7 @@ class EpochStats:
 def _slice_backward(model, instances, seed: float) -> float:
     """One batched forward and backward over ``instances``, each loss
     weighted by ``seed``; returns their summed loss. The graph is freed on
-    return, before the next slice builds its own."""
+    return, before the next mini-batch builds its own."""
     logits, _ = models_mod._forward_batch(model, instances, grad=True)
     _, loss = softmax_xent_rows(logits, [inst.label for inst in instances])
     backward(loss, seed=seed)
@@ -220,11 +213,9 @@ def _slice_backward(model, instances, seed: float) -> float:
 def _epoch_pass(model, instances, order, batch_size, adam, freeze_embeddings=False) -> float:
     total_loss = 0.0
     for start in range(0, len(order), batch_size):
-        batch = order[start : start + batch_size]
+        batch = [instances[idx] for idx in order[start : start + batch_size]]
         model.zero_grad()
-        for at in range(0, len(batch), TRAIN_SLICE):
-            part = [instances[idx] for idx in batch[at : at + TRAIN_SLICE]]
-            total_loss += _slice_backward(model, part, 1.0 / len(batch))
+        total_loss += _slice_backward(model, batch, 1.0 / len(batch))
         if freeze_embeddings:
             for name in ("word_embeddings", "code_embeddings"):
                 node = model.params.get(name)

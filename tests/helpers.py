@@ -133,6 +133,14 @@ def forward_graph(model, inst: CodeContextInstance):
     return dense(z, model.output), z
 
 
+# Other cuts of the GRU backward into blocks of steps, in place of
+# ``nn_core._step_blocks``: gradients must not depend on where blocks fall.
+STEP_BLOCK_RULES = {
+    "one_step_per_block": lambda running, n_seqs: [(t, t + 1) for t in range(len(running))][::-1],
+    "one_block_per_call": lambda running, n_seqs: [(0, len(running))] if len(running) else [],
+}
+
+
 # --------------------------------------------------------------------------
 # Fuzzed answer posts
 # --------------------------------------------------------------------------

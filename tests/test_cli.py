@@ -147,6 +147,40 @@ class TestQuestionIds:
         assert err is None and record["question_id"] == 7
 
 
+class TestLoneSurrogates:
+    """Only a text field that is not ASCII is encoded to look for lone
+    surrogates; every lone one is still caught, whether it came from an
+    escape in an ASCII line or from a byte that is not UTF-8."""
+
+    def read(self, tmp_path, title_json: bytes):
+        path = tmp_path / "dump.jsonl"
+        record = json.dumps(dump_record(1, "TITLE", ["python"], SINGLE_HTML)).encode()
+        path.write_bytes(record.replace(b'"TITLE"', title_json) + b"\n")
+        [(record, err)] = cli.read_dump(path)
+        return record, err
+
+    @pytest.mark.parametrize("title", [
+        rb'"How to \ud800 frob"',
+        rb'"How to \uDFFF frob"',
+        b'"How to fr\xffob"',  # a byte that is not UTF-8
+        rb'"a pair backwards: \ude00\ud83d"',
+        '"not ASCII, and lone: \u00e9 \\ud83d"'.encode(),
+    ])
+    def test_lone_surrogate_skipped(self, tmp_path, title):
+        record, err = self.read(tmp_path, title)
+        assert record is None and "text is not valid Unicode" in str(err)
+
+    @pytest.mark.parametrize("title,text", [
+        (rb'"How to \ud83d\ude00 frob"', "How to \U0001f600 frob"),
+        ('"How to fr\u00e9ob \U0001f600"'.encode(), "How to fr\u00e9ob \U0001f600"),
+        (rb'"How to frob \\ud800"', "How to frob \\ud800"),
+        (b'"How to frob"', "How to frob"),
+    ])
+    def test_valid_text_kept(self, tmp_path, title, text):
+        record, err = self.read(tmp_path, title)
+        assert err is None and record["title"] == text
+
+
 class TestAnnotationCsv:
     @pytest.mark.parametrize("row", ["101,1", "101", "101,x,1", "101,1,1.5"])
     def test_bad_row_names_file_and_line(self, tmp_path, row):
@@ -476,6 +510,54 @@ class TestSqlPipeline:
             assert Path(f"{again}{suffix}").read_bytes() == Path(f"{first}{suffix}").read_bytes()
         singles = [cli.MinedPair.from_json(line) for line in first.read_text().splitlines()]
         assert "UPDATE items SET price = price + 1" in {p.code for p in singles}
+
+    def commands(self, sql_ws, out):
+        """train lr, eval, ensemble-eval, mine, merge and stats, writing
+        their files under ``out``."""
+        dump, config = str(sql_ws["dump"]), ["--config", str(sql_ws["config"])]
+        labels = ["--dump", dump, "--labels", str(sql_ws["valid"])]
+        voters = ["--biv", str(sql_ws["biv_hnn"]), "--text", str(sql_ws["text_hnn"]),
+                  "--code", str(sql_ws["code_hnn"])]
+        return {
+            "train": ["train", "--dump", dump, "--train-labels", str(sql_ws["train"]),
+                      "--valid-labels", str(sql_ws["valid"]), "--variant", "lr",
+                      "--out", str(out / "lr.json"), *config],
+            "eval lr": ["eval", *labels, "--checkpoint", str(out / "lr.json"), *config],
+            "eval": ["eval", *labels, "--checkpoint", str(sql_ws["biv_hnn"]), *config],
+            "ensemble-eval": ["ensemble-eval", *labels, *voters, *config],
+            "mine": ["mine", "--dump", dump, *voters, "--filter-model", str(sql_ws["filter"]),
+                     "--out", str(out / "pairs.jsonl"), *config],
+            "merge": ["merge", "--mined", str(out / "pairs.jsonl"), "--annotated",
+                      str(sql_ws["train"]), "--dump", dump, "--out", str(out / "merged.jsonl")],
+            "stats": ["stats", "--dataset", str(out / "merged.jsonl"), *config],
+        }
+
+    def run_commands(self, sql_ws, out, capsys):
+        out.mkdir()
+        reports = {}
+        for name, argv in self.commands(sql_ws, out).items():
+            cli.main(argv)
+            reports[name] = capsys.readouterr().out
+        return reports
+
+    def test_every_command_reruns_byte_identical(self, sql_ws, capsys):
+        first = self.run_commands(sql_ws, sql_ws["root"] / "run1", capsys)
+        again = self.run_commands(sql_ws, sql_ws["root"] / "run2", capsys)
+        assert again == first
+        files = sorted(p.name for p in (sql_ws["root"] / "run1").iterdir())
+        assert files == ["lr.json", "merged.jsonl", "pairs.jsonl", "pairs.jsonl.abstentions.jsonl"]
+        for name in files:
+            assert (sql_ws["root"] / "run2" / name).read_bytes() == (
+                sql_ws["root"] / "run1" / name).read_bytes(), name
+
+        reports = {name: json.loads(text) for name, text in first.items()}
+        assert reports["eval lr"]["instances"] == reports["eval"]["instances"] == 8
+        assert reports["ensemble-eval"]["instances"] == 8
+        assert reports["mine"]["domain_skipped"] == 1  # the python-tagged record
+        merge = reports["merge"]
+        assert merge["total"] == merge["mined_kept"] + merge["annotated_added"]
+        assert reports["stats"]["pairs"] == merge["total"]
+        assert reports["stats"]["provenance_sum_matches_total"]
 
 
 def tape_ensemble_batch(biv, text, code, instances):

@@ -27,7 +27,7 @@ from qcmine.models import (
     save_model,
 )
 from qcmine.nn_core import NonFiniteInput, backward, softmax, softmax_xent, softmax_xent_rows
-from qcmine.train_eval import TRAIN_SLICE, _slice_backward
+from qcmine.train_eval import _slice_backward
 from qcmine import tokenize
 from qcmine.post_parser import CodeContextInstance
 from qcmine.tokenize import Language, Tokenizer, default_python_keep_list
@@ -285,7 +285,7 @@ class TestIndexedEncoders:
     @pytest.mark.parametrize("variant,shared", VARIANTS)
     def test_gradients_match_gather_then_project(self, vocabs, variant, shared, monkeypatch):
         model = self.model(vocabs, variant, shared)
-        insts = mixed_batch(random.Random(32))[:TRAIN_SLICE]
+        insts = mixed_batch(random.Random(32))[:16]
         for i, inst in enumerate(insts):
             inst.label = i % 2
         model.zero_grad()
@@ -384,8 +384,11 @@ def tape_nodes(loss) -> int:
 class TestTrainingGraph:
     """The batched training graph against the per-timestep reference."""
 
-    def labeled_slice(self, seed, n=TRAIN_SLICE):
-        insts = mixed_batch(random.Random(seed))[:n - 2]
+    def labeled_slice(self, seed, n=16):
+        rng, insts = random.Random(seed), []
+        while len(insts) < n - 2:
+            insts += mixed_batch(rng)
+        insts = insts[:n - 2]
         insts += insts[:2]  # repeated instances within a slice
         for i, inst in enumerate(insts):
             inst.label = (i * 7 + seed) % 3 % 2
@@ -404,9 +407,16 @@ class TestTrainingGraph:
 
     @pytest.mark.parametrize("variant,shared", VARIANTS)
     def test_slice_gradients_match_per_step_reference(self, vocabs, variant, shared):
+        self.check_per_step_reference(vocabs, variant, shared, self.labeled_slice(1), 1.0 / 40)
+
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
+    def test_mini_batch_gradients_match_per_step_reference(self, vocabs, variant, shared):
+        # a whole paper-size mini-batch, as training runs it: one forward and
+        # one backward over 100 instances
+        self.check_per_step_reference(vocabs, variant, shared, self.labeled_slice(9, 100), 0.01)
+
+    def check_per_step_reference(self, vocabs, variant, shared, insts, seed):
         model = self.model(vocabs, variant, shared)
-        insts = self.labeled_slice(1)
-        seed = 1.0 / 40  # a slice of a larger mini-batch
         model.zero_grad()
         loss = _slice_backward(model, insts, seed)
         batched = model.named_grads()
@@ -425,6 +435,24 @@ class TestTrainingGraph:
                 assert got is None or not got.any(), name
                 continue
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("rule", sorted(helpers.STEP_BLOCK_RULES))
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
+    def test_gradients_do_not_depend_on_step_blocks(self, vocabs, variant, shared, rule, monkeypatch):
+        insts = self.labeled_slice(5, 100)
+        runs = []
+        for blocks in (nn_core._step_blocks, helpers.STEP_BLOCK_RULES[rule]):
+            monkeypatch.setattr(nn_core, "_step_blocks", blocks)
+            model = self.model(vocabs, variant, shared)
+            model.zero_grad()
+            runs.append((_slice_backward(model, insts, 0.01), model.named_grads()))
+        (loss, got), (ref_loss, ref) = runs
+        assert loss == ref_loss  # the forward does not block
+        for name, g in ref.items():
+            if g is None:
+                assert got[name] is None, name
+                continue
+            np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_batched_loss_finite_differences(self, vocabs, variant):

@@ -1,12 +1,15 @@
 import base64
+import gc
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import finite_diff_check
+from helpers import STEP_BLOCK_RULES, finite_diff_check
+from qcmine import nn_core
 from qcmine.nn_core import (
     LINEAR,
     TANH,
@@ -281,6 +284,66 @@ class TestIndexedInput:
         table.value[5, 0] = np.nan
         with pytest.raises(NonFiniteInput):
             gru_final_states(table, self.IDS, self.SPANS, p)
+
+
+class TestStatesOnlyBackward:
+    """A training node keeps only the previous states; its backward
+    recomputes the gates block by block. Numeric contract: gradients do not
+    depend on where the blocks fall, within 1e-12."""
+
+    def make(self, seed, n_seqs=40, d_x=6, d_h=16, vocab=50):
+        rng = np.random.default_rng(seed)
+        p = init_gru(d_x, d_h, rng)
+        for node in (p.b_r, p.b_u, p.b):
+            node.value[...] = rng.uniform(-1, 1, d_h)
+        table = Node(rng.uniform(-1.5, 1.5, (vocab, d_x)))
+        lengths = rng.integers(1, 60, n_seqs)
+        stops = np.cumsum(lengths)
+        ids = rng.integers(0, vocab, stops[-1])  # ids recur within and across sequences
+        weights = rng.uniform(-1, 1, (n_seqs, d_h))
+        return p, table, ids, np.column_stack([stops - lengths, stops]), weights
+
+    def test_step_blocks_cover_every_step_last_first(self):
+        running = np.array([9, 9, 7, 4, 4, 2, 1, 1, 1, 1])
+        blocks = nn_core._step_blocks(running, 9)
+        assert blocks == [(4, 10), (2, 4), (1, 2), (0, 1)]
+        for t0, t1 in blocks:  # each closes at the first step that fills it
+            assert running[t0:t1].sum() >= 9 > running[t0 + 1 : t1].sum()
+        assert nn_core._step_blocks(np.zeros(0, dtype=np.intp), 0) == []
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("rule", sorted(STEP_BLOCK_RULES))
+    def test_gradients_do_not_depend_on_step_blocks(self, reverse, rule, monkeypatch):
+        p, table, ids, spans, weights = self.make(21)
+        nodes = [n for _, n in p.nodes()] + [table]
+        grads = []
+        for blocks in (nn_core._step_blocks, STEP_BLOCK_RULES[rule]):
+            monkeypatch.setattr(nn_core, "_step_blocks", blocks)
+            zero_grad(nodes)
+            gru_final_states(table, ids, spans, p, reverse=reverse).backward_fn(weights)
+            grads.append([n.grad.copy() for n in nodes])
+        for got, ref in zip(*grads):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_node_keeps_only_previous_states(self):
+        p, table, ids, spans, _ = self.make(22)
+        rows, d_h = len(ids), p.d_h
+        steps = int((spans[:, 1] - spans[:, 0]).max())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            node = gru_final_states(table, ids, spans, p)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # slot per row; used, order and running per distinct id, sequence, step
+        index_bytes = 8 * (rows + len(table.value) + len(spans) + steps)
+        objects = 16384  # the node, its closure, their cells and array headers
+        assert kept <= node.value.nbytes + rows * d_h * 8 + index_bytes + objects
+        # r, u and h_tilde, kept too, would be another 3 * rows * d_h floats
+        assert 3 * rows * d_h * 8 > 10 * objects
 
 
 class TestSigmoid:
@@ -645,6 +708,40 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             adam_update({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState())
+
+    def test_in_place_step_is_bit_identical(self):
+        """The two-scratch-buffer step against the formula written out."""
+
+        def reference(params, grads, state):
+            state.t += 1
+            b1, b2 = state.beta1, state.beta2
+            c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+            for name, p in params.items():
+                g = grads.get(name)
+                g = np.zeros_like(p) if g is None else g
+                m = state.m.setdefault(name, np.zeros_like(p))
+                v = state.v.setdefault(name, np.zeros_like(p))
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+        rng = np.random.default_rng(9)
+        start = {"w": rng.normal(0, 1, (7, 5)), "b": rng.normal(0, 1, 5), "frozen": rng.normal(0, 1, 3)}
+        got = {k: v.copy() for k, v in start.items()}
+        ref = {k: v.copy() for k, v in start.items()}
+        got_state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+        for t in range(1, 8):
+            grads = {"w": rng.normal(0, 10.0**-t, (7, 5)), "b": rng.normal(0, 1, 5), "frozen": None}
+            if t % 3 == 0:
+                grads["b"] = None  # a parameter that got no gradient this step
+            adam_update(got, {k: None if g is None else g.copy() for k, g in grads.items()}, got_state)
+            reference(ref, grads, ref_state)
+            for name in start:
+                assert got[name].tobytes() == ref[name].tobytes(), (t, name)
+                assert got_state.m[name].tobytes() == ref_state.m[name].tobytes(), (t, name)
+                assert got_state.v[name].tobytes() == ref_state.v[name].tobytes(), (t, name)
 
 
 class TestGlorot:
