@@ -11,7 +11,10 @@ instances is a handful of nodes: ``take_rows`` (row selections),
 one node per GRU run over many sequences, which reads its input rows
 straight from an embedding table through token ids. For training that node
 keeps only the GRU's states and recomputes its gates in the backward, so a
-whole mini-batch fits in one graph. The per-vector ops
+whole mini-batch fits in one graph. Row gradients are scattered with one
+flat 1-D ``np.add.at`` (``_scatter_rows``), and the GRU's gate arithmetic
+runs in place; both do the same IEEE operations in the same order as the
+plain formulas, so results are bit for bit the same. The per-vector ops
 (``gru_step``, ``bigru_encode``, ``dense``, ``softmax_xent``,
 ``embedding_row``) compute the same formulas one step at a time; the tests
 use them as the reference.
@@ -66,7 +69,7 @@ def as_node(x) -> Node:
 
 def _acc(node: Node, g):
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
+        node.grad = np.zeros(node.value.shape)
     node.grad += g
 
 
@@ -129,10 +132,30 @@ def concat(*nodes: Node, axis: int = -1) -> Node:
     return out
 
 
+def _scatter_rows(target, idx, rows) -> None:
+    """``np.add.at(target, idx, rows)`` for a C-contiguous 2-D ``target``:
+    ``rows[k]`` is added to row ``idx[k]`` for each k in turn, so repeated
+    ids accumulate, in the same order. ``idx`` may be an int or an array;
+    negative ids count from the end. It runs as one 1-D ``np.add.at`` over
+    flat positions, the case numpy's fast ``ufunc.at`` path covers (numpy
+    1.25 on); a 2-D target takes the slow generic path."""
+    if target.ndim != 2 or not target.flags.c_contiguous:
+        raise ValueError(f"_scatter_rows needs a C-contiguous 2-D target, got shape {target.shape}")
+    n_rows, width = target.shape
+    idx = np.asarray(idx, dtype=np.intp)
+    if np.shape(rows) != idx.shape + (width,):
+        raise ShapeMismatch(f"rows of shape {np.shape(rows)} for ids of shape {idx.shape}")
+    idx = idx.reshape(-1)
+    if idx.size and (idx.min() < -n_rows or idx.max() >= n_rows):
+        raise IndexError(f"a row id is out of range for {n_rows} rows")
+    flat = np.where(idx < 0, idx + n_rows, idx)[:, None] * width + np.arange(width)
+    np.add.at(target.reshape(-1), flat.reshape(-1), np.reshape(rows, -1))
+
+
 def take_rows(x, idx, fill=None) -> Node:
     """Rows ``idx`` of ``x`` (an int picks one row). With ``fill``, index -1
     picks the vector ``fill`` instead. The backward scatters the gradient
-    with one ``np.add.at``, so repeated rows accumulate."""
+    with ``_scatter_rows``, so repeated rows accumulate."""
     x = as_node(x)
     idx = np.asarray(idx, dtype=np.intp)
     if fill is None:
@@ -145,11 +168,11 @@ def take_rows(x, idx, fill=None) -> Node:
     def backward_fn(g):
         if fill is None:
             if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            np.add.at(x.grad, idx, g)
+                x.grad = np.zeros(x.value.shape)
+            _scatter_rows(x.grad, idx, g)
             return
-        acc = np.zeros_like(source)
-        np.add.at(acc, idx, g)
+        acc = np.zeros(source.shape)
+        _scatter_rows(acc, idx, g)
         _acc(x, acc[:-1])
         _acc(fill, acc[-1])
 
@@ -157,11 +180,15 @@ def take_rows(x, idx, fill=None) -> Node:
     return out
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # 1/(1+e^-x) written as (1 + tanh(x/2))/2: one transcendental, no branch,
     # and tanh saturates to +-1 rather than overflowing, so the extremes are
-    # exactly 0 and 1
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+    # exactly 0 and 1. Each operation writes into ``out``, which may be x.
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -312,32 +339,57 @@ def _step_blocks(running, n_seqs: int):
     return blocks
 
 
+def _gates(h_prev, a, u_ru, u_c):
+    """r, u and h_tilde of rows of previous states ``h_prev`` and their
+    input pre-activations ``a`` (rows of the projection), plus r * h_prev.
+    The same operations as sigmoid(a_ru + h_prev U_ru) and
+    tanh(a_c + (r h_prev) U_c) (IEEE addition and multiplication commute),
+    each written into one of the three arrays returned."""
+    d_h = h_prev.shape[1]
+    ru = h_prev @ u_ru
+    ru += a[:, : 2 * d_h]
+    _sigmoid(ru, out=ru)
+    r = ru[:, :d_h]
+    rh = r * h_prev
+    h_tilde = rh @ u_c
+    h_tilde += a[:, 2 * d_h :]
+    np.tanh(h_tilde, out=h_tilde)
+    return r, ru[:, d_h:], h_tilde, rh
+
+
 def _blocked_bptt(g, proj, slot, running, h_prevs, u_ru, u_c):
     """Back through time over the packed rows, block by block.
 
-    ``g`` holds the gradients of the final states in packed order. Returns
-    the pre-activation gradients summed per distinct row (used x 3 d_h, the
-    rows of ``proj``), summed over all rows (the bias gradients), and the
-    state-weight gradients [r; u; h_tilde] (3 d_h x d_h). Only one block's
-    gates and pre-activation gradients are alive at a time.
+    ``g`` holds the gradients of the final states in packed order; it is
+    overwritten. Returns the pre-activation gradients summed per distinct
+    row (used x 3 d_h, the rows of ``proj``), summed over all rows (the bias
+    gradients), and the state-weight gradients [r; u; h_tilde] (3 d_h x
+    d_h). Only one block's gates and pre-activation gradients are alive at a
+    time, and each product is written into an array it made, in the order of
+    the formulas in the comments, so the result is bit for bit theirs.
     """
     d_h = h_prevs.shape[1]
     offsets = np.concatenate([[0], np.cumsum(running)])
-    d_used = np.zeros_like(proj)
+    d_used = np.zeros(proj.shape)
     d_b = np.zeros(3 * d_h)
     d_w_state = np.zeros((3 * d_h, d_h))
     for t0, t1 in _step_blocks(running, len(g)):
         r0, r1 = offsets[t0], offsets[t1]
         h_prev = h_prevs[r0:r1]
         d_a = proj[slot[r0:r1]]  # pre-activations now, their gradients below
-        ru = _sigmoid(d_a[:, : 2 * d_h] + h_prev @ u_ru)
-        r, u = ru[:, :d_h], ru[:, d_h:]
-        rh = r * h_prev
-        h_tilde = np.tanh(d_a[:, 2 * d_h :] + rh @ u_c)
-        # d_a = [d_rh * c_r, dh * c_u, dh * c_c] for the gradient dh of h
-        c_r = h_prev * r * (1.0 - r)
-        c_u = (h_prev - h_tilde) * u * (1.0 - u)
-        c_c = (1.0 - u) * (1.0 - h_tilde * h_tilde)
+        r, u, h_tilde, rh = _gates(h_prev, d_a, u_ru, u_c)
+        # d_a = [d_rh * c_r, dh * c_u, dh * c_c] for the gradient dh of h, with
+        # c_r = h_prev * r * (1 - r), c_u = (h_prev - h_tilde) * u * (1 - u)
+        # and c_c = (1 - u) * (1 - h_tilde**2)
+        c_r = np.subtract(1.0, r)
+        c_r *= rh
+        one_u = np.subtract(1.0, u)
+        c_u = np.subtract(h_prev, h_tilde)
+        c_u *= u
+        c_u *= one_u
+        c_c = np.multiply(h_tilde, h_tilde, out=h_tilde)
+        np.subtract(1.0, c_c, out=c_c)
+        c_c *= one_u
         for t in range(t1 - 1, t0 - 1, -1):
             n = running[t]
             at = slice(offsets[t] - r0, offsets[t] - r0 + n)
@@ -346,8 +398,13 @@ def _blocked_bptt(g, proj, slot, running, h_prevs, u_ru, u_c):
             d_rh = d_c @ u_c.T
             np.multiply(d_rh, c_r[at], out=d_a[at, :d_h])
             np.multiply(dh, c_u[at], out=d_a[at, d_h : 2 * d_h])
-            g[:n] = dh * u[at] + d_rh * r[at] + d_a[at, : 2 * d_h] @ u_ru.T
-        np.add.at(d_used, slot[r0:r1], d_a)
+            # g[:n] = dh * u + d_rh * r + d_a[:, :2 d_h] U_ru^T, added in that order
+            back = d_a[at, : 2 * d_h] @ u_ru.T
+            d_rh *= r[at]
+            dh *= u[at]
+            dh += d_rh
+            dh += back
+        _scatter_rows(d_used, slot[r0:r1], d_a)
         d_b += d_a.sum(axis=0)
         d_w_state[: 2 * d_h] += d_a[:, : 2 * d_h].T @ h_prev
         d_w_state[2 * d_h :] += d_a[:, 2 * d_h :].T @ rh
@@ -376,14 +433,18 @@ def gru_final_states(
 
     With ``grad`` the node keeps only the previous state of every packed
     row, R x d_h for R rows, besides its index arrays. Its backward
-    recomputes the projection and walks back over blocks of consecutive
-    steps (``_blocked_bptt``): for each block it recomputes r, u and h_tilde
-    from the kept states with bulk matmuls, runs back through time inside
-    the block, and folds the block into the bias, state-weight and
-    per-distinct-row gradients. It then forms the input-weight gradient as
-    one matmul and adds the input gradient straight into the table's
-    gradient rows. Without ``grad`` (inference) nothing is kept and the node
-    has no backward.
+    recomputes the projection of the distinct rows and walks back over
+    blocks of consecutive steps (``_blocked_bptt``): for each block it
+    recomputes r, u and h_tilde from the kept states with bulk matmuls,
+    runs back through time inside the block, and folds the block into the
+    bias, state-weight and per-distinct-row gradients (``_scatter_rows``).
+    It then forms the input-weight gradient as one matmul and adds the input
+    gradient straight into the table's gradient rows; a table gradient it
+    allocates is zeroed lazily, so rows never read are never written.
+    Without ``grad`` (inference) nothing is kept and the node has no
+    backward. Gates and states are computed in place (``_gates``), with the
+    operations of the formulas in their order, so both passes are bit for
+    bit the plain formulas.
     """
     table = as_node(table)
     tv = table.value
@@ -411,20 +472,21 @@ def gru_final_states(
 
     w_x, u_ru, u_c = _gate_weights(p)
     proj = _projection(x_used, p, w_x)
+    del x_used
     if grad:
         h_prevs = np.empty((len(rows), d_h))
     h = np.zeros((len(order), d_h))
     start = 0
     for n in running:
-        a = proj[slot[start : start + n]]
         h_prev = h[:n]
-        ru = _sigmoid(a[:, : 2 * d_h] + h_prev @ u_ru)
-        r, u = ru[:, :d_h], ru[:, d_h:]
-        h_tilde = np.tanh(a[:, 2 * d_h :] + (r * h_prev) @ u_c)
+        _, u, h_tilde, _ = _gates(h_prev, proj[slot[start : start + n]], u_ru, u_c)
         if grad:
             h_prevs[start : start + n] = h_prev
         start += n
-        h[:n] = u * h_prev + (1.0 - u) * h_tilde
+        # h = u * h_prev + (1 - u) * h_tilde, in place in h
+        h_tilde *= 1.0 - u
+        h_prev *= u
+        h_prev += h_tilde
     out = np.empty_like(h)
     out[order] = h
     node = Node(out, (table, p.w_r, p.w_u, p.w, p.b_r, p.b_u, p.b))
@@ -433,6 +495,8 @@ def gru_final_states(
 
     def backward_fn(g):
         w_x, u_ru, u_c = _gate_weights(p)
+        # tv[used] is gathered twice: kept through _blocked_bptt, the copy
+        # would add U x d_x floats to the backward's peak memory
         d_used, d_b, d_w_state = _blocked_bptt(
             g[order], _projection(tv[used], p, w_x), slot, running, h_prevs, u_ru, u_c
         )
@@ -444,7 +508,8 @@ def gru_final_states(
         d_x = d_used @ w_x
         del d_used, d_w_x  # freed before a table gradient is allocated
         if table.grad is None:
-            table.grad = np.zeros_like(tv)
+            # zeroed lazily by the allocator: rows never read are never written
+            table.grad = np.zeros(tv.shape)
         table.grad[used] += d_x
 
     node.backward_fn = backward_fn
@@ -591,7 +656,7 @@ def embedding_row(table: Node, idx: int) -> Node:
 
     def backward_fn(g):
         if table.grad is None:
-            table.grad = np.zeros_like(table.value)
+            table.grad = np.zeros(table.value.shape)
         table.grad[idx] += g
 
     out.backward_fn = backward_fn

@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 
+from qcmine import nn_core
 from qcmine.models import _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs
 from qcmine.nn_core import Node, backward, bigru_encode, concat, dense, embedding_row, zero_grad
 from qcmine.post_parser import CodeContextInstance
@@ -139,6 +140,87 @@ STEP_BLOCK_RULES = {
     "one_step_per_block": lambda running, n_seqs: [(t, t + 1) for t in range(len(running))][::-1],
     "one_block_per_call": lambda running, n_seqs: [(0, len(running))] if len(running) else [],
 }
+
+
+def out_of_place_gru(tv, ids, spans, p, reverse, g):
+    """``nn_core.gru_final_states`` and its backward written the plain way:
+    one temporary per operation, the sigmoid as ``0.5 * tanh(0.5 * x) +
+    0.5`` and 2-D ``np.add.at``. Returns the final states and the gradients
+    of w_r, w_u, w, b_r, b_u, b and the table (``GruParams.nodes`` order,
+    then the table) for the final-state gradients ``g``. The kernel runs
+    its arithmetic in place and scatters flat, and must match this bit for
+    bit. Blocks come from ``nn_core._step_blocks``, so a test that replaces
+    the rule replaces it here too."""
+
+    def sigmoid(x):
+        return 0.5 * np.tanh(0.5 * x) + 0.5
+
+    ids = np.asarray(ids, dtype=np.intp)
+    spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
+    lengths = spans[:, 1] - spans[:, 0]
+    d_h = p.d_h
+    order = np.argsort(-lengths, kind="stable")
+    first = spans[order, 1] - 1 if reverse else spans[order, 0]
+    step = -1 if reverse else 1
+    steps = lengths.max()
+    running = len(order) - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]
+    rows = np.concatenate([first[:n] + step * t for t, n in enumerate(running)])
+    used, slot = np.unique(ids[rows], return_inverse=True)
+    w_x, u_ru, u_c = nn_core._gate_weights(p)
+    proj = nn_core._projection(tv[used], p, w_x)
+
+    h_prevs = np.empty((len(rows), d_h))
+    h = np.zeros((len(order), d_h))
+    start = 0
+    for n in running:
+        a = proj[slot[start : start + n]]
+        h_prev = h[:n]
+        ru = sigmoid(a[:, : 2 * d_h] + h_prev @ u_ru)
+        r, u = ru[:, :d_h], ru[:, d_h:]
+        h_tilde = np.tanh(a[:, 2 * d_h :] + (r * h_prev) @ u_c)
+        h_prevs[start : start + n] = h_prev
+        start += n
+        h[:n] = u * h_prev + (1.0 - u) * h_tilde
+    states = np.empty_like(h)
+    states[order] = h
+
+    g = g[order]
+    offsets = np.concatenate([[0], np.cumsum(running)])
+    d_used = np.zeros_like(proj)
+    d_b = np.zeros(3 * d_h)
+    d_w_state = np.zeros((3 * d_h, d_h))
+    for t0, t1 in nn_core._step_blocks(running, len(g)):
+        r0, r1 = offsets[t0], offsets[t1]
+        h_prev = h_prevs[r0:r1]
+        d_a = proj[slot[r0:r1]]
+        ru = sigmoid(d_a[:, : 2 * d_h] + h_prev @ u_ru)
+        r, u = ru[:, :d_h], ru[:, d_h:]
+        rh = r * h_prev
+        h_tilde = np.tanh(d_a[:, 2 * d_h :] + rh @ u_c)
+        c_r = h_prev * r * (1.0 - r)
+        c_u = (h_prev - h_tilde) * u * (1.0 - u)
+        c_c = (1.0 - u) * (1.0 - h_tilde * h_tilde)
+        for t in range(t1 - 1, t0 - 1, -1):
+            n = running[t]
+            at = slice(offsets[t] - r0, offsets[t] - r0 + n)
+            dh = g[:n]
+            d_c = np.multiply(dh, c_c[at], out=d_a[at, 2 * d_h :])
+            d_rh = d_c @ u_c.T
+            np.multiply(d_rh, c_r[at], out=d_a[at, :d_h])
+            np.multiply(dh, c_u[at], out=d_a[at, d_h : 2 * d_h])
+            g[:n] = dh * u[at] + d_rh * r[at] + d_a[at, : 2 * d_h] @ u_ru.T
+        np.add.at(d_used, slot[r0:r1], d_a)
+        d_b += d_a.sum(axis=0)
+        d_w_state[: 2 * d_h] += d_a[:, : 2 * d_h].T @ h_prev
+        d_w_state[2 * d_h :] += d_a[:, 2 * d_h :].T @ rh
+
+    d_w_x = d_used.T @ tv[used]
+    grads = [np.hstack([d_w_x[k * d_h : (k + 1) * d_h], d_w_state[k * d_h : (k + 1) * d_h]])
+             for k in range(3)]
+    grads += [d_b[k * d_h : (k + 1) * d_h] for k in range(3)]
+    d_table = np.zeros_like(tv)
+    d_table[used] += d_used @ w_x
+    return states, grads + [d_table]
 
 
 # --------------------------------------------------------------------------

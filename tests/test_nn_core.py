@@ -2,13 +2,14 @@ import base64
 import gc
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import STEP_BLOCK_RULES, finite_diff_check
+from helpers import STEP_BLOCK_RULES, finite_diff_check, out_of_place_gru
 from qcmine import nn_core
 from qcmine.nn_core import (
     LINEAR,
@@ -346,6 +347,96 @@ class TestStatesOnlyBackward:
         assert 3 * rows * d_h * 8 > 10 * objects
 
 
+class TestInPlaceKernel:
+    """Numeric contract: the kernel's in-place gate arithmetic and flat
+    scatters give, bit for bit, the states and gradients of the same
+    formulas written one temporary per operation
+    (``helpers.out_of_place_gru``)."""
+
+    make = TestStatesOnlyBackward.make
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("rule", ["default"] + sorted(STEP_BLOCK_RULES))
+    def test_states_and_gradients_are_bit_identical(self, reverse, rule, monkeypatch):
+        if rule != "default":
+            monkeypatch.setattr(nn_core, "_step_blocks", STEP_BLOCK_RULES[rule])
+        p, table, ids, spans, weights = self.make(23)
+        assert len(np.unique(ids)) < len(ids)  # ids recur
+        ref_states, ref_grads = out_of_place_gru(table.value, ids, spans, p, reverse, weights)
+        bare = gru_final_states(table, ids, spans, p, reverse=reverse, grad=False)
+        assert bare.value.tobytes() == ref_states.tobytes()
+        nodes = [n for _, n in p.nodes()] + [table]
+        zero_grad(nodes)
+        node = gru_final_states(table, ids, spans, p, reverse=reverse)
+        assert node.value.tobytes() == ref_states.tobytes()
+        node.backward_fn(weights.copy())
+        for name, n, ref in zip([k for k, _ in p.nodes()] + ["table"], nodes, ref_grads):
+            assert n.grad.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads resident memory")
+    def test_table_gradient_rows_never_read_are_never_written(self):
+        def resident_bytes():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        rng = np.random.default_rng(24)
+        p = init_gru(8, 4, rng)
+        rows = 6 * 2**20 // 8  # a 48 MB gradient; the table is one broadcast row
+        table = Node(np.broadcast_to(rng.uniform(-1, 1, 8), (rows, 8)))
+        node = gru_final_states(table, np.arange(20), [(0, 12), (12, 20)], p)
+        before = resident_bytes()
+        node.backward_fn(rng.uniform(-1, 1, (2, 4)))
+        grown = resident_bytes() - before
+        assert table.grad.shape == (rows, 8) and table.grad.flags.c_contiguous
+        assert np.abs(table.grad[:20]).sum() > 0.0
+        assert grown < table.grad.nbytes // 4
+
+
+class TestScatterRows:
+    """``nn_core._scatter_rows`` against 2-D ``np.add.at``, bit for bit."""
+
+    def check(self, idx, rows, target):
+        ref = target.copy()
+        np.add.at(ref, idx, rows)
+        nn_core._scatter_rows(target, idx, rows)
+        assert target.tobytes() == ref.tobytes()
+
+    def test_repeated_and_negative_ids(self):
+        rng = np.random.default_rng(25)
+        idx = np.array([2, 0, 2, -1, 5, -6, 2, -1, 3, 2])
+        # values far apart in magnitude, so the order of additions shows
+        rows = rng.normal(0, 1, (len(idx), 4)) * 10.0 ** rng.integers(-12, 12, (len(idx), 4))
+        self.check(idx, rows, rng.normal(0, 1, (6, 4)))
+
+    @pytest.mark.parametrize("idx", [3, -1, np.intp(0)])
+    def test_int_id(self, idx):
+        rng = np.random.default_rng(26)
+        self.check(idx, rng.normal(0, 1, 5), rng.normal(0, 1, (4, 5)))
+
+    def test_no_ids(self):
+        self.check(np.zeros(0, dtype=np.intp), np.zeros((0, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [6, -7])
+    def test_out_of_range_id_raises_like_add_at(self, bad):
+        target = np.zeros((6, 2))
+        with pytest.raises(IndexError):
+            np.add.at(target, [0, bad], np.ones((2, 2)))
+        with pytest.raises(IndexError):
+            nn_core._scatter_rows(target, [0, bad], np.ones((2, 2)))
+        assert not target.any()
+
+    @pytest.mark.parametrize("target", [np.zeros((3, 4)).T, np.zeros((6, 4))[::2], np.zeros(4)])
+    def test_target_must_be_c_contiguous_rows(self, target):
+        with pytest.raises(ValueError):
+            nn_core._scatter_rows(target, [0], np.ones((1, target.shape[-1])))
+
+    def test_rows_must_match_ids(self):
+        with pytest.raises(ShapeMismatch):
+            nn_core._scatter_rows(np.zeros((3, 4)), [0, 1], np.ones((2, 3)))
+        with pytest.raises(ShapeMismatch):
+            nn_core._scatter_rows(np.zeros((3, 4)), [0, 1], np.ones(4))
+
+
 class TestSigmoid:
     """The tanh form 0.5 * tanh(x/2) + 0.5 against 1/(1+e^-x)."""
 
@@ -608,6 +699,23 @@ class TestRowOpGradients:
         picked = take_rows(table, idx, fill=fill).value
         np.testing.assert_array_equal(picked[3], fill.value)
         np.testing.assert_array_equal(picked[0], table.value[2])
+
+    @pytest.mark.parametrize("with_fill", [False, True])
+    def test_take_rows_gradient_is_add_at(self, with_fill):
+        rng = np.random.default_rng(5)
+        table, fill = Node(rng.uniform(-1, 1, (5, 3))), Node(rng.uniform(-1, 1, 3))
+        idx = [2, 0, 2, -1, 4, -1, 2] if with_fill else [2, 0, 2, 4, 2]
+        g = rng.normal(0, 1, (len(idx), 3)) * 10.0 ** rng.integers(-9, 9, (len(idx), 3))
+        ref = np.zeros((6, 3))
+        np.add.at(ref, idx, g)
+        take_rows(table, idx, fill=fill if with_fill else None).backward_fn(g)
+        assert table.grad.tobytes() == ref[:5].tobytes()
+        if with_fill:
+            assert fill.grad.tobytes() == ref[5].tobytes()
+        row = take_rows(table, -2)  # an int id picks one row; a repeat accumulates
+        row.backward_fn(g[0])
+        ref[3] += g[0]
+        assert table.grad.tobytes() == ref[:5].tobytes()
 
     def test_embedding_gather_matches_embedding_rows(self):
         # one gather with repeated ids scatters what a row per token does
