@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -166,17 +167,56 @@ def _type_error(record: dict) -> str | None:
     return None
 
 
-def read_dump(path):
+# The id member spelled plainly: the key, JSON whitespace, a colon, an
+# integer literal, and the end of the member.
+_PLAIN_ID = re.compile(r'"question_id"[ \t\n\r]*:[ \t\n\r]*(-?[0-9]+)[ \t\n\r]*[,}]')
+# A \u escape of an ASCII character: besides the letters themselves, the one
+# way JSON can spell the letters of that key.
+_ASCII_ESCAPE = re.compile(r"\\u00[0-7][0-9A-Fa-f]")
+
+
+def _other_id(line: str, ids) -> bool:
+    """Whether a raw dump line proves that its record's question_id is not
+    in ``ids``, so that reading it in full would yield no record in ``ids``.
+
+    It does when the line spells ``"question_id"`` once, unescaped, as a
+    key whose value is an integer literal int() gives outside ``ids``, and
+    holds no ``\\u00XX`` escape that could spell the key another way. The
+    one raw spelling is then the top-level key, whose value json.loads
+    reads as the same int, or the record has no top-level id at all.
+    """
+    match = _PLAIN_ID.search(line)
+    if match is None:
+        return False
+    try:
+        if int(match[1]) in ids:
+            return False
+    except ValueError:  # more digits than int() converts
+        return False
+    if line.count('"question_id"') != 1:
+        return False
+    return "\\u00" not in line or _ASCII_ESCAPE.search(line) is None
+
+
+def read_dump(path, ids=None):
     """Yield (record, error) pairs; malformed lines, including records whose
     fields have the wrong JSON type or are not valid UTF-8, yield
-    (None, DumpParseError) so callers can count skips without aborting."""
+    (None, DumpParseError) so callers can count skips without aborting.
+
+    Given a set of question ``ids``, yield only the records whose id is in
+    it. A line whose raw text proves its id is not (``_other_id``) is then
+    passed over unparsed, so it yields nothing, not even its error; every
+    other line is read as without ``ids``.
+    """
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, 1):
             if not line.strip():
                 continue
+            if ids is not None and _other_id(line, ids):
+                continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or an integer int() refuses
                 yield None, DumpParseError(f"line {line_no}: {exc}")
                 continue
             if not isinstance(record, dict):
@@ -195,19 +235,21 @@ def read_dump(path):
             if problem:
                 yield None, DumpParseError(f"line {line_no}: {problem}")
                 continue
-            yield record, None
+            if ids is None or record["question_id"] in ids:
+                yield record, None
 
 
-def read_answers(path, report, skip=None, prose=True):
+def read_answers(path, report, skip=None, prose=True, ids=None):
     """Yield (record, parsed accepted answer) for each usable dump record.
 
     The one path from a dump line to a parsed answer, parsed without its
     prose unless ``prose`` (see ``parse_answer_post``). Adds to ``report``:
-    ``records`` per line, ``parse_errors`` per malformed record or empty
-    answer, and the key ``skip(record)`` returns for a record it drops
-    before its answer is parsed (None keeps the record).
+    ``records`` per line ``read_dump(path, ids)`` yields, ``parse_errors``
+    per malformed record or empty answer, and the key ``skip(record)``
+    returns for a record it drops before its answer is parsed (None keeps
+    the record).
     """
-    for record, err in read_dump(path):
+    for record, err in read_dump(path, ids=ids):
         report["records"] += 1
         if err:
             report["parse_errors"] += 1
@@ -222,13 +264,6 @@ def read_answers(path, report, skip=None, prose=True):
             report["parse_errors"] += 1
             continue
         yield record, seq
-
-
-def _unlabeled(*label_maps):
-    """A ``read_answers`` skip test that drops questions no label map names."""
-    return lambda record: (
-        None if any(record["question_id"] in m for m in label_maps) else "not_labeled"
-    )
 
 
 def domain_matches(tags, language: Language) -> bool:
@@ -305,13 +340,14 @@ def load_labeled_instances(dump_path, label_maps, tokenizer: Tokenizer, every_an
     instance list per map. Positions without a label are dropped; label
     positions that do not exist raise PositionMismatch. ``every_answer``,
     when given, is called with an iterator over the parsed answers of every
-    dump record, labeled or not, read in the same pass.
+    dump record, labeled or not, read in the same pass. Without it the pass
+    reads only the labeled records (``read_dump``'s ``ids``).
     """
     out = [[] for _ in label_maps]
-    skip = None if every_answer else _unlabeled(*label_maps)
+    ids = None if every_answer else set().union(*label_maps)
 
     def answers():
-        for record, seq in read_answers(dump_path, Counter(), skip):
+        for record, seq in read_answers(dump_path, Counter(), ids=ids):
             qid = record["question_id"]
             if any(qid in labels for labels in label_maps):
                 tokenize_sequence(seq, tokenizer)
@@ -482,7 +518,7 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
     """
     labels = read_annotation_csv(annotated_csv)
     posts: dict[int, tuple[str, list[str]]] = {}
-    for record, seq in read_answers(dump_path, Counter(), _unlabeled(labels), prose=False):
+    for record, seq in read_answers(dump_path, Counter(), prose=False, ids=set(labels)):
         posts[record["question_id"]] = (
             record["title"],
             [b.raw for b in seq.code_blocks()],

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -656,9 +656,9 @@ class TestReadsDumpOnce:
         reads = []
         read_dump = cli.read_dump
 
-        def counting(path):
+        def counting(path, *args, **kwargs):
             reads.append(path)
-            return read_dump(path)
+            return read_dump(path, *args, **kwargs)
 
         monkeypatch.setattr(cli, "read_dump", counting)
         config = tmp_path / "config.json"
@@ -729,9 +729,21 @@ def dump_lines(draw):
     return json.dumps(record)
 
 
+# An integer literal longer than int() converts, a limit Python has had
+# since 3.10.7, as the id and in an extra field. json.dumps cannot write
+# one, so the lines are raw text.
+HUGE_INT_LINES = [
+    f'{{"question_id": {"9" * 5000}, "title": "How to frob", "tags": ["python"], '
+    f'"accepted_answer_html": {json.dumps(SINGLE_HTML)}}}',
+    f'{{"question_id": 7, "title": "How to frob", "tags": ["python"], '
+    f'"accepted_answer_html": {json.dumps(SINGLE_HTML)}, "score": {"9" * 5000}}}',
+]
+
+
 class TestFuzzedDump:
     @settings(max_examples=50, deadline=None)
     @given(lines=st.lists(dump_lines(), min_size=1, max_size=12))
+    @example(lines=HUGE_INT_LINES)
     def test_commands_finish_and_count_every_line(self, ws, lines):
         dump = ws["root"] / "fuzz_dump.jsonl"
         dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -750,6 +762,122 @@ class TestFuzzedDump:
         assert classified["classified"] + classified["skipped"] == len(lines)
         mined = run("mine", *voters, "--filter-model", str(ws["filter"]), "--config", str(ws["config"]))
         assert mined["records"] == len(lines)
+
+
+# Raw JSON spellings for the soundness property of cli._other_id: keys that
+# are, or only look like, question_id, the values they may hold, and other
+# members that spell "question_id" inside a key, a value or a nested object.
+ID_KEYS = ['"question_id"'] * 6 + [
+    r'"\u0071uestion_id"', r'"question\u005fid"', r'"question\u005Fid"',
+    r'"x\"question_id"', r'"\\u0071uestion_id"',
+]
+ID_VALUES = ["7", "8", "-7", "0", "-0"] * 3 + [
+    "007", "1" * 5000, '"7"', '" 8 "', "7.0", "7e0", "-0.0",
+    "true", "false", "null", '{"question_id": 8}', "[7]",
+]
+OTHER_MEMBERS = [
+    '"title": "How to frob"', '"title": "question_id"', r'"title": "\"question_id\": 8, "',
+    r'"title": "\\u0071"', '"tags": ["python"]', '"tags": ["question_id"]',
+    f'"accepted_answer_html": {json.dumps(SOLUTION_HTML)}', '"meta": {"question_id": 7}',
+    '"question_body_html": "<p>\\"question_id\\": 8}</p>"', '"nested": [{"question_id": 0}]',
+]
+INLINE_SPACE = ["", "", " ", "\t", " \t "]
+LINE_BREAKS = ["\n", "\r", "\r\n"]  # JSON whitespace that ends a dump line
+
+
+@st.composite
+def id_lines(draw):
+    """A dump line spelling its members in raw JSON: mostly a record with
+    the required fields and zero to two id members, in any order, with JSON
+    whitespace around each token, in one line out of five line breaks too."""
+    members = [
+        f"{draw(st.sampled_from(ID_KEYS))}{{ws}}:{{ws}}{draw(st.sampled_from(ID_VALUES))}"
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2, 2])))
+    ]
+    members += [m for m in OTHER_MEMBERS[:1] + OTHER_MEMBERS[4:5] + OTHER_MEMBERS[6:7]
+                if draw(st.integers(0, 9))]
+    members += draw(st.lists(st.sampled_from(OTHER_MEMBERS), max_size=2))
+    members = draw(st.permutations(members))
+    text = "{ws}{{ws}" + "{ws},{ws}".join(members) + "{ws}}{ws}"
+    space = st.sampled_from(INLINE_SPACE + (LINE_BREAKS if draw(st.integers(0, 4)) == 0 else []))
+    parts = text.split("{ws}")
+    return "".join(p + draw(space) for p in parts[:-1]) + parts[-1] + "\n"
+
+
+@pytest.fixture(scope="module")
+def unplain_dump(ws):
+    """The workspace dump with every id a string or next to a \\u0041
+    escape, so that the raw-line test rules out none of its lines, and the
+    lines of integer literals int() refuses."""
+    path = ws["root"] / "unplain_dump.jsonl"
+    lines = ws["dump"].read_text().splitlines(keepends=True)
+    path.write_text("".join(
+        re.sub(r'"question_id": (\d+)', r'"question_id": "\1"', line) if i % 2
+        else line.replace('"title": "', '"title": "\\u0041')
+        for i, line in enumerate(lines)
+    ) + "\n".join(HUGE_INT_LINES) + "\n")
+    return path
+
+
+class TestLabeledReads:
+    """Given ids, read_dump yields exactly the records of a full read whose
+    id is in them, and passes over a line unparsed only when its raw text
+    proves its id is not."""
+
+    def read_records(self, path, ids=None):
+        return [record for record, err in cli.read_dump(path, ids=ids) if err is None]
+
+    @pytest.mark.parametrize("dump", ["ws", "sql_ws", "bad_dump", "unplain_dump"])
+    def test_equals_full_read_filtered_to_ids(self, request, ws, dump):
+        path = request.getfixturevalue(dump)
+        path = path["dump"] if isinstance(path, dict) else path
+        labeled = set(cli.read_annotation_csv(ws["train"])) | set(cli.read_annotation_csv(ws["valid"]))
+        full = list(cli.read_dump(path))
+        errors = [str(err) for _, err in full if err]
+        for ids in (labeled, set(), {100}, {113, 300, 401, 999, 500, 505}, set(range(1000))):
+            expected = [r for r, err in full if err is None and r["question_id"] in ids]
+            read = list(cli.read_dump(path, ids=ids))
+            assert [r for r, err in read if err is None] == expected
+            # every error it still yields is the full read's, in order
+            seen = iter(errors)
+            assert all(str(err) in seen for _, err in read if err)
+
+    def test_labeled_instances_equal_full_read(self, ws):
+        maps = [cli.read_annotation_csv(ws["train"]), cli.read_annotation_csv(ws["valid"])]
+        # every_answer makes the pass read every record in full
+        full = cli.load_labeled_instances(ws["dump"], maps, Tokenizer(), every_answer=lambda _: None)
+        assert cli.load_labeled_instances(ws["dump"], maps, Tokenizer()) == full
+        assert [len(instances) for instances in full] == [20, 8]
+
+    @pytest.mark.parametrize("line,ruled_out", [
+        ('{"question_id": 8, "title": "t"}', True),
+        ('{"title": "t", "question_id" :\t-0 }', True),
+        ('{"question_id": 7, "title": "t"}', False),  # in ids
+        ('{"question_id": "8", "title": "t"}', False),  # a string id
+        ('{"question_id": 8.0, "title": "t"}', False),
+        ('{"question_id": 8, "question_id": 7}', False),  # a duplicate key
+        ('{"question_id": 8, "t": "\\u0041"}', False),  # an escape that could spell a key
+        ('{"question_id": 8, "t": "\\\\u0071"}', False),  # an escaped backslash, then u0071
+        ('{"question_id": 8, "t": "\\u00e9"}', True),  # not an ASCII escape
+        ('{"question_id": ' + "1" * 5000 + "}", False),  # int() refuses the digits
+    ])
+    def test_rule_examples(self, line, ruled_out):
+        assert cli._other_id(line + "\n", {7}) is ruled_out
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=id_lines(), ids=st.sets(st.sampled_from([0, 7, 8, -7]), max_size=3))
+    def test_ruled_out_line_yields_no_record_in_ids(self, tmp_path_factory, text, ids):
+        root = tmp_path_factory.getbasetemp()
+        path, one = root / "id_lines.jsonl", root / "id_line.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            lines = list(f)  # as read_dump splits the text, "\r" included
+        for line in lines:
+            one.write_bytes(line.encode("utf-8"))
+            held = {r["question_id"] for r in self.read_records(one)}
+            # the drawn ids, and the ids of the records the line holds
+            assert not (held & ids and cli._other_id(line, ids)), line
+            assert not (held and cli._other_id(line, held)), line
 
 
 class TestBenchHooks:
