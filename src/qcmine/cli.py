@@ -170,9 +170,10 @@ def _type_error(record: dict) -> str | None:
 # The id member spelled plainly: the key, JSON whitespace, a colon, an
 # integer literal, and the end of the member.
 _PLAIN_ID = re.compile(r'"question_id"[ \t\n\r]*:[ \t\n\r]*(-?[0-9]+)[ \t\n\r]*[,}]')
-# A \u escape of an ASCII character: besides the letters themselves, the one
-# way JSON can spell the letters of that key.
-_ASCII_ESCAPE = re.compile(r"\\u00[0-7][0-9A-Fa-f]")
+# A \u escape of one of the key's characters (_ d e i n o q s t u): besides
+# the characters themselves, the one way JSON can spell them. Escapes of
+# other characters, such as an HTML-safe writer's \u003c, spell no key.
+_KEY_ESCAPE = re.compile(r"\\u00(?:5[Ff]|6[459EFef]|7[1345])")
 
 
 def _other_id(line: str, ids) -> bool:
@@ -181,7 +182,7 @@ def _other_id(line: str, ids) -> bool:
 
     It does when the line spells ``"question_id"`` once, unescaped, as a
     key whose value is an integer literal int() gives outside ``ids``, and
-    holds no ``\\u00XX`` escape that could spell the key another way. The
+    holds no ``\\u00XX`` escape of a character of the key. The
     one raw spelling is then the top-level key, whose value json.loads
     reads as the same int, or the record has no top-level id at all.
     """
@@ -195,7 +196,7 @@ def _other_id(line: str, ids) -> bool:
         return False
     if line.count('"question_id"') != 1:
         return False
-    return "\\u00" not in line or _ASCII_ESCAPE.search(line) is None
+    return "\\u00" not in line or _KEY_ESCAPE.search(line) is None
 
 
 def read_dump(path, ids=None):

@@ -1,10 +1,4 @@
 import sys
 from pathlib import Path
 
-from hypothesis import settings
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-# CI runs with --hypothesis-profile=ci, so a failing property prints the
-# blob that reproduces it (@reproduce_failure).
-settings.register_profile("ci", print_blob=True)

@@ -769,7 +769,8 @@ class TestFuzzedDump:
 # members that spell "question_id" inside a key, a value or a nested object.
 ID_KEYS = ['"question_id"'] * 6 + [
     r'"\u0071uestion_id"', r'"question\u005fid"', r'"question\u005Fid"',
-    r'"x\"question_id"', r'"\\u0071uestion_id"',
+    r'"questio\u006E_i\u0064"', r'"x\"question_id"', r'"\\u0071uestion_id"',
+    r'"\u0022question_id"', r'"question_id\u0020"',
 ]
 ID_VALUES = ["7", "8", "-7", "0", "-0"] * 3 + [
     "007", "1" * 5000, '"7"', '" 8 "', "7.0", "7e0", "-0.0",
@@ -780,6 +781,8 @@ OTHER_MEMBERS = [
     r'"title": "\\u0071"', '"tags": ["python"]', '"tags": ["question_id"]',
     f'"accepted_answer_html": {json.dumps(SOLUTION_HTML)}', '"meta": {"question_id": 7}',
     '"question_body_html": "<p>\\"question_id\\": 8}</p>"', '"nested": [{"question_id": 0}]',
+    r'"title": "\u003cb\u003e \u0026 \u0041\u0022"', r'"title": "\u0022question_id\u0022: 8"',
+    r'"title": "\u0071uestion\u005Fid"',
 ]
 INLINE_SPACE = ["", "", " ", "\t", " \t "]
 LINE_BREAKS = ["\n", "\r", "\r\n"]  # JSON whitespace that ends a dump line
@@ -805,15 +808,27 @@ def id_lines(draw):
 
 
 @pytest.fixture(scope="module")
+def html_safe_dump(ws):
+    """The workspace dump as an HTML-safe JSON writer spells it: every <, >
+    and & in its strings written as a \\u00XX escape."""
+    path = ws["root"] / "html_safe_dump.jsonl"
+    text = ws["dump"].read_text()
+    for char in "<>&":
+        text = text.replace(char, f"\\u{ord(char):04x}")
+    path.write_text(text)
+    return path
+
+
+@pytest.fixture(scope="module")
 def unplain_dump(ws):
-    """The workspace dump with every id a string or next to a \\u0041
-    escape, so that the raw-line test rules out none of its lines, and the
-    lines of integer literals int() refuses."""
+    """The workspace dump with every id a string or next to a \\u0071
+    escape (a q), so that the raw-line test rules out none of its lines, and
+    the lines of integer literals int() refuses."""
     path = ws["root"] / "unplain_dump.jsonl"
     lines = ws["dump"].read_text().splitlines(keepends=True)
     path.write_text("".join(
         re.sub(r'"question_id": (\d+)', r'"question_id": "\1"', line) if i % 2
-        else line.replace('"title": "', '"title": "\\u0041')
+        else line.replace('"title": "', '"title": "\\u0071')
         for i, line in enumerate(lines)
     ) + "\n".join(HUGE_INT_LINES) + "\n")
     return path
@@ -827,7 +842,7 @@ class TestLabeledReads:
     def read_records(self, path, ids=None):
         return [record for record, err in cli.read_dump(path, ids=ids) if err is None]
 
-    @pytest.mark.parametrize("dump", ["ws", "sql_ws", "bad_dump", "unplain_dump"])
+    @pytest.mark.parametrize("dump", ["ws", "sql_ws", "bad_dump", "html_safe_dump", "unplain_dump"])
     def test_equals_full_read_filtered_to_ids(self, request, ws, dump):
         path = request.getfixturevalue(dump)
         path = path["dump"] if isinstance(path, dict) else path
@@ -841,6 +856,20 @@ class TestLabeledReads:
             # every error it still yields is the full read's, in order
             seen = iter(errors)
             assert all(str(err) in seen for _, err in read if err)
+
+    def test_html_safe_escapes_leave_lines_ruled_out(self, ws, html_safe_dump):
+        labeled = set(cli.read_annotation_csv(ws["train"])) | set(cli.read_annotation_csv(ws["valid"]))
+        lines = html_safe_dump.read_text().splitlines(keepends=True)
+
+        def unlabeled(line):
+            try:
+                return json.loads(line)["question_id"] not in labeled
+            except (ValueError, KeyError, TypeError):
+                return False
+
+        assert sum("\\u003c" in line for line in lines) > len(lines) // 2
+        assert sum(map(unlabeled, lines)) > len(lines) // 4
+        assert [line for line in lines if unlabeled(line) and not cli._other_id(line, labeled)] == []
 
     def test_labeled_instances_equal_full_read(self, ws):
         maps = [cli.read_annotation_csv(ws["train"]), cli.read_annotation_csv(ws["valid"])]
@@ -856,13 +885,23 @@ class TestLabeledReads:
         ('{"question_id": "8", "title": "t"}', False),  # a string id
         ('{"question_id": 8.0, "title": "t"}', False),
         ('{"question_id": 8, "question_id": 7}', False),  # a duplicate key
-        ('{"question_id": 8, "t": "\\u0041"}', False),  # an escape that could spell a key
+        ('{"question_id": 8, "t": "\\u0071"}', False),  # an escape that could spell the key
+        ('{"question_id": 8, "t": "\\u005F"}', False),
+        ('{"question_id": 8, "t": "\\u0041 \\u003c"}', True),  # escapes of other characters
         ('{"question_id": 8, "t": "\\\\u0071"}', False),  # an escaped backslash, then u0071
         ('{"question_id": 8, "t": "\\u00e9"}', True),  # not an ASCII escape
         ('{"question_id": ' + "1" * 5000 + "}", False),  # int() refuses the digits
     ])
     def test_rule_examples(self, line, ruled_out):
         assert cli._other_id(line + "\n", {7}) is ruled_out
+
+    @pytest.mark.parametrize("char", sorted(set("question_id")))
+    def test_escaped_key_character_is_never_ruled_out(self, char):
+        for spelled in (f"\\u{ord(char):04x}", f"\\u{ord(char):04X}"):
+            key = '"question_id"'.replace(char, spelled, 1)
+            line = '{"question_id": 8, ' + key + ": 7}\n"  # the last id wins
+            assert json.loads(line)["question_id"] == 7
+            assert not cli._other_id(line, {7}), line
 
     @settings(max_examples=400, deadline=None)
     @given(text=id_lines(), ids=st.sets(st.sampled_from([0, 7, 8, -7]), max_size=3))
