@@ -211,7 +211,7 @@ def read_dump(path, ids=None):
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, 1):
-            if not line.strip():
+            if line.isspace():
                 continue
             if ids is not None and _other_id(line, ids):
                 continue

@@ -143,9 +143,14 @@ def combine_votes(votes) -> Decision:
 
 
 # Instances per batched forward. Each GRU step multiplies the states of the
-# whole batch at once, so larger batches spread numpy's per-call cost over
-# more instances; the bound keeps the working set small.
-INFERENCE_CHUNK = 128
+# whole batch at once and costs 20-30 us besides its per-row arithmetic, and a
+# batch runs as many steps as its longest sequence, so taller batches take
+# fewer steps per instance: the 252 blocks of the benchmark's mine_multi dump
+# take 1,052 steps in one chunk of 512, 2,102 in two of 128. The bound keeps
+# the working set small: a full chunk of 512 peaks at ~21 MiB of numpy
+# arrays (~8 MiB at 128), well under the memory that loading three
+# paper-size checkpoints takes.
+INFERENCE_CHUNK = 512
 
 
 def chunked(items):

@@ -576,7 +576,7 @@ def tape_ensemble_batch(biv, text, code, instances):
 
 
 def chunk_dump(path, seed=0):
-    """Multi-code how-to answers with more blocks than one inference chunk,
+    """Multi-code how-to answers with more blocks than two chunks of 64,
     interleaved with single-code, non-how-to, off-domain and malformed
     records."""
     rng = random.Random(seed)
@@ -607,28 +607,55 @@ class TestChunkedMining:
         chunk_dump(dump)
         args = (dump, ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"], ws["filter"])
         config = cli.load_config(ws["config"])
-        report = cli.mine(*args, tmp_path / "batched.jsonl", config)
-        decided = report["ensemble_pairs"] + report["ensemble_rejections"] + report["abstentions"]
-        assert decided > 2 * train_eval.INFERENCE_CHUNK
-        assert report["ensemble_pairs"] and report["abstentions"] and report["single_code_pairs"]
+        flushes = []  # instances per batched ensemble call
+        batch = train_eval.ensemble_batch
+
+        def counting(biv, text, code, instances):
+            if instances:
+                flushes.append(len(instances))
+            return batch(biv, text, code, instances)
+
+        # several flushes at a small chunk, then the default chunk, one flush
+        reports = {}
+        for name, chunk in (("small", 64), ("default", train_eval.INFERENCE_CHUNK)):
+            flushes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(train_eval, "INFERENCE_CHUNK", chunk)
+                m.setattr(train_eval, "ensemble_batch", counting)
+                report = cli.mine(*args, tmp_path / f"{name}.jsonl", config)
+                decided = (
+                    report["ensemble_pairs"] + report["ensemble_rejections"] + report["abstentions"]
+                )
+                if name == "small":
+                    assert decided > 2 * train_eval.INFERENCE_CHUNK
+                    assert len(flushes) >= 4
+                else:
+                    assert flushes == [decided]
+            reports[name] = report
 
         # reference: every answer decided on its own, on the tape, in dump order
         monkeypatch.setattr(train_eval, "INFERENCE_CHUNK", 1)
         monkeypatch.setattr(train_eval, "ensemble_batch", tape_ensemble_batch)
-        assert cli.mine(*args, tmp_path / "tape.jsonl", config) == report
+        reference = cli.mine(*args, tmp_path / "tape.jsonl", config)
+        assert reference["ensemble_pairs"] and reference["abstentions"]
+        assert reference["single_code_pairs"]
 
-        for suffix, key in (("", "score"), (".abstentions.jsonl", "scores")):
-            got = (tmp_path / f"batched.jsonl{suffix}").read_text().splitlines()
-            want = (tmp_path / f"tape.jsonl{suffix}").read_text().splitlines()
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                g, w = json.loads(g), json.loads(w)
-                g_scores, w_scores = g.pop(key), w.pop(key)
-                if key == "score":
-                    g_scores, w_scores = [g_scores], [w_scores]
-                assert g == w
-                assert [a is None for a in g_scores] == [b is None for b in w_scores]
-                assert all(a is None or abs(a - b) <= 1e-12 for a, b in zip(g_scores, w_scores))
+        for name, report in reports.items():
+            assert report == reference
+            for suffix, key in (("", "score"), (".abstentions.jsonl", "scores")):
+                got = (tmp_path / f"{name}.jsonl{suffix}").read_text().splitlines()
+                want = (tmp_path / f"tape.jsonl{suffix}").read_text().splitlines()
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    g, w = json.loads(g), json.loads(w)
+                    g_scores, w_scores = g.pop(key), w.pop(key)
+                    if key == "score":
+                        g_scores, w_scores = [g_scores], [w_scores]
+                    assert g == w
+                    assert [a is None for a in g_scores] == [b is None for b in w_scores]
+                    assert all(
+                        a is None or abs(a - b) <= 1e-12 for a, b in zip(g_scores, w_scores)
+                    )
 
 
 class TestTrainReport:
@@ -927,6 +954,15 @@ class TestBenchHooks:
         finally:
             sys.path.remove(str(bench))
         return module
+
+    def test_every_patched_name_exists(self):
+        # built, not installed: a renamed or moved name fails here
+        run = self.load_bench()
+        clock = run.clock_patches(run.hostclock.HostClock("numpy"))
+        full = run.full_patches(run.tracing.Recorder())
+        assert (len(full), len(clock)) == (26, 11)
+        for owner, attr, _make in full + clock:
+            assert attr in vars(owner), f"{owner.__name__}.{attr}"
 
     def test_mine_under_clock_and_trace_patches(self, ws, tmp_path):
         run = self.load_bench()
