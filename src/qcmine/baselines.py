@@ -269,7 +269,6 @@ def default_codeclass_cues() -> list[str]:
 def harvest_codeclass_corpus(
     sequences,
     per_class_cap: int = 850,
-    cues: list[str] | None = None,
     seed: int = 0,
 ):
     """Collect (raw code, label) pairs for the working-code classifier.
@@ -279,8 +278,7 @@ def harvest_codeclass_corpus(
     input-output demo (label 0); the snippet of a single-code answer is
     working code (label 1). Each class is capped by a seeded sample.
     """
-    if cues is None:
-        cues = default_codeclass_cues()
+    cues = default_codeclass_cues()
     demos: list[str] = []
     working: list[str] = []
     for seq in sequences:

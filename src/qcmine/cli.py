@@ -64,14 +64,22 @@ class MinedPair:
 
     @classmethod
     def from_json(cls, line: str) -> "MinedPair":
+        """The pair of one pairs-file line. The ids must be non-bool ints,
+        title and code strings, and score a number or null; a field of
+        another JSON type raises a ValueError naming it."""
         obj = json.loads(line)
+        for key, default in (("question_id", 0), ("title", ""), ("code", ""), ("position", 0)):
+            check_json_type("pair", key, obj[key], default)
+        score = obj.get("score")
+        if score is not None:
+            check_json_type("pair", "score", score, 0.0)
         return cls(
-            question_id=int(obj["question_id"]),
+            question_id=obj["question_id"],
             title=obj["title"],
             code=obj["code"],
-            position=int(obj["position"]),
+            position=obj["position"],
             provenance=Provenance(obj["provenance"]),
-            score=obj.get("score"),
+            score=score,
         )
 
 
@@ -277,23 +285,32 @@ def domain_matches(tags, language: Language) -> bool:
 
 
 def _csv_rows(path):
-    """Yield ("file:line", row) for each row whose first field is an
-    integer; a header and blank rows are skipped."""
+    """Yield ("file:line", question id, row) for each row that is not blank.
+    The first such row is a header, and skipped, if its first field is not
+    an integer; a later one raises a ValueError naming the file, the line
+    and the id."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        for row in reader:
-            if row and row[0].strip().lstrip("-").isdigit():
-                yield f"{path}:{reader.line_num}", row
+        rows = (row for row in reader if any(field.strip() for field in row))
+        for n, row in enumerate(rows):
+            where = f"{path}:{reader.line_num}"
+            try:
+                qid = int(row[0])
+            except ValueError:
+                if n == 0:
+                    continue
+                raise ValueError(f"{where}: question id {row[0]!r} is not an integer") from None
+            yield where, qid, row
 
 
 def read_annotation_csv(path) -> dict[int, dict[int, int]]:
     """CSV (question_id, code_position, label) -> {qid: {position: label}}."""
     labels: dict[int, dict[int, int]] = {}
-    for where, row in _csv_rows(path):
+    for where, qid, row in _csv_rows(path):
         if len(row) < 3:
             raise ValueError(f"{where}: expected question_id,code_position,label, got {row}")
         try:
-            qid, pos, label = int(row[0]), int(row[1]), int(row[2])
+            pos, label = int(row[1]), int(row[2])
         except ValueError:
             raise ValueError(f"{where}: non-integer field in {row}") from None
         if label not in (0, 1):
@@ -305,11 +322,11 @@ def read_annotation_csv(path) -> dict[int, dict[int, int]]:
 def read_question_labels_csv(path) -> dict[int, question_filter.QuestionLabel]:
     """CSV (question_id, label) with labels howto/other -> {qid: label}."""
     out = {}
-    for where, row in _csv_rows(path):
+    for where, qid, row in _csv_rows(path):
         if len(row) < 2:
             raise ValueError(f"{where}: expected question_id,label, got {row}")
         try:
-            out[int(row[0])] = question_filter.QuestionLabel(row[1].strip().lower())
+            out[qid] = question_filter.QuestionLabel(row[1].strip().lower())
         except ValueError:
             raise ValueError(f"{where}: label must be howto or other, got {row[1]!r}") from None
     return out

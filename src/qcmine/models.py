@@ -28,7 +28,6 @@ from .nn_core import (
     concat,
     dense_rows,
     gru_final_states,
-    softmax,
     softmax_rows,
     take_rows,
 )
@@ -238,9 +237,9 @@ def init_model(
         if init == "small_uniform":
             return rng.uniform(-0.05, 0.05, shape)
         if init == "word_emb":
-            return load_embeddings(word_embedding_file, word_vocab, cfg.d_embed, cfg.seed).table
+            return load_embeddings(word_embedding_file, word_vocab, cfg.d_embed, cfg.seed)
         if init == "code_emb":
-            return load_embeddings(code_embedding_file, code_vocab, cfg.d_embed, cfg.seed + 1).table
+            return load_embeddings(code_embedding_file, code_vocab, cfg.d_embed, cfg.seed + 1)
         raise AssertionError(init)
 
     return _build(cfg, word_vocab, code_vocab, tokenizer.fingerprint(), get)
@@ -259,24 +258,17 @@ def _check_inputs(model: ModelParameters, instances) -> None:
             raise EmptyCode(f"instance at position {inst.position} has no code tokens")
 
 
-def _bigru_ends(table: Node, ids, lengths, gru: BiGru, grad: bool) -> Node:
-    """[last forward state, first backward state] of each sequence, where
-    the sequences are consecutive runs of ``lengths`` of the rows ``ids`` of
-    ``table``."""
+def _runs(lengths) -> np.ndarray:
+    """The [start, stop) rows of consecutive runs of ``lengths`` rows."""
     stops = np.cumsum(lengths, dtype=np.intp)
-    spans = np.column_stack([stops - lengths, stops])
-    return concat(
-        gru_final_states(table, ids, spans, gru.fwd, grad=grad),
-        gru_final_states(table, ids, spans, gru.bwd, reverse=True, grad=grad),
-    )
+    return np.column_stack([stops - lengths, stops])
 
 
-def _bigru_at(table: Node, ids, starts, code_at, stops, gru: BiGru, grad: bool) -> Node:
-    """Bidirectional states at input ``code_at`` of each sequence
-    ``starts:stops`` of the rows ``ids`` of ``table``: the forward state
-    after reading up to it and the backward state after reading back down
-    to it."""
-    fwd_spans, bwd_spans = np.column_stack([starts, code_at + 1]), np.column_stack([code_at, stops])
+def _bigru(table: Node, ids, fwd_spans, bwd_spans, gru: BiGru, grad: bool) -> Node:
+    """[forward state, backward state] of each sequence. Its forward GRU
+    reads the rows ``ids[start:stop]`` of ``table`` of its ``fwd_spans``
+    row from start to stop; its backward GRU those of its ``bwd_spans`` row
+    from stop back to start."""
     return concat(
         gru_final_states(table, ids, fwd_spans, gru.fwd, grad=grad),
         gru_final_states(table, ids, bwd_spans, gru.bwd, reverse=True, grad=grad),
@@ -295,7 +287,8 @@ def _token_vectors(model: ModelParameters, groups, vocab, emb: Node, gru: BiGru,
     d = 2 * model.config.d_token_gru
     if distinct:
         ids = np.concatenate([vocab.lookup_all(k) for k in distinct])
-        ends = _bigru_ends(emb, ids, [len(k) for k in distinct], gru, grad)
+        runs = _runs([len(k) for k in distinct])
+        ends = _bigru(emb, ids, runs, runs, gru, grad)
     else:
         ends = Node(np.zeros((0, d)))
     empty = model.empty_block if model.empty_block is not None else Node(np.zeros(d))
@@ -363,13 +356,12 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
             + vocab.lookup_all(inst.post_tokens)
             for inst in instances
         ]
-        pre = np.array([len(inst.pre_tokens) for inst in instances], dtype=np.intp)
-        lengths = np.array([len(row) for row in ids], dtype=np.intp)
-        stops = np.cumsum(lengths)
-        starts = stops - lengths
-        z = _bigru_at(
-            model.word_emb, np.concatenate(ids), starts, starts + pre, stops, model.text_token, grad
-        )
+        # the states at each instance's <codeblock>
+        runs = _runs([len(row) for row in ids])
+        code_at = runs[:, 0] + [len(inst.pre_tokens) for inst in instances]
+        fwd = np.column_stack([runs[:, 0], code_at + 1])
+        bwd = np.column_stack([code_at, runs[:, 1]])
+        z = _bigru(model.word_emb, np.concatenate(ids), fwd, bwd, model.text_token, grad)
     elif v is Variant.BIV_RNN:
         # pre_i, code_i, post_i of each instance in turn, as ids into the
         # word table stacked on the code table; each table is gathered once,
@@ -384,7 +376,8 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
         k = np.searchsorted(used, n_words)
         word_rows = take_rows(model.word_emb, used[:k])
         x = concat(word_rows, take_rows(model.code_emb, used[k:] - n_words), axis=0)
-        z = _bigru_ends(x, order, [len(r) for r in rows], model.text_token, grad)
+        runs = _runs([len(r) for r in rows])
+        z = _bigru(x, order, runs, runs, model.text_token, grad)
     else:
         s_pre, s_post, c = _block_vectors(model, instances, grad)
         if v is Variant.CODE_HNN:
@@ -392,11 +385,12 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
         elif v is Variant.BIV_HFF:
             z = dense_rows(concat(s_pre, c, s_post), model.block_ff)
         else:
-            # read rows pre_i, c_i, post_i of each instance in turn
+            # rows pre_i, c_i, post_i of each instance in turn; the forward GRU
+            # reads up to c_i, the backward one back down to it
             blocks = concat(s_pre, c, s_post, axis=0)
             order = np.arange(3 * n).reshape(3, n).T.ravel()
-            starts = 3 * np.arange(n)
-            z = _bigru_at(blocks, order, starts, starts + 1, starts + 3, model.block, grad)
+            runs = _runs(np.full(n, 3))
+            z = _bigru(blocks, order, runs - [0, 1], runs + [1, 0], model.block, grad)
     return dense_rows(z, model.output), z
 
 
@@ -423,12 +417,6 @@ def predict_scores(model: ModelParameters, instances) -> np.ndarray:
 def label_of(score: float) -> int:
     """Label 1 iff p(solution) >= 0.5."""
     return 1 if score >= 0.5 else 0
-
-
-def forward(model: ModelParameters, inst: CodeContextInstance):
-    """Solution probabilities [p0, p1] and the code representation."""
-    logits, z = _forward_batch(model, [inst])
-    return softmax(logits.value[0]), z.value[0]
 
 
 def predict_label(model: ModelParameters, inst: CodeContextInstance):

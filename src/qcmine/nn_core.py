@@ -716,7 +716,6 @@ def adam_update(params: dict, grads: dict, state: AdamState):
         denom += state.eps
         step /= denom
         p -= step
-    return params, state
 
 
 def glorot_init(shape, rng) -> np.ndarray:

@@ -4,7 +4,7 @@ three-model agreement ensemble."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,19 +36,14 @@ class Metrics:
     recall: float = 0.0
     f1: float = 0.0
     accuracy: float = 0.0
-    zero_division: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall,
-            "f1": self.f1, "accuracy": self.accuracy,
-        }
+        return asdict(self)
 
 
 def evaluate(preds, golds) -> Metrics:
     """Binary classification metrics with label 1 as the positive class.
-    Degenerate denominators yield 0 and set the zero_division flag."""
+    Degenerate denominators yield 0."""
     preds, golds = list(preds), list(golds)
     if len(preds) != len(golds):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
@@ -65,16 +60,10 @@ def evaluate(preds, golds) -> Metrics:
     total = m.tp + m.fp + m.tn + m.fn
     if m.tp + m.fp:
         m.precision = m.tp / (m.tp + m.fp)
-    else:
-        m.zero_division = True
     if m.tp + m.fn:
         m.recall = m.tp / (m.tp + m.fn)
-    else:
-        m.zero_division = True
     if m.precision + m.recall:
         m.f1 = 2 * m.precision * m.recall / (m.precision + m.recall)
-    else:
-        m.zero_division = True
     m.accuracy = (m.tp + m.tn) / total if total else 0.0
     return m
 

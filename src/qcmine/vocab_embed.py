@@ -9,7 +9,6 @@ vector file when available and are randomly initialized otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,19 +42,9 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.token_to_id)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def lookup_all(self, tokens) -> list[int]:
         get = self.token_to_id.get
         return [get(t, UNK_ID) for t in tokens]
-
-    def to_json(self) -> str:
-        return json.dumps(self.token_to_id, ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        return cls(dict(json.loads(text)))
 
 
 def build_vocab(streams, min_count: int = 1) -> Vocabulary:
@@ -86,19 +75,11 @@ def build_vocab(streams, min_count: int = 1) -> Vocabulary:
     return Vocabulary(token_to_id)
 
 
-@dataclass
-class EmbeddingMatrix:
-    table: np.ndarray  # size x d, float64
-    d: int
-
-
-def load_embeddings(
-    path, vocab: Vocabulary, d: int, seed: int, scale: float = 0.05
-) -> EmbeddingMatrix:
-    """Build the embedding table for a vocabulary.
+def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:
+    """The embedding table (vocab.size x d, float64) of a vocabulary.
 
     Rows found in the vector file (whitespace-separated "token v1 .. vd")
-    are used as-is; missing tokens draw uniform(-scale, scale) from the
+    are used as-is; missing tokens draw uniform(-0.05, 0.05) from the
     seed. ``path=None`` random-initializes everything. The PAD row is
     always zero.
     """
@@ -122,5 +103,5 @@ def load_embeddings(
         if idx == PAD_ID:
             continue
         row = vectors.get(token)
-        table[idx] = row if row is not None else rng.uniform(-scale, scale, d)
-    return EmbeddingMatrix(table, d)
+        table[idx] = row if row is not None else rng.uniform(-0.05, 0.05, d)
+    return table

@@ -9,7 +9,9 @@ import random
 import numpy as np
 
 from qcmine import nn_core
-from qcmine.models import _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs
+from qcmine.models import (
+    _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs, _forward_batch,
+)
 from qcmine.nn_core import Node, backward, bigru_encode, concat, dense, embedding_row, zero_grad
 from qcmine.post_parser import CodeContextInstance
 from qcmine.vocab_embed import CODEBLOCK_TOKEN, build_vocab
@@ -132,6 +134,13 @@ def forward_graph(model, inst: CodeContextInstance):
     else:
         raise ConfigInvalid(f"unhandled variant {v}")
     return dense(z, model.output), z
+
+
+def forward(model, inst: CodeContextInstance):
+    """Solution probabilities [p0, p1] and the code representation z of one
+    instance, from the library's batched forward."""
+    logits, z = _forward_batch(model, [inst])
+    return nn_core.softmax(logits.value[0]), z.value[0]
 
 
 # Other cuts of the GRU backward into blocks of steps, in place of

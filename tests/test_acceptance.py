@@ -11,12 +11,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import build_workspace, finite_diff_check, make_cue_dataset, random_post
+from helpers import build_workspace, finite_diff_check, forward, make_cue_dataset, random_post
 from qcmine import cli
 from qcmine.models import (
     Variant,
     VariantConfig,
-    forward,
     forward_graph,
     init_model,
     predict_label,

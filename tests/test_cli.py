@@ -189,6 +189,15 @@ class TestAnnotationCsv:
         with pytest.raises(ValueError, match=rf"labels\.csv:3: "):
             cli.read_annotation_csv(path)
 
+    @pytest.mark.parametrize(
+        "qid", ["1O", "\u00b2", "", "x"], ids=["letter_o", "superscript_two", "empty", "word"]
+    )
+    def test_bad_id_after_header_names_file_line_and_id(self, tmp_path, qid):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"question_id,code_position,label\n10,1,1\n{qid},2,1\n11,1,0\n")
+        with pytest.raises(ValueError, match=rf"labels\.csv:3: question id {qid!r} "):
+            cli.read_annotation_csv(path)
+
     def test_good_rows(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("question_id,code_position,label\n100,1,1\n100,2,0\n\n101,1,0\n")
@@ -201,6 +210,13 @@ class TestQuestionLabelCsv:
         path = tmp_path / "qlabels.csv"
         path.write_text(f"question_id,label\n100,howto\n{row}\n")
         with pytest.raises(ValueError, match=r"qlabels\.csv:3: "):
+            cli.read_question_labels_csv(path)
+
+    @pytest.mark.parametrize("qid", ["\u00b2", "1O"], ids=["superscript_two", "letter_o"])
+    def test_bad_id_after_header_names_file_line_and_id(self, tmp_path, qid):
+        path = tmp_path / "qlabels.csv"
+        path.write_text(f"question_id,label\n100,howto\n{qid},howto\n")
+        with pytest.raises(ValueError, match=rf"qlabels\.csv:3: question id {qid!r} "):
             cli.read_question_labels_csv(path)
 
     def test_good_rows(self, tmp_path):
@@ -944,11 +960,11 @@ class TestBenchHooks:
     """The benchmark patches these public names; mining and training must
     run unchanged under both its timer and its tracer."""
 
-    def load_bench(self):
+    def load_bench(self, name="run"):
         bench = Path(__file__).resolve().parents[1] / "bench"
         sys.path.insert(0, str(bench))
         try:
-            spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+            spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
         finally:
@@ -963,6 +979,17 @@ class TestBenchHooks:
         assert (len(full), len(clock)) == (26, 11)
         for owner, attr, _make in full + clock:
             assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
+    def test_fixture_generator_writes_loadable_artifacts(self, tmp_path):
+        # the benchmark's shared voters and filter are written by qcmine
+        # itself: a name the generator calls that is gone fails here
+        gen = self.load_bench("gen")
+        truth = gen.gen_shared(gen.word_pool(), tmp_path)
+        for key in ("checkpoints", "small_checkpoints"):
+            assert set(truth[key]) == {"biv_hnn", "text_hnn", "code_hnn"}
+            for variant, name in truth[key].items():
+                assert load_model(tmp_path / name).config.variant.value == variant
+        question_filter.QuestionFilterModel.load(tmp_path / truth["filter"])
 
     def test_mine_under_clock_and_trace_patches(self, ws, tmp_path):
         run = self.load_bench()
@@ -1340,6 +1367,26 @@ class TestMergeAndStats:
         annotated = tmp_path / "ann.csv"
         annotated.write_text("question_id,code_position,label\n")
         with pytest.raises(ValueError, match=rf"pairs\.jsonl:3: not a mined pair"):
+            cli.merge_annotated(pairs, annotated, ws["dump"], tmp_path / "merged.jsonl")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("title", 5), ("code", ["x"]), ("question_id", 1.9), ("question_id", "1"),
+         ("position", True), ("score", "hi"), ("score", False)],
+    )
+    def test_wrong_typed_pair_field_names_file_line_and_key(self, ws, tmp_path, key, value):
+        pairs = tmp_path / "pairs.jsonl"
+        good = cli.MinedPair(1, "How to sort", "x = sorted(y)", 1, cli.Provenance.SINGLE_CODE, 0.5)
+        bad = json.dumps({**json.loads(good.to_json()), key: value})
+        pairs.write_text(good.to_json() + "\n" + bad + "\n")
+        expected = rf"pairs\.jsonl:2: not a mined pair: .*{key}"
+        with pytest.raises(ValueError, match=expected):
+            list(cli.read_pairs(pairs))
+        with pytest.raises(ValueError, match=expected):
+            cli.dataset_stats(pairs)
+        annotated = tmp_path / "ann.csv"
+        annotated.write_text("question_id,code_position,label\n")
+        with pytest.raises(ValueError, match=expected):
             cli.merge_annotated(pairs, annotated, ws["dump"], tmp_path / "merged.jsonl")
 
     def test_stats_reads_code_like_instances(self, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import finite_diff_check
+from helpers import finite_diff_check, forward
 from qcmine import models, nn_core
 from qcmine.models import (
     _forward_batch,
@@ -17,7 +17,6 @@ from qcmine.models import (
     EmptyCode,
     Variant,
     VariantConfig,
-    forward,
     forward_graph,
     init_model,
     label_of,
@@ -99,7 +98,7 @@ class TestInitModel:
         path.write_text("try " + " ".join(["0.25"] * 5) + "\n")
         model = init_model(tiny_cfg(), wv, cv, word_embedding_file=path)
         np.testing.assert_array_equal(
-            model.word_emb.value[wv.lookup("try")], [0.25] * 5
+            model.word_emb.value[wv.token_to_id["try"]], [0.25] * 5
         )
 
 
@@ -233,7 +232,7 @@ class TestBatchedInference:
     def test_nan_embedding_row_rejected(self, vocabs, variant):
         wv, cv = vocabs
         model = init_model(tiny_cfg(variant), wv, cv)
-        model.word_emb.value[wv.lookup("try")] = np.nan
+        model.word_emb.value[wv.token_to_id["try"]] = np.nan
         insts = mixed_batch(random.Random(1))
         insts.append(CodeContextInstance(["try"], ["try"], ["VAR"], ["try"], position=1))
         with pytest.raises(NonFiniteInput):
@@ -311,9 +310,9 @@ class TestIndexedEncoders:
             CodeContextInstance(["how"], [], ["print", "(", ")"], ["try"], 2),
         ]
         before = predict_scores(model, insts)
-        model.word_emb.value[wv.lookup("shown")] = np.nan
+        model.word_emb.value[wv.token_to_id["shown"]] = np.nan
         if model.code_emb is not None:
-            model.code_emb.value[cv.lookup("def")] = np.inf
+            model.code_emb.value[cv.token_to_id["def"]] = np.inf
         np.testing.assert_allclose(predict_scores(model, insts), before, rtol=0, atol=1e-12)
 
 

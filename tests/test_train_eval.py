@@ -56,9 +56,9 @@ class TestEvaluate:
         assert round(m.precision, 3) == 0.583
         assert m.recall == 1.0
 
-    def test_zero_division_flag(self):
+    def test_zero_division_yields_zero(self):
         m = evaluate([0, 0], [1, 0])
-        assert m.precision == 0.0 and m.zero_division
+        assert m.precision == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -9,7 +9,6 @@ from qcmine.vocab_embed import (
     UNK_ID,
     DimensionMismatch,
     EmptyCorpus,
-    Vocabulary,
     build_vocab,
     load_embeddings,
 )
@@ -58,12 +57,8 @@ class TestBuildVocab:
 
     def test_unk_lookup_never_fails(self):
         vocab = build_vocab([["a"]])
-        assert vocab.lookup("never-seen") == UNK_ID
+        assert vocab.lookup_all(["never-seen"]) == [UNK_ID]
         assert vocab.lookup_all(["a", "zzz"]) == [vocab.token_to_id["a"], UNK_ID]
-
-    def test_json_round_trip(self):
-        vocab = build_vocab([["a", "b", "b"]])
-        assert Vocabulary.from_json(vocab.to_json()).token_to_id == vocab.token_to_id
 
 
 class TestLoadEmbeddings:
@@ -72,23 +67,23 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("a 1.0 2.0\nb -1.0 0.5\n")
         emb = load_embeddings(path, vocab, d=2, seed=0)
-        np.testing.assert_array_equal(emb.table[vocab.lookup("a")], [1.0, 2.0])
-        np.testing.assert_array_equal(emb.table[vocab.lookup("b")], [-1.0, 0.5])
+        np.testing.assert_array_equal(emb[vocab.token_to_id["a"]], [1.0, 2.0])
+        np.testing.assert_array_equal(emb[vocab.token_to_id["b"]], [-1.0, 0.5])
 
     def test_missing_tokens_random_in_range(self, tmp_path):
         vocab = build_vocab([["a", "b"]])
         path = tmp_path / "vec.txt"
         path.write_text("a 1.0 2.0\n")
         emb = load_embeddings(path, vocab, d=2, seed=7)
-        row = emb.table[vocab.lookup("b")]
+        row = emb[vocab.token_to_id["b"]]
         assert np.all(np.abs(row) <= 0.05)
         assert np.any(row != 0)
 
     def test_no_file_fully_random_except_pad(self):
         vocab = build_vocab([["a", "b", "c"]])
         emb = load_embeddings(None, vocab, d=4, seed=3)
-        np.testing.assert_array_equal(emb.table[PAD_ID], np.zeros(4))
-        rest = np.delete(emb.table, PAD_ID, axis=0)
+        np.testing.assert_array_equal(emb[PAD_ID], np.zeros(4))
+        rest = np.delete(emb, PAD_ID, axis=0)
         assert np.all(rest != 0)
         assert np.all(np.abs(rest) <= 0.05)
 
@@ -97,7 +92,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("<pad> 9.0 9.0\na 1.0 1.0\n")
         emb = load_embeddings(path, vocab, d=2, seed=0)
-        np.testing.assert_array_equal(emb.table[PAD_ID], [0.0, 0.0])
+        np.testing.assert_array_equal(emb[PAD_ID], [0.0, 0.0])
 
     def test_dimension_mismatch(self, tmp_path):
         vocab = build_vocab([["a"]])
@@ -108,6 +103,6 @@ class TestLoadEmbeddings:
 
     def test_deterministic_per_seed(self):
         vocab = build_vocab([["a", "b"]])
-        t1 = load_embeddings(None, vocab, d=3, seed=11).table
-        t2 = load_embeddings(None, vocab, d=3, seed=11).table
+        t1 = load_embeddings(None, vocab, d=3, seed=11)
+        t2 = load_embeddings(None, vocab, d=3, seed=11)
         np.testing.assert_array_equal(t1, t2)
