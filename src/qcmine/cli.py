@@ -17,7 +17,7 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
 from . import baselines, models, question_filter, train_eval
@@ -87,8 +87,8 @@ DEFAULT_CONFIG = {
     "language": "python",
     "tokenize": {"python_keep_list": None, "connectives": None},
     "vocab": {"min_count": 1},
-    # The model and neural-training defaults are VariantConfig's and
-    # TrainConfig's; the other keys are read by the CLI only.
+    # The config file's schema, read by load_config only. The model and
+    # neural-training defaults are VariantConfig's and TrainConfig's.
     "model": {
         **VariantConfig().to_dict(), "word_embedding_file": None, "code_embedding_file": None
     },
@@ -96,28 +96,66 @@ DEFAULT_CONFIG = {
 }
 
 
-def load_config(path=None) -> dict:
-    """DEFAULT_CONFIG updated by the JSON file at ``path``. A key it lacks,
-    at the top or in a section, a non-object section, a value of another
-    JSON type than its default's (``models.check_json_type``) or a
-    language other than python or sql raises a ValueError naming the key."""
-    config = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
+@dataclass(frozen=True)
+class Config:
+    """Every setting a command reads, built once by ``load_config``."""
+
+    tokenizer: Tokenizer
+    connectives: list[list[str]]
+    min_count: int
+    model: VariantConfig
+    word_embedding_file: str | None
+    code_embedding_file: str | None
+    train: TrainConfig
+    linear: dict  # l2, epochs, lr and seed, the keywords of every linear trainer
+
+
+# The values a key may take, beyond its default's JSON type. A size or
+# count below 1 would make a command crash or train nothing.
+_CHOICES = {"language": ("python", "sql"), "variant": tuple(v.value for v in Variant)}
+_AT_LEAST_ONE = {"min_count", "d_embed", "d_token_gru", "d_block", "batch_size", "max_epochs",
+                 "linear_epochs"}
+
+
+def load_config(path=None) -> Config:
+    """The Config of DEFAULT_CONFIG updated by the JSON file at ``path``,
+    with the lexicon files it names read. A key the default lacks, a
+    non-object section, a value of another JSON type than its default's
+    (``models.check_json_type``) or out of range (``_CHOICES``,
+    ``_AT_LEAST_ONE``), or an unreadable lexicon file raises a ValueError
+    naming the file and the key."""
+    raw = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         with open(path, encoding="utf-8") as f:
             user = json.load(f)
-        for key, value in _known_items(path, user, config, "the config"):
-            if isinstance(config[key], dict):
-                config[key].update(_known_items(path, value, config[key], f"config section {key!r}"))
+        for key, value in _known_items(path, user, raw, "the config"):
+            if isinstance(raw[key], dict):
+                raw[key].update(_known_items(path, value, raw[key], f"config section {key!r}"))
             else:
-                config[key] = value
-        if config["language"] not in ("python", "sql"):
-            raise ValueError(f"{path}: 'language' must be python or sql, not {user['language']!r}")
-    return config
+                raw[key] = value
+    lexicons = {}  # None where the config names no file
+    for key, read in (("python_keep_list", load_keep_list), ("connectives", baselines.load_connectives)):
+        try:
+            lexicons[key] = read(raw["tokenize"][key]) if raw["tokenize"][key] else None
+        except OSError as exc:
+            raise ValueError(f"{path}: {key!r} names a file that cannot be read: {exc}") from None
+    model, train, connectives = raw["model"], raw["train"], lexicons["connectives"]
+    return Config(
+        tokenizer=Tokenizer(Language(raw["language"]), lexicons["python_keep_list"]),
+        connectives=baselines.default_connectives() if connectives is None else connectives,
+        min_count=raw["vocab"]["min_count"],
+        model=VariantConfig.from_dict(model),
+        word_embedding_file=model["word_embedding_file"],
+        code_embedding_file=model["code_embedding_file"],
+        train=TrainConfig(**{f.name: train[f.name] for f in fields(TrainConfig)}),
+        linear={"l2": train["l2"], "epochs": train["linear_epochs"], "lr": train["linear_lr"],
+                "seed": train["seed"]},
+    )
 
 
 def _known_items(path, given, known: dict, where: str):
     """``given.items()`` once ``given`` is a JSON object whose keys ``known``
-    has, each value a section or of its default's JSON type."""
+    has, each value a section or of its default's JSON type and in range."""
     if not isinstance(given, dict):
         raise ValueError(f"{path}: {where} is not a JSON object")
     unknown = sorted(set(given) - set(known))
@@ -126,19 +164,11 @@ def _known_items(path, given, known: dict, where: str):
     for key, value in given.items():
         if not isinstance(known[key], dict):
             check_json_type(path, key, value, known[key])
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"{path}: {key!r} must be one of {_CHOICES[key]}, not {value!r}")
+        if key in _AT_LEAST_ONE and value < 1:
+            raise ValueError(f"{path}: {key!r} must be at least 1, not {value}")
     return given.items()
-
-
-def config_tokenizer(config) -> Tokenizer:
-    """The config's language and, when it names one, its Python keep-list."""
-    path = config.get("tokenize", {}).get("python_keep_list")
-    keep = load_keep_list(path) if path else None
-    return Tokenizer(Language(config.get("language", "python")), keep)
-
-
-def config_connectives(config):
-    path = config.get("tokenize", {}).get("connectives")
-    return baselines.load_connectives(path) if path else baselines.default_connectives()
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +334,8 @@ def _csv_rows(path):
 
 
 def read_annotation_csv(path) -> dict[int, dict[int, int]]:
-    """CSV (question_id, code_position, label) -> {qid: {position: label}}."""
+    """CSV (question_id, code_position, label) -> {qid: {position: label}}.
+    A position labeled twice must be labeled alike."""
     labels: dict[int, dict[int, int]] = {}
     for where, qid, row in _csv_rows(path):
         if len(row) < 3:
@@ -315,20 +346,24 @@ def read_annotation_csv(path) -> dict[int, dict[int, int]]:
             raise ValueError(f"{where}: non-integer field in {row}") from None
         if label not in (0, 1):
             raise ValueError(f"{where}: label must be 0/1, got {label}")
-        labels.setdefault(qid, {})[pos] = label
+        if labels.setdefault(qid, {}).setdefault(pos, label) != label:
+            raise ValueError(f"{where}: question {qid} position {pos} was labeled {1 - label} before")
     return labels
 
 
 def read_question_labels_csv(path) -> dict[int, question_filter.QuestionLabel]:
-    """CSV (question_id, label) with labels howto/other -> {qid: label}."""
+    """CSV (question_id, label) with labels howto/other -> {qid: label}. A
+    question labeled twice must be labeled alike."""
     out = {}
     for where, qid, row in _csv_rows(path):
         if len(row) < 2:
             raise ValueError(f"{where}: expected question_id,label, got {row}")
         try:
-            out[qid] = question_filter.QuestionLabel(row[1].strip().lower())
+            label = question_filter.QuestionLabel(row[1].strip().lower())
         except ValueError:
             raise ValueError(f"{where}: label must be howto or other, got {row[1]!r}") from None
+        if out.setdefault(qid, label) is not label:
+            raise ValueError(f"{where}: question {qid} was labeled {out[qid].value} before")
     return out
 
 
@@ -397,9 +432,7 @@ def build_vocabs(instances, min_count: int = 1):
 
 
 def _load_ensemble(biv_path, text_path, code_path, tokenizer: Tokenizer):
-    biv = models.load_model(biv_path, tokenizer)
-    text = models.load_model(text_path, tokenizer)
-    code = models.load_model(code_path, tokenizer)
+    biv, text, code = (models.load_model(path, tokenizer) for path in (biv_path, text_path, code_path))
     expected = (Variant.BIV_HNN, Variant.TEXT_HNN, Variant.CODE_HNN)
     actual = (biv.config.variant, text.config.variant, code.config.variant)
     if actual != expected:
@@ -418,7 +451,7 @@ def mine(
     code_path,
     filter_model_path,
     out_path,
-    config: dict | None = None,
+    config: Config | None = None,
 ) -> dict:
     """Run the full mining pipeline over a dump.
 
@@ -434,22 +467,14 @@ def mine(
     that follows a waiting answer waits with it, so lines are written in
     dump order.
     """
-    config = config or load_config()
-    tokenizer = config_tokenizer(config)
+    tokenizer = (config or load_config()).tokenizer
     biv, text, code = _load_ensemble(biv_path, text_path, code_path, tokenizer)
     qfilter = question_filter.QuestionFilterModel.load(filter_model_path)
 
-    report = {
-        "records": 0,
-        "parse_errors": 0,
-        "domain_skipped": 0,
-        "non_howto": 0,
-        "no_code": 0,
-        "single_code_pairs": 0,
-        "ensemble_pairs": 0,
-        "ensemble_rejections": 0,
-        "abstentions": 0,
-    }
+    report = dict.fromkeys([
+        "records", "parse_errors", "domain_skipped", "non_howto", "no_code",
+        "single_code_pairs", "ensemble_pairs", "ensemble_rejections", "abstentions",
+    ], 0)
     # In dump order: pair lines, and (qid, title, instances) of multi-code
     # answers waiting for the ensemble.
     pending: list = []
@@ -618,24 +643,16 @@ def dataset_stats(dataset_path, tokenizer: Tokenizer = Tokenizer()) -> dict:
 # --------------------------------------------------------------------------
 
 
-def train_neural(dump_path, train_csv, valid_csv, config, variant=None, out_path=None):
-    tokenizer = config_tokenizer(config)
+def train_neural(dump_path, train_csv, valid_csv, config: Config, variant=None, out_path=None):
+    """Train ``variant`` (by default the config's) and save it to ``out_path``."""
     train_insts, valid_insts = load_labeled_instances(
-        dump_path, [read_annotation_csv(train_csv), read_annotation_csv(valid_csv)], tokenizer
+        dump_path, [read_annotation_csv(train_csv), read_annotation_csv(valid_csv)], config.tokenizer
     )
-    word_vocab, code_vocab = build_vocabs(train_insts, config["vocab"]["min_count"])
-    section = config["model"]
-    cfg = VariantConfig.from_dict({**section, "variant": variant or section["variant"]})
-    model = models.init_model(
-        cfg,
-        word_vocab,
-        code_vocab,
-        section["word_embedding_file"],
-        section["code_embedding_file"],
-        tokenizer,
-    )
-    hyper = TrainConfig(**{f.name: config["train"][f.name] for f in fields(TrainConfig)})
-    model, history = train_eval.train(model, train_insts, valid_insts, hyper)
+    word_vocab, code_vocab = build_vocabs(train_insts, config.min_count)
+    cfg = replace(config.model, variant=Variant(variant or config.model.variant))
+    embeddings = (config.word_embedding_file, config.code_embedding_file)
+    model = models.init_model(cfg, word_vocab, code_vocab, *embeddings, config.tokenizer)
+    model, history = train_eval.train(model, train_insts, valid_insts, config.train)
     if out_path:
         models.save_model(model, out_path)
     return model, history
@@ -648,14 +665,12 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
     Returns the bundle and, when ``valid_csv`` is given, the validation
     instances, read in the same pass as the training ones (else None).
     """
-    tokenizer = config_tokenizer(config)
-    section = config["train"]
-    connectives = config_connectives(config)
+    tokenizer = config.tokenizer
     csvs = [train_csv] + ([valid_csv] if valid_csv else [])
     corpus = []  # the CodeClass harvest, for Python only
 
     def harvest(sequences):
-        corpus.extend(baselines.harvest_codeclass_corpus(sequences, seed=section["seed"]))
+        corpus.extend(baselines.harvest_codeclass_corpus(sequences, seed=config.linear["seed"]))
 
     train_insts, *valid = load_labeled_instances(
         dump_path,
@@ -667,25 +682,15 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
     codeclass_model = None
     if len({label for _, label in corpus}) == 2:
         streams = [(code_stream(raw, tokenizer), label) for raw, label in corpus]
-        codeclass_model = baselines.train_codeclass(
-            streams, l2=section["l2"], epochs=section["linear_epochs"],
-            lr=section["linear_lr"], seed=section["seed"],
-        )
+        codeclass_model = baselines.train_codeclass(streams, **config.linear)
 
     data = [
-        (baselines.extract_features(inst, codeclass_model, connectives), inst.label)
+        (baselines.extract_features(inst, codeclass_model, config.connectives), inst.label)
         for inst in train_insts
     ]
-    linear = baselines.train_linear(
-        data,
-        kind=kind,
-        l2=section["l2"],
-        epochs=section["linear_epochs"],
-        lr=section["linear_lr"],
-        seed=section["seed"],
-    )
-    # a copy: the default lexicon is a shared cache the bundle must not alias
-    connectives = [list(p) for p in connectives]
+    linear = baselines.train_linear(data, kind=kind, **config.linear)
+    # a copy, so that the bundle does not alias the config's lexicon
+    connectives = [list(p) for p in config.connectives]
     bundle = LinearBundle(linear, tokenizer.fingerprint(), codeclass_model, connectives)
     if out_path:
         bundle.save(out_path)
@@ -695,7 +700,7 @@ def train_linear_baseline(dump_path, train_csv, config, kind, out_path=None, val
 def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     """Evaluate any checkpoint (neural or linear) plus the two heuristics
     on a labeled set. The checkpoint is read once, before the dump."""
-    tokenizer = config_tokenizer(config)
+    tokenizer = config.tokenizer
     with open(checkpoint_path, encoding="utf-8") as f:
         obj = json.load(f)
     # any bundle version, so an older one is refused as a bundle
@@ -725,7 +730,7 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
 
 def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, config) -> dict:
     """Agreement-ensemble coverage and quality on a labeled set."""
-    tokenizer = config_tokenizer(config)
+    tokenizer = config.tokenizer
     biv, text, code = _load_ensemble(biv_path, text_path, code_path, tokenizer)
     (instances,) = load_labeled_instances(dump_path, [read_annotation_csv(labels_csv)], tokenizer)
     decided_preds, decided_golds = [], []
@@ -738,14 +743,12 @@ def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, con
                 decided_preds.append(decision.decision.value)
                 decided_golds.append(inst.label)
     coverage = len(decided_preds) / len(instances) if instances else 0.0
-    decided = (
-        evaluate(decided_preds, decided_golds).to_dict() if decided_preds else Metrics().to_dict()
-    )
+    decided = evaluate(decided_preds, decided_golds) if decided_preds else Metrics()
     return {
         "instances": len(instances),
         "coverage": coverage,
         "abstained": abstained,
-        "decided_metrics": decided,
+        "decided_metrics": decided.to_dict(),
     }
 
 
@@ -771,17 +774,13 @@ def cmd_parse(args, config):
 
 def cmd_filter_train(args, config):
     labels = read_question_labels_csv(args.labels)
-    section = config["train"]
     labeled = []
     for record, err in read_dump(args.dump):
         if err or record["question_id"] not in labels:
             continue
         answer_seq = _parse_or_empty(record["accepted_answer_html"], record["question_id"])
         labeled.append((_question_features(record, answer_seq), labels[record["question_id"]]))
-    model = question_filter.train_question_filter(
-        labeled, l2=section["l2"], epochs=section["linear_epochs"],
-        lr=section["linear_lr"], seed=section["seed"],
-    )
+    model = question_filter.train_question_filter(labeled, **config.linear)
     model.save(args.out)
     preds = [
         1 if question_filter.classify_question(f, model)[0] is question_filter.QuestionLabel.HOW_TO else 0
@@ -811,7 +810,7 @@ def cmd_filter(args, config):
 
 
 def cmd_train(args, config):
-    variant = args.variant or config["model"]["variant"]
+    variant = args.variant or config.model.variant.value
     if variant in ("lr", "svm"):
         kind = baselines.LOGISTIC if variant == "lr" else baselines.HINGE_SVM
         bundle, insts = train_linear_baseline(
@@ -846,14 +845,13 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in optional:
             p.add_argument(flag, default=None)
         p.set_defaults(fn=fn)
+        return p
 
     add("parse", cmd_parse, ["--dump", "--out"])
     add("filter-train", cmd_filter_train, ["--dump", "--labels", "--out"])
     add("filter", cmd_filter, ["--dump", "--model", "--out"])
-    add(
-        "train", cmd_train, ["--dump", "--train-labels", "--out"],
-        ["--valid-labels", "--variant", "--config"],
-    )
+    train = add("train", cmd_train, ["--dump", "--train-labels", "--out"], ["--valid-labels", "--config"])
+    train.add_argument("--variant", choices=[*_CHOICES["variant"], "lr", "svm"])
     add(
         "eval", lambda a, c: evaluate_checkpoint(a.dump, a.labels, a.checkpoint, c),
         ["--dump", "--labels", "--checkpoint"],
@@ -867,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mine", lambda a, c: mine(a.dump, a.biv, a.text, a.code, a.filter_model, a.out, c),
         ["--dump", "--biv", "--text", "--code", "--filter-model", "--out"],
     )
-    add("stats", lambda a, c: dataset_stats(a.dataset, config_tokenizer(c)), ["--dataset"])
+    add("stats", lambda a, c: dataset_stats(a.dataset, c.tokenizer), ["--dataset"])
     add(
         "merge", lambda a, c: merge_annotated(a.mined, a.annotated, a.dump, a.out),
         ["--mined", "--annotated", "--dump", "--out"], optional=(),

@@ -7,6 +7,7 @@ import os
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from qcmine.post_parser import (
     extract_instances,
     parse_answer_post,
 )
+from qcmine.tokenize import Language, Tokenizer
 from qcmine.train_eval import (
     Decision,
     TrainConfig,
@@ -382,7 +384,7 @@ def test_criterion_8_internal_consistency(tmp_path):
         )
         merged = tmp_path / "merged.jsonl"
         merge_report = cli.merge_annotated(mined, ws["train"], ws["dump"], merged)
-        stats = cli.dataset_stats(merged, cli.config_tokenizer(config))
+        stats = cli.dataset_stats(merged, config.tokenizer)
 
         # totals = single-code + ensemble-mined + annotated
         by = stats["by_provenance"]
@@ -421,28 +423,29 @@ def test_criterion_8_reference_quality(language, f1_target, coverage_target, tmp
         word_vec = os.path.join(data_dir, f"{language}_word_vectors.txt")
         code_vec = os.path.join(data_dir, f"{language}_code_vectors.txt")
 
-        base = cli.load_config()
-        base["language"] = language
-        base["model"]["word_embedding_file"] = word_vec if os.path.exists(word_vec) else None
-        base["model"]["code_embedding_file"] = code_vec if os.path.exists(code_vec) else None
+        base = replace(
+            cli.load_config(),
+            tokenizer=Tokenizer(Language(language)),
+            word_embedding_file=word_vec if os.path.exists(word_vec) else None,
+            code_embedding_file=code_vec if os.path.exists(code_vec) else None,
+        )
 
         from qcmine.train_eval import evaluate_model
 
         train_insts, valid_insts, test_insts = cli.load_labeled_instances(
             paths["dump.jsonl"],
             [cli.read_annotation_csv(paths[name]) for name in ("train.csv", "valid.csv", "test.csv")],
-            cli.config_tokenizer(base),
+            base.tokenizer,
         )
         word_vocab, code_vocab = cli.build_vocabs(train_insts)
 
         def fit(variant, d_token, d_block):
             cfg = VariantConfig(
                 variant=variant, d_token_gru=d_token, d_block=d_block,
-                seed=base["model"]["seed"],
+                seed=base.model.seed,
             )
             model = init_model(
-                cfg, word_vocab, code_vocab,
-                base["model"]["word_embedding_file"], base["model"]["code_embedding_file"],
+                cfg, word_vocab, code_vocab, base.word_embedding_file, base.code_embedding_file,
             )
             model, history = train(model, train_insts, valid_insts, TrainConfig())
             return model, max(h.valid.f1 for h in history)

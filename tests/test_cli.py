@@ -228,6 +228,21 @@ class TestQuestionLabelCsv:
         }
 
 
+class TestDuplicateCsvRows:
+    def test_conflicting_repeat_refused_identical_accepted(self, tmp_path):
+        annotations, qlabels = tmp_path / "labels.csv", tmp_path / "qlabels.csv"
+        annotations.write_text("question_id,code_position,label\n100,1,1\n100,1,1\n100,2,0\n")
+        qlabels.write_text("question_id,label\n100,howto\n100,HowTo\n101,other\n")
+        assert cli.read_annotation_csv(annotations) == {100: {1: 1, 2: 0}}
+        assert set(cli.read_question_labels_csv(qlabels)) == {100, 101}
+        annotations.write_text("question_id,code_position,label\n100,1,1\n100,1,0\n")
+        with pytest.raises(ValueError, match=r"labels\.csv:3: question 100 position 1 "):
+            cli.read_annotation_csv(annotations)
+        qlabels.write_text("question_id,label\n100,howto\n101,other\n100,other\n")
+        with pytest.raises(ValueError, match=r"qlabels\.csv:4: question 100 "):
+            cli.read_question_labels_csv(qlabels)
+
+
 class TestFilter:
     def test_filter_learns_howto_keyword(self, ws, capsys):
         out = ws["root"] / "filtered.jsonl"
@@ -512,7 +527,7 @@ class TestSqlPipeline:
         assert decided == 14 * 2
 
     def test_voters_record_sql_tokens(self, sql_ws):
-        sql = cli.config_tokenizer(cli.load_config(sql_ws["config"]))
+        sql = cli.load_config(sql_ws["config"]).tokenizer
         for variant in ("biv_hnn", "text_hnn", "code_hnn"):
             model = load_model(sql_ws[variant], sql)
             assert model.preprocessing == sql.fingerprint()
@@ -1057,9 +1072,22 @@ class TestKeepListConfig:
         assert json.loads(capsys.readouterr().out)["distinct_code_tokens"] == 4  # foo ( VAR )
         assert normalize_python("foo(print)").tokens == ["VAR", "(", "print", ")"]
         assert cli.dataset_stats(pairs)["distinct_code_tokens"] == 3  # VAR ( )
-        assert cli.dataset_stats(pairs, cli.config_tokenizer(cli.load_config(custom))) == (
+        assert cli.dataset_stats(pairs, cli.load_config(custom).tokenizer) == (
             cli.dataset_stats(pairs, Tokenizer(keep=frozenset({"compute", "foo"})))
         )
+
+
+def config_with(ws, tmp_path, **changes):
+    """The workspace config with its top-level keys ``changes`` replaced."""
+    path = tmp_path / "changed_config.json"
+    path.write_text(json.dumps({**json.loads(ws["config"].read_text()), **changes}))
+    return cli.load_config(path)
+
+
+def keep_list_config(ws, tmp_path, lines):
+    keep = tmp_path / "keep.txt"
+    keep.write_text(lines)
+    return config_with(ws, tmp_path, tokenize={"python_keep_list": str(keep)})
 
 
 class TestTokenizerRecord:
@@ -1069,16 +1097,12 @@ class TestTokenizerRecord:
 
     @pytest.fixture(params=["language", "keep", "normalizer"])
     def other(self, request, ws, tmp_path, monkeypatch):
-        config = cli.load_config(ws["config"])
         if request.param == "language":
-            config["language"] = "sql"
-        elif request.param == "keep":
-            keep = tmp_path / "keep.txt"
-            keep.write_text("print\n")
-            config["tokenize"] = {"python_keep_list": str(keep)}
-        else:
-            monkeypatch.setattr(tokenize, "NORMALIZER_VERSION", "qcmine-tokenize-0")
-        return config
+            return config_with(ws, tmp_path, language="sql")
+        if request.param == "keep":
+            return keep_list_config(ws, tmp_path, "print\n")
+        monkeypatch.setattr(tokenize, "NORMALIZER_VERSION", "qcmine-tokenize-0")
+        return cli.load_config(ws["config"])
 
     def test_refused_before_the_dump_is_read(self, ws, linear, other, monkeypatch):
         def no_read(path):
@@ -1095,21 +1119,15 @@ class TestTokenizerRecord:
                 cli.evaluate_checkpoint(ws["dump"], ws["valid"], checkpoint, other)
 
     def test_packaged_keep_list_file_matches_default(self, ws, tmp_path):
-        keep = tmp_path / "keep.txt"
-        keep.write_text("# the packaged list, reordered\n" + "\n".join(
+        config = keep_list_config(ws, tmp_path, "# the packaged list, reordered\n" + "\n".join(
             sorted(default_python_keep_list(), reverse=True)
         ))
-        config = cli.load_config(ws["config"])
-        config["tokenize"] = {"python_keep_list": str(keep)}
-        assert cli.config_tokenizer(config).fingerprint() == Tokenizer().fingerprint()
+        assert config.tokenizer.fingerprint() == Tokenizer().fingerprint()
         report = cli.evaluate_checkpoint(ws["dump"], ws["valid"], ws["biv_hnn"], config)
         assert report["instances"] == 8
 
     def test_train_records_the_config_tokenizer(self, ws, tmp_path):
-        config = cli.load_config(ws["config"])
-        keep = tmp_path / "keep.txt"
-        keep.write_text("compute\n")
-        config["tokenize"] = {"python_keep_list": str(keep)}
+        config = keep_list_config(ws, tmp_path, "compute\n")
         out = tmp_path / "code.json"
         cli.train_neural(ws["dump"], ws["train"], ws["valid"], config, "code_hnn", out)
         expected = Tokenizer(keep=frozenset({"compute"})).fingerprint()
@@ -1430,10 +1448,25 @@ class TestConfig:
             ({"tokenize": {"python_keep_list": 5}}, "python_keep_list"),
             ({"language": "text"}, "language"),
             ({"language": None}, "language"),
+            ({"train": {"batch_size": 0}}, "batch_size"),
+            ({"train": {"batch_size": -5}}, "batch_size"),
+            ({"train": {"max_epochs": 0}}, "max_epochs"),
+            ({"train": {"linear_epochs": -1}}, "linear_epochs"),
+            ({"vocab": {"min_count": 0}}, "min_count"),
+            ({"model": {"d_embed": 0}}, "d_embed"),
+            ({"model": {"d_token_gru": -1}}, "d_token_gru"),
+            ({"model": {"d_block": 0}}, "d_block"),
+            ({"model": {"variant": "bogus"}}, "variant"),
+            ({"model": {"variant": "lr"}}, "variant"),
+            ({"tokenize": {"python_keep_list": "no/such/keep.txt"}}, "python_keep_list"),
+            ({"tokenize": {"connectives": "no/such/connectives.txt"}}, "connectives"),
         ],
         ids=["bool_as_string", "float_for_int", "bool_for_int", "freeze_as_string",
              "float_batch_size", "string_for_float", "null_for_int", "number_for_path",
-             "text_language", "null_language"],
+             "text_language", "null_language", "zero_batch_size", "negative_batch_size",
+             "zero_max_epochs", "negative_linear_epochs", "zero_min_count", "zero_d_embed",
+             "negative_d_token_gru", "zero_d_block", "bogus_variant", "linear_variant",
+             "missing_keep_list", "missing_connectives"],
     )
     def test_wrong_type_or_value_refused(self, tmp_path, user, key):
         path = tmp_path / "config.json"
@@ -1441,13 +1474,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
             cli.load_config(path)
 
-    def test_int_for_float_and_string_for_null_accepted(self, tmp_path):
+    def test_int_for_float_and_string_for_null_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
         user = {"language": "sql", "train": {"lr": 1, "l2": 0}, "tokenize": {"connectives": "c.txt"}}
         path.write_text(json.dumps(user))
+        (tmp_path / "c.txt").write_text("as a result\n")
         config = cli.load_config(path)
-        assert (config["language"], config["train"]["lr"], config["train"]["l2"]) == ("sql", 1, 0)
-        assert config["tokenize"]["connectives"] == "c.txt"
+        assert (config.tokenizer.language.value, config.train.lr, config.linear["l2"]) == ("sql", 1, 0)
+        assert config.connectives == [["as", "a", "result"]]
+
+    def test_bad_variant_flag_refused_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--dump", missing, "--train-labels", missing, "--out", missing,
+                      "--variant", "bogus"])
+        assert "--variant: invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_readme_config_block_is_the_default(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
