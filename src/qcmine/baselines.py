@@ -20,7 +20,7 @@ import numpy as np
 from .models import json_object, read_model_file, string_list
 from .post_parser import BlockKind, CodeContextInstance
 from .tokenize import (
-    TokenStream, Tokenizer, load_wordlist_resource, tokenize_text, wordlist_entries,
+    TokenStream, Tokenizer, count_lines, load_wordlist_resource, tokenize_text, wordlist_entries,
 )
 
 LOGISTIC = "logistic"
@@ -81,8 +81,7 @@ def extract_features(
     for tok in inst.code_tokens:
         count(f"code:{tok}")
     if codeclass_model is not None:
-        lines = sum(1 for line in inst.raw_code.splitlines() if line.strip())
-        stream = TokenStream(list(inst.code_tokens), n_lines=lines)
+        stream = TokenStream(list(inst.code_tokens), count_lines(inst.raw_code))
         feats["codeclass"] = predict_linear(codeclass_model, codeclass_features(stream))[1]
     return feats
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -24,8 +25,6 @@ from . import baselines, models, question_filter, train_eval
 from .baselines import LinearBundle
 from .models import CheckpointMismatch, Variant, VariantConfig, check_json_type
 from .post_parser import (
-    Block,
-    BlockKind,
     BlockSequence,
     EmptyPost,
     PositionMismatch,
@@ -110,19 +109,21 @@ class Config:
     linear: dict  # l2, epochs, lr and seed, the keywords of every linear trainer
 
 
-# The values a key may take, beyond its default's JSON type. A size or
-# count below 1 would make a command crash or train nothing.
+# The values a key may take, beyond its default's JSON type and, for a
+# float, being finite. A size, count or patience below 1, a step size of 0
+# or less, or a negative penalty would make a command crash or train nothing.
 _CHOICES = {"language": ("python", "sql"), "variant": tuple(v.value for v in Variant)}
-_AT_LEAST_ONE = {"min_count", "d_embed", "d_token_gru", "d_block", "batch_size", "max_epochs",
-                 "linear_epochs"}
+_AT_LEAST = {**dict.fromkeys(["min_count", "d_embed", "d_token_gru", "d_block", "batch_size",
+                              "max_epochs", "linear_epochs", "patience"], 1), "l2": 0}
+_ABOVE_ZERO = {"lr", "linear_lr"}
 
 
 def load_config(path=None) -> Config:
     """The Config of DEFAULT_CONFIG updated by the JSON file at ``path``,
     with the lexicon files it names read. A key the default lacks, a
     non-object section, a value of another JSON type than its default's
-    (``models.check_json_type``) or out of range (``_CHOICES``,
-    ``_AT_LEAST_ONE``), or an unreadable lexicon file raises a ValueError
+    (``models.check_json_type``) or out of range (``_CHOICES``, ``_AT_LEAST``,
+    ``_ABOVE_ZERO``), or an unreadable lexicon file raises a ValueError
     naming the file and the key."""
     raw = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
@@ -166,8 +167,12 @@ def _known_items(path, given, known: dict, where: str):
             check_json_type(path, key, value, known[key])
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ValueError(f"{path}: {key!r} must be one of {_CHOICES[key]}, not {value!r}")
-        if key in _AT_LEAST_ONE and value < 1:
-            raise ValueError(f"{path}: {key!r} must be at least 1, not {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{path}: {key!r} must be a finite number, not {value}")
+        if key in _AT_LEAST and value < _AT_LEAST[key]:
+            raise ValueError(f"{path}: {key!r} must be at least {_AT_LEAST[key]}, not {value}")
+        if key in _ABOVE_ZERO and value <= 0:
+            raise ValueError(f"{path}: {key!r} must be above 0, not {value}")
     return given.items()
 
 
@@ -306,12 +311,10 @@ def read_answers(path, report, skip=None, prose=True, ids=None):
 
 
 def domain_matches(tags, language: Language) -> bool:
-    lowered = [str(t).lower() for t in tags]
+    lowered = [t.lower() for t in tags]
     if language is Language.PYTHON:
         return any("python" in t for t in lowered)
-    if language is Language.SQL:
-        return any(t in ("sql", "database", "oracle") for t in lowered)
-    return False
+    return any(t in ("sql", "database", "oracle") for t in lowered)
 
 
 def _csv_rows(path):
@@ -367,18 +370,25 @@ def read_question_labels_csv(path) -> dict[int, question_filter.QuestionLabel]:
     return out
 
 
-def _parse_or_empty(html: str, qid: int) -> BlockSequence:
-    """A body's blocks without their prose, which no question feature reads."""
+def _parse_or_empty(html, qid: int) -> BlockSequence:
+    """A post's blocks without their prose, which no question feature reads.
+    A post that is missing or shows nothing has no blocks."""
     try:
         return parse_answer_post(html or "", qid, prose=False)
     except EmptyPost:
-        return BlockSequence(qid, [Block(BlockKind.TEXT, "")])
+        return BlockSequence(qid, [])
 
 
-def _question_features(record, answer_seq, keywords=None):
-    """The question filter's features of one dump record."""
-    question_seq = _parse_or_empty(record.get("question_body_html", ""), record["question_id"])
-    return question_filter.featurize_question(record["title"], question_seq, answer_seq, keywords)
+def _question_records(path, report, keywords=None, ids=None):
+    """(record, question-filter features) of each well-formed record that
+    ``read_dump(path, ids=ids)`` yields; ``report["skipped"]`` counts the rest."""
+    for record, err in read_dump(path, ids=ids):
+        if err:
+            report["skipped"] += 1
+            continue
+        body, answer = (_parse_or_empty(record.get(key), record["question_id"])
+                        for key in ("question_body_html", "accepted_answer_html"))
+        yield record, question_filter.featurize_question(record["title"], body, answer, keywords)
 
 
 # --------------------------------------------------------------------------
@@ -493,13 +503,14 @@ def mine(
                 report["no_code"] += 1
                 continue
 
-            feats = _question_features(record, answer_seq, qfilter.keywords)
+            qid, title = record["question_id"], record["title"]
+            question_seq = _parse_or_empty(record.get("question_body_html"), qid)
+            feats = question_filter.featurize_question(title, question_seq, answer_seq, qfilter.keywords)
             label, _ = question_filter.classify_question(feats, qfilter)
             if label is not question_filter.QuestionLabel.HOW_TO:
                 report["non_howto"] += 1
                 continue
 
-            qid, title = record["question_id"], record["title"]
             if len(code_blocks) == 1:
                 pair = MinedPair(qid, title, code_blocks[0].raw, 1, Provenance.SINGLE_CODE)
                 line = pair.to_json() + "\n"
@@ -717,13 +728,10 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     else:
         preds = train_eval.predict_labels(model, instances)
 
-    # The heuristics of train_eval.select_first / select_all, which depend
-    # only on a block's position.
-    first_preds = [1 if inst.position == 1 else 0 for inst in instances]
     return {
         "model": evaluate(preds, golds).to_dict(),
-        "select_first": evaluate(first_preds, golds).to_dict(),
-        "select_all": evaluate([1] * len(instances), golds).to_dict(),
+        "select_first": evaluate(train_eval.select_first(instances), golds).to_dict(),
+        "select_all": evaluate(train_eval.select_all(instances), golds).to_dict(),
         "instances": len(instances),
     }
 
@@ -774,12 +782,10 @@ def cmd_parse(args, config):
 
 def cmd_filter_train(args, config):
     labels = read_question_labels_csv(args.labels)
-    labeled = []
-    for record, err in read_dump(args.dump):
-        if err or record["question_id"] not in labels:
-            continue
-        answer_seq = _parse_or_empty(record["accepted_answer_html"], record["question_id"])
-        labeled.append((_question_features(record, answer_seq), labels[record["question_id"]]))
+    labeled = [
+        (feats, labels[record["question_id"]])
+        for record, feats in _question_records(args.dump, Counter(), ids=set(labels))
+    ]
     model = question_filter.train_question_filter(labeled, **config.linear)
     model.save(args.out)
     preds = [
@@ -794,12 +800,7 @@ def cmd_filter(args, config):
     model = question_filter.QuestionFilterModel.load(args.model)
     report = {"classified": 0, "skipped": 0}
     with open(args.out, "w", encoding="utf-8") as out:
-        for record, err in read_dump(args.dump):
-            if err:
-                report["skipped"] += 1
-                continue
-            answer_seq = _parse_or_empty(record["accepted_answer_html"], record["question_id"])
-            feats = _question_features(record, answer_seq, model.keywords)
+        for record, feats in _question_records(args.dump, report, model.keywords):
             label, prob = question_filter.classify_question(feats, model)
             out.write(json.dumps(
                 {"question_id": record["question_id"], "label": label.value, "probability": prob},

@@ -64,9 +64,6 @@ class Variant(Enum):
 
 _HIERARCHICAL = {Variant.BIV_HNN, Variant.BIV_HNN_NQ, Variant.TEXT_HNN}
 _USES_QUESTION = {Variant.BIV_HNN, Variant.CODE_HNN, Variant.BIV_HFF}
-_USES_CODE_TOKENS = {
-    Variant.BIV_HNN, Variant.BIV_HNN_NQ, Variant.CODE_HNN, Variant.BIV_RNN, Variant.BIV_HFF,
-}
 _HAS_CODE_ENCODER = {Variant.BIV_HNN, Variant.BIV_HNN_NQ, Variant.CODE_HNN, Variant.BIV_HFF}
 _HAS_EMPTY_BLOCK = _HIERARCHICAL | {Variant.BIV_HFF}
 

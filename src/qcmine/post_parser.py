@@ -214,9 +214,6 @@ class _PostHTMLParser(HTMLParser):
     def handle_data(self, data):
         self.tokens.append((data, "", "", ""))
 
-    def finish(self, prose: bool = True) -> list[Block]:
-        return _segment(self.tokens, False, prose)
-
 
 def parse_answer_post(html: str, question_id: int = 0, prose: bool = True) -> BlockSequence:
     """Segment an answer post's HTML body into an alternating block sequence.
@@ -231,24 +228,17 @@ def parse_answer_post(html: str, question_id: int = 0, prose: bool = True) -> Bl
         parser = _PostHTMLParser()
         parser.feed(html)
         parser.close()
-        blocks = parser.finish(prose)
+        blocks = _segment(parser.tokens, False, prose)
     if not blocks:
         raise EmptyPost("post has no visible content")
     return BlockSequence(question_id, blocks)
 
 
 def tokenize_sequence(seq: BlockSequence, tokenizer: Tokenizer) -> BlockSequence:
-    """Fill in every block's token list."""
+    """Fill in every block's token list (a block that has one keeps it)."""
     for block in seq.blocks:
-        block.tokens = _tokens_of(block, tokenizer)
+        block.tokens = _block_tokens(block, tokenizer)
     return seq
-
-
-def _tokens_of(block: Block, tokenizer: Tokenizer) -> list[str]:
-    """Prose via the text tokenizer, code via ``code_stream``."""
-    if block.kind is BlockKind.TEXT:
-        return tokenize_text(block.raw).tokens
-    return code_stream(block.raw, tokenizer).tokens
 
 
 def code_stream(raw: str, tokenizer: Tokenizer) -> TokenStream:
@@ -256,7 +246,7 @@ def code_stream(raw: str, tokenizer: Tokenizer) -> TokenStream:
     word/punct split where that yields nothing. Instances, the CodeClass
     corpus and dataset statistics all read code through this one rule."""
     code = normalize_code(raw, tokenizer.language, tokenizer.keep)
-    return code if code.tokens else TokenStream(wordpunct(raw), code.language, code.n_lines)
+    return code if code.tokens else TokenStream(wordpunct(raw), code.n_lines)
 
 
 def extract_instances(
@@ -304,10 +294,12 @@ def extract_instances(
 
 
 def _block_tokens(block: Block | None, tokenizer: Tokenizer) -> list[str]:
-    if block is None:
+    """A copy of the tokens ``tokenize_sequence`` filled in, else prose via
+    the text tokenizer and code via ``code_stream``."""
+    if block is None or not block.raw.strip():
         return []
     if block.tokens:
         return list(block.tokens)
-    if not block.raw.strip():
-        return []
-    return _tokens_of(block, tokenizer)
+    if block.kind is BlockKind.TEXT:
+        return tokenize_text(block.raw).tokens
+    return code_stream(block.raw, tokenizer).tokens

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .baselines import LinearModel, predict_linear, train_linear
 from .models import read_model_file, string_list
-from .post_parser import BlockKind, BlockSequence
+from .post_parser import BlockSequence
 from .tokenize import load_wordlist_resource, tokenize_text, wordpunct_count
 
 
@@ -48,12 +48,10 @@ def featurize_question(
     if keywords is None:
         keywords = default_keywords()
     lowered = title.lower()
-    answer_code = [b for b in answer_seq.blocks if b.kind is BlockKind.CODE]
+    answer_code = answer_seq.code_blocks()
     return QuestionFeatures(
         keyword_flags={kw: kw in lowered for kw in keywords},
-        n_code_blocks_question=sum(
-            1 for b in question_seq.blocks if b.kind is BlockKind.CODE
-        ),
+        n_code_blocks_question=len(question_seq.code_blocks()),
         n_code_blocks_answer=len(answer_code),
         max_code_block_len=max((wordpunct_count(b.raw) for b in answer_code), default=0),
         title_len=len(tokenize_text(title).tokens),
@@ -99,17 +97,14 @@ def train_question_filter(
     epochs: int = 50,
     lr: float = 0.1,
     seed: int = 0,
-    keywords: list[str] | None = None,
 ) -> QuestionFilterModel:
-    if keywords is None:
-        keywords = default_keywords()
     data = [
         (features_to_sparse(f), 1 if label is QuestionLabel.HOW_TO else 0)
         for f, label in labeled
     ]
     linear = train_linear(data, l2=l2, epochs=epochs, lr=lr, seed=seed)
     # a copy: the default lexicon is a shared cache the model must not alias
-    return QuestionFilterModel(linear, list(keywords))
+    return QuestionFilterModel(linear, list(default_keywords()))
 
 
 def classify_question(features: QuestionFeatures, model: QuestionFilterModel):

@@ -21,7 +21,6 @@ from importlib import resources
 
 
 class Language(Enum):
-    TEXT = "text"
     PYTHON = "python"
     SQL = "sql"
 
@@ -35,11 +34,7 @@ class TokenStream:
     """
 
     tokens: list[str] = field(default_factory=list)
-    language: Language = Language.TEXT
     n_lines: int = 0
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 _WORDPUNCT = re.compile(r"\w+|[^\w\s]+", re.UNICODE)
@@ -69,10 +64,11 @@ def wordpunct_count(s: str) -> int:
 
 def tokenize_text(s: str) -> TokenStream:
     """Tokenize natural-language text: wordpunct split, lowercased."""
-    return TokenStream([t.lower() for t in wordpunct(s)], Language.TEXT)
+    return TokenStream([t.lower() for t in wordpunct(s)])
 
 
-def _count_lines(s: str) -> int:
+def count_lines(s: str) -> int:
+    """The number of non-blank lines of ``s``."""
     return sum(1 for line in s.splitlines() if line.strip())
 
 
@@ -186,7 +182,7 @@ def normalize_python(code: str, keep: frozenset[str] | None = None) -> TokenStre
                 line_tokens = wordpunct(line)
                 break
         tokens.extend(line_tokens)
-    return TokenStream(tokens, Language.PYTHON, n_lines=_count_lines(code))
+    return TokenStream(tokens, count_lines(code))
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def normalize_sql(code: str) -> TokenStream:
         tokens.append(t)
         if t not in _TABLE_CONTEXT_KEEPERS:
             in_table = False
-    return TokenStream(tokens, Language.SQL, n_lines=_count_lines(code))
+    return TokenStream(tokens, count_lines(code))
 
 
 def normalize_code(
@@ -295,9 +291,7 @@ def normalize_code(
     (None: the packaged one)."""
     if language is Language.PYTHON:
         return normalize_python(code, keep)
-    if language is Language.SQL:
-        return normalize_sql(code)
-    raise ValueError(f"no code normalizer for {language}")
+    return normalize_sql(code)
 
 
 # Names the behaviour of tokenize_text, normalize_python and normalize_sql.

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import models as models_mod
 from .nn_core import AdamState, adam_update, backward, softmax_xent_rows
-from .post_parser import BlockSequence, CodeContextInstance
+from .post_parser import CodeContextInstance
 
 
 class LengthMismatch(ValueError):
@@ -68,15 +68,14 @@ def evaluate(preds, golds) -> Metrics:
     return m
 
 
-def select_first(seq: BlockSequence) -> list[int]:
-    """Heuristic: only the first code block is a solution."""
-    n = len(seq.code_blocks())
-    return [1] + [0] * (n - 1) if n else []
+def select_first(instances) -> list[int]:
+    """Heuristic: only the first code block of an answer is a solution."""
+    return [1 if inst.position == 1 else 0 for inst in instances]
 
 
-def select_all(seq: BlockSequence) -> list[int]:
+def select_all(instances) -> list[int]:
     """Heuristic: every code block is a solution."""
-    return [1] * len(seq.code_blocks())
+    return [1] * len(instances)
 
 
 def mrr(ranks) -> float:

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tokenize import TokenStream
-
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 CODEBLOCK_TOKEN = "<codeblock>"
@@ -47,8 +45,8 @@ class Vocabulary:
         return [get(t, UNK_ID) for t in tokens]
 
 
-def build_vocab(streams, min_count: int = 1) -> Vocabulary:
-    """Build a vocabulary over token streams.
+def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
+    """Build a vocabulary over token lists.
 
     Tokens with corpus frequency >= min_count are kept, ordered by
     (-frequency, token) so identical corpora always produce identical id
@@ -58,8 +56,7 @@ def build_vocab(streams, min_count: int = 1) -> Vocabulary:
         raise ValueError("min_count must be >= 1")
     counts: dict[str, int] = {}
     seen_any = False
-    for stream in streams:
-        tokens = stream.tokens if isinstance(stream, TokenStream) else stream
+    for tokens in token_lists:
         for tok in tokens:
             seen_any = True
             counts[tok] = counts.get(tok, 0) + 1

@@ -200,10 +200,10 @@ def test_criterion_3_select_all_identities():
         assert round(m_sql.precision, 3) == 0.583
         assert m_py.recall == m_sql.recall == 1.0
 
-        # the heuristics themselves operate on parsed posts
+        # the heuristics themselves operate on the instances of parsed posts
         seq = parse_answer_post("".join(f"<pre><code>c{i}=1</code></pre>" for i in range(3)))
-        assert select_first(seq) == [1, 0, 0]
-        assert select_all(seq) == [1, 1, 1]
+        assert select_first(extract_instances("t", seq)) == [1, 0, 0]
+        assert select_all(extract_instances("t", seq)) == [1, 1, 1]
 
 
 # -------------------------------------------------------------------------

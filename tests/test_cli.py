@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import random
@@ -291,13 +292,30 @@ class TestTrainEval:
         first, every, golds = [], [], []
         for qid, by_pos in cli.read_annotation_csv(labels).items():
             seq = parse_answer_post(records[qid]["accepted_answer_html"], qid)
+            answer = extract_instances(records[qid]["title"], seq)
             for pos, label in sorted(by_pos.items()):
-                first.append(train_eval.select_first(seq)[pos - 1])
-                every.append(train_eval.select_all(seq)[pos - 1])
+                first.append(train_eval.select_first(answer)[pos - 1])
+                every.append(train_eval.select_all(answer)[pos - 1])
                 golds.append(label)
         assert report["instances"] == 4
         assert report["select_first"] == train_eval.evaluate(first, golds).to_dict()
         assert report["select_all"] == train_eval.evaluate(every, golds).to_dict()
+
+    def test_eval_select_first_without_position_one(self, ws, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"  # no position 1 labeled: select_first predicts all 0
+        labels.write_text("question_id,code_position,label\n110,2,0\n111,2,1\n112,2,0\n")
+        cli.main(
+            [
+                "eval", "--dump", str(ws["dump"]), "--labels", str(labels),
+                "--checkpoint", str(ws["biv_hnn"]), "--config", str(ws["config"]),
+            ]
+        )
+        report = json.loads(capsys.readouterr().out)
+        golds = [0, 1, 0]
+        assert report["instances"] == 3
+        assert report["select_first"] == train_eval.evaluate([0, 0, 0], golds).to_dict()
+        assert report["select_first"]["tp"] == report["select_first"]["fp"] == 0
+        assert report["select_all"] == train_eval.evaluate([1, 1, 1], golds).to_dict()
 
     def test_linear_bundle_persists_connectives(self, ws, tmp_path):
         bundle, valid = cli.train_linear_baseline(
@@ -929,6 +947,20 @@ class TestLabeledReads:
         assert sum(map(unlabeled, lines)) > len(lines) // 4
         assert [line for line in lines if unlabeled(line) and not cli._other_id(line, labeled)] == []
 
+    @pytest.mark.parametrize("dump", ["html_safe_dump", "unplain_dump"])
+    def test_filter_train_equals_full_read(self, request, ws, dump, tmp_path, monkeypatch, capsys):
+        path = request.getfixturevalue(dump)
+
+        def filter_train(out):
+            cli.main(["filter-train", "--dump", str(path), "--labels", str(ws["qlabels"]),
+                      "--out", str(out), "--config", str(ws["config"])])
+            return capsys.readouterr().out, out.read_bytes()
+
+        ruled_out = filter_train(tmp_path / "ids.json")
+        monkeypatch.setattr(cli, "_other_id", lambda line, ids: False)  # every line read in full
+        assert filter_train(tmp_path / "full.json") == ruled_out
+        assert json.loads(ruled_out[0])["questions"] == 26
+
     def test_labeled_instances_equal_full_read(self, ws):
         maps = [cli.read_annotation_csv(ws["train"]), cli.read_annotation_csv(ws["valid"])]
         # every_answer makes the pass read every record in full
@@ -994,6 +1026,16 @@ class TestBenchHooks:
         assert (len(full), len(clock)) == (26, 11)
         for owner, attr, _make in full + clock:
             assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
+    def test_benchmark_call_shapes_bind(self):
+        # the arguments run.py passes: a signature they no longer bind to fails here
+        def bind(fn, *args):
+            inspect.signature(fn).bind(*args)
+
+        bind(cli.mine, "dump", "biv", "text", "code", "filter", "out")
+        bind(cli.train_neural, "dump", "train", "valid", cli.load_config(), "biv_hnn", "out")
+        bind(cli.load_config, "config.json")
+        bind(load_model, "biv_hnn.json")
 
     def test_fixture_generator_writes_loadable_artifacts(self, tmp_path):
         # the benchmark's shared voters and filter are written by qcmine
@@ -1460,13 +1502,26 @@ class TestConfig:
             ({"model": {"variant": "lr"}}, "variant"),
             ({"tokenize": {"python_keep_list": "no/such/keep.txt"}}, "python_keep_list"),
             ({"tokenize": {"connectives": "no/such/connectives.txt"}}, "connectives"),
+            ({"train": {"lr": 0}}, "lr"),
+            ({"train": {"lr": -0.001}}, "lr"),
+            ({"train": {"linear_lr": 0.0}}, "linear_lr"),
+            ({"train": {"linear_lr": -0.1}}, "linear_lr"),
+            ({"train": {"l2": -1e-4}}, "l2"),
+            ({"train": {"patience": 0}}, "patience"),
+            ({"train": {"patience": -3}}, "patience"),
+            ({"train": {"lr": float("nan")}}, "lr"),
+            ({"train": {"l2": float("nan")}}, "l2"),
+            ({"train": {"lr": float("inf")}}, "lr"),
+            ({"train": {"linear_lr": float("inf")}}, "linear_lr"),
         ],
         ids=["bool_as_string", "float_for_int", "bool_for_int", "freeze_as_string",
              "float_batch_size", "string_for_float", "null_for_int", "number_for_path",
              "text_language", "null_language", "zero_batch_size", "negative_batch_size",
              "zero_max_epochs", "negative_linear_epochs", "zero_min_count", "zero_d_embed",
              "negative_d_token_gru", "zero_d_block", "bogus_variant", "linear_variant",
-             "missing_keep_list", "missing_connectives"],
+             "missing_keep_list", "missing_connectives", "zero_lr", "negative_lr",
+             "zero_linear_lr", "negative_linear_lr", "negative_l2", "zero_patience",
+             "negative_patience", "nan_lr", "nan_l2", "infinite_lr", "infinite_linear_lr"],
     )
     def test_wrong_type_or_value_refused(self, tmp_path, user, key):
         path = tmp_path / "config.json"

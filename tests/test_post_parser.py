@@ -10,6 +10,7 @@ from qcmine.post_parser import (
     EmptyPost,
     PositionMismatch,
     _PostHTMLParser,
+    _segment,
     extract_instances,
     parse_answer_post,
     tokenize_sequence,
@@ -182,7 +183,7 @@ def stdlib_outcome(html):
     parser = _PostHTMLParser()
     parser.feed(html)
     parser.close()
-    return [(b.kind, b.raw) for b in parser.finish()] or "EmptyPost"
+    return [(b.kind, b.raw) for b in _segment(parser.tokens, False)] or "EmptyPost"
 
 
 def outcome(html):

@@ -268,9 +268,8 @@ def test_normalization_collapses_identifier_diversity():
 
 
 def test_language_tagging():
-    assert tokenize_text("a").language is Language.TEXT
-    assert normalize_python("a").language is Language.PYTHON
-    assert normalize_sql("select 1").language is Language.SQL
+    assert normalize_code("a = 1", Language.PYTHON) == normalize_python("a = 1")
+    assert normalize_code("select a", Language.SQL) == normalize_sql("select a")
 
 
 def test_keep_list_override(tmp_path):

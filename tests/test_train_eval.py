@@ -6,7 +6,7 @@ import pytest
 
 from helpers import make_cue_dataset
 from qcmine.models import Variant, VariantConfig, init_model, predict_label
-from qcmine.post_parser import parse_answer_post
+from qcmine.post_parser import extract_instances, parse_answer_post
 from qcmine.train_eval import (
     Decision,
     EmptyInput,
@@ -78,19 +78,34 @@ class TestEvaluate:
             assert abs(m.accuracy - acc) < 1e-12
 
 
+THREE_CODE_HTML = "".join(f"<pre><code>c{i}=1</code></pre>" for i in range(3))
+
+
 class TestHeuristics:
     def test_select_first(self):
-        seq = parse_answer_post("".join(f"<pre><code>c{i}=1</code></pre>" for i in range(3)))
-        assert select_first(seq) == [1, 0, 0]
+        insts = extract_instances("t", parse_answer_post(THREE_CODE_HTML))
+        assert select_first(insts) == [1, 0, 0]
 
     def test_select_all(self):
-        seq = parse_answer_post("".join(f"<pre><code>c{i}=1</code></pre>" for i in range(3)))
-        assert select_all(seq) == [1, 1, 1]
+        insts = extract_instances("t", parse_answer_post(THREE_CODE_HTML))
+        assert select_all(insts) == [1, 1, 1]
 
     def test_no_code(self):
-        seq = parse_answer_post("<p>prose</p>")
-        assert select_first(seq) == []
-        assert select_all(seq) == []
+        insts = extract_instances("t", parse_answer_post("<p>prose</p>"))
+        assert select_first(insts) == []
+        assert select_all(insts) == []
+
+    def test_labeled_subset_reads_positions(self):
+        # position 1 unlabeled: no instance of the subset is its answer's first
+        labeled = [
+            inst for inst in extract_instances("t", parse_answer_post(THREE_CODE_HTML), {2: 1, 3: 0})
+            if inst.label is not None
+        ]
+        assert select_first(labeled) == [0, 0]
+        assert select_all(labeled) == [1, 1]
+        # two answers in one list: each answer's first block is selected
+        every = extract_instances("t", parse_answer_post(THREE_CODE_HTML))
+        assert select_first(labeled + every) == [0, 0, 1, 0, 0]
 
     def test_select_all_recall_one_precision_base_rate(self):
         rng = random.Random(7)

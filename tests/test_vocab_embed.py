@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qcmine.tokenize import TokenStream
 from qcmine.vocab_embed import (
     CODEBLOCK_ID,
     CODEBLOCK_TOKEN,
@@ -44,10 +43,6 @@ class TestBuildVocab:
     def test_contiguous_ids(self):
         vocab = build_vocab([["w1", "w2", "w3"]])
         assert sorted(vocab.token_to_id.values()) == list(range(vocab.size))
-
-    def test_accepts_token_streams(self):
-        vocab = build_vocab([TokenStream(["a"]), TokenStream(["b"])])
-        assert vocab.size == 5
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
