@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -25,6 +26,7 @@ from .tokenize import (
 
 LOGISTIC = "logistic"
 HINGE_SVM = "hinge_svm"
+_MAX = sys.float_info.max
 
 
 class SingleClassData(ValueError):
@@ -128,17 +130,33 @@ class LinearModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LinearModel":
-        index = {str(name): i for i, name in enumerate(obj["features"])}
-        weights = np.array(obj["weights"], dtype=np.float64)
+        """The model of ``to_dict``'s object. A kind other than logistic or
+        hinge_svm, a feature name that is not a string, or a weight, bias
+        or l2 that is not a finite JSON number raises a ValueError or
+        TypeError, which ``models.read_parts`` reports."""
+        if obj["kind"] not in (LOGISTIC, HINGE_SVM):
+            raise ValueError(f"kind {obj['kind']!r:.80} is neither {LOGISTIC} nor {HINGE_SVM}")
+        features = string_list(obj["features"])
+        index = {name: i for i, name in enumerate(features)}
+        weights = np.array([_finite("weights", w) for w in obj["weights"]], dtype=np.float64)
         if weights.shape != (len(index),):
             raise ValueError(f"weights of shape {weights.shape} for {len(index)} distinct features")
         return cls(
             kind=obj["kind"],
             weights=weights,
-            bias=float(obj["bias"]),
-            l2=float(obj.get("l2", 0.0)),
+            bias=_finite("bias", obj["bias"]),
+            l2=_finite("l2", obj.get("l2", 0.0)),
             index=index,
         )
+
+
+def _finite(key: str, value) -> float:
+    """``value`` as a float if it is a JSON number inside the float range
+    (not a bool, a string, NaN, an infinity or an integer beyond it), else
+    ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_MAX <= value <= _MAX:
+        raise ValueError(f"{key}: {value!r:.80} is not a finite number")
+    return float(value)
 
 
 def _dot(weights: np.ndarray, index: dict[str, int], features: dict[str, float]) -> float:

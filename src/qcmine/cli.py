@@ -48,6 +48,10 @@ class Provenance(Enum):
     ANNOTATED = "annotated"
 
 
+# json.dumps with these options builds a new encoder on every call
+_PAIR_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 @dataclass
 class MinedPair:
     question_id: int
@@ -58,8 +62,7 @@ class MinedPair:
     score: float | None = None
 
     def to_json(self) -> str:
-        obj = {**vars(self), "provenance": self.provenance.value}
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+        return _PAIR_ENCODER.encode({**vars(self), "provenance": self.provenance.value})
 
     @classmethod
     def from_json(cls, line: str) -> "MinedPair":
@@ -311,10 +314,9 @@ def read_answers(path, report, skip=None, prose=True, ids=None):
 
 
 def domain_matches(tags, language: Language) -> bool:
-    lowered = [t.lower() for t in tags]
     if language is Language.PYTHON:
-        return any("python" in t for t in lowered)
-    return any(t in ("sql", "database", "oracle") for t in lowered)
+        return any("python" in t.lower() for t in tags)
+    return any(t.lower() in ("sql", "database", "oracle") for t in tags)
 
 
 def _csv_rows(path):
@@ -370,11 +372,20 @@ def read_question_labels_csv(path) -> dict[int, question_filter.QuestionLabel]:
     return out
 
 
+# Both the scanner and html.parser open a <pre> element only at these
+# characters, and only inside one is a code block made.
+_PRE_TAG = re.compile("<pre", re.IGNORECASE)
+
+
 def _parse_or_empty(html, qid: int) -> BlockSequence:
-    """A post's blocks without their prose, which no question feature reads.
-    A post that is missing or shows nothing has no blocks."""
+    """A post's blocks for the question filter's features, which read only
+    its code blocks, so prose is left empty. A post that is missing, shows
+    nothing, or holds no "<pre" in any letter case has no blocks; the last
+    is not parsed, as it cannot hold a code block."""
+    if not html or not _PRE_TAG.search(html):
+        return BlockSequence(qid, [])
     try:
-        return parse_answer_post(html or "", qid, prose=False)
+        return parse_answer_post(html, qid, prose=False)
     except EmptyPost:
         return BlockSequence(qid, [])
 

@@ -15,7 +15,11 @@ from enum import Enum
 from .baselines import LinearModel, predict_linear, train_linear
 from .models import read_model_file, string_list
 from .post_parser import BlockSequence
-from .tokenize import load_wordlist_resource, tokenize_text, wordpunct_count
+from .tokenize import (
+    load_wordlist_resource,
+    tokenize_text,  # noqa: F401  unused here; bench/run.py traces question_filter.tokenize_text by name
+    wordpunct_count,
+)
 
 
 class QuestionLabel(Enum):
@@ -43,8 +47,9 @@ def featurize_question(
     answer_seq: BlockSequence,
     keywords: list[str] | None = None,
 ) -> QuestionFeatures:
-    """Deterministic hand features; keyword matching is case-insensitive
-    over the title."""
+    """Deterministic hand features. The keywords are lowercase and matched
+    in the lowercased title; titles and code blocks are counted in
+    word/punct tokens."""
     if keywords is None:
         keywords = default_keywords()
     lowered = title.lower()
@@ -54,12 +59,13 @@ def featurize_question(
         n_code_blocks_question=len(question_seq.code_blocks()),
         n_code_blocks_answer=len(answer_code),
         max_code_block_len=max((wordpunct_count(b.raw) for b in answer_code), default=0),
-        title_len=len(tokenize_text(title).tokens),
+        title_len=wordpunct_count(title),
     )
 
 
 def features_to_sparse(features: QuestionFeatures) -> dict[str, float]:
-    feats = {f"kw:{kw}": 1.0 for kw, flag in sorted(features.keyword_flags.items()) if flag}
+    flags = features.keyword_flags
+    feats = {f"kw:{kw}": 1.0 for kw in sorted(flags) if flags[kw]}
     feats["n_code_q"] = float(features.n_code_blocks_question)
     feats["n_code_a"] = float(features.n_code_blocks_answer)
     feats["max_code_len"] = float(features.max_code_block_len)
@@ -87,8 +93,18 @@ class QuestionFilterModel:
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
         return cls(**read_model_file(
-            path, obj, _FORMAT, {"linear": LinearModel.from_dict, "keywords": string_list}
+            path, obj, _FORMAT, {"linear": LinearModel.from_dict, "keywords": _keywords}
         ))
+
+
+def _keywords(obj) -> list[str]:
+    """``obj`` if it is a list of non-empty lowercase strings: titles are
+    lowercased before matching, so another keyword would never fire, and
+    an empty one would fire on every title."""
+    for kw in string_list(obj):
+        if not kw or kw != kw.lower():
+            raise ValueError(f"keyword {kw!r:.80} is not a non-empty lowercase string")
+    return obj
 
 
 def train_question_filter(

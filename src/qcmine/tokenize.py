@@ -46,8 +46,7 @@ def wordpunct(s: str) -> list[str]:
 
 
 # Each ASCII character as a word ("w"), space (" ") or symbol ("p")
-# character of _WORDPUNCT. Spaces include \x0b, \x0c and \x1c-\x1f, as for re
-# and str.split; bytes.split() sees only the " " they all become.
+# character of _WORDPUNCT. Spaces include \x0b, \x0c and \x1c-\x1f, as for re.
 _ASCII_CLASSES = bytes(
     ord("w" if re.match(r"\w", chr(c)) else " " if re.match(r"\s", chr(c)) else "p") for c in range(128)
 ) + b"p" * 128
@@ -55,11 +54,12 @@ _ASCII_CLASSES = bytes(
 
 def wordpunct_count(s: str) -> int:
     """``len(wordpunct(s))`` without building the tokens: in ASCII text,
-    the runs of non-space classes plus the word/symbol boundaries in them."""
+    the token starts, each a word or symbol character after a space or a
+    character of the other class (a space is put in front of ``s``)."""
     if not s.isascii():
         return len(_WORDPUNCT.findall(s))
-    b = s.encode("ascii").translate(_ASCII_CLASSES)
-    return len(b.split()) + b.count(b"wp") + b.count(b"pw")
+    b = (" " + s).encode("ascii").translate(_ASCII_CLASSES)
+    return b.count(b" w") + b.count(b" p") + b.count(b"wp") + b.count(b"pw")
 
 
 def tokenize_text(s: str) -> TokenStream:

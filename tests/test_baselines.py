@@ -123,6 +123,23 @@ class TestTrainLinear:
         assert back.index == model.index and back.bias == model.bias
         np.testing.assert_array_equal(back.weights, model.weights)
 
+    # One row per kind of value a linear model cannot score, as JSON text:
+    # each loaded before, as a number it was not, an infinity, or a NaN
+    # that scores every input (0, 0.0).
+    @pytest.mark.parametrize(
+        "key, raw, refusal",
+        [("weights", '["2"]', "weights"), ("bias", '"0.5"', "bias"), ("weights", "[true]", "weights"),
+         ("weights", "[NaN]", "weights"), ("weights", "[1e400]", "weights"), ("kind", '"bogus"', "kind"),
+         ("features", "[1]", "list of strings")],
+        ids=["string_weight", "string_bias", "bool_weight", "nan_weight", "overflow_weight",
+             "unknown_kind", "int_feature"],
+    )
+    def test_from_dict_refuses_what_it_cannot_score(self, key, raw, refusal):
+        obj = {"kind": LOGISTIC, "features": ["a"], "weights": [2.0], "bias": 0.5, "l2": 0.0}
+        obj[key] = json.loads(raw)
+        with pytest.raises((TypeError, ValueError), match=refusal):
+            LinearModel.from_dict(obj)
+
     def test_deterministic_per_seed(self):
         data = separable_toy()
         m1 = train_linear(data, LOGISTIC, epochs=10, lr=0.3, seed=5)

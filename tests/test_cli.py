@@ -3,8 +3,11 @@ import importlib.util
 import inspect
 import io
 import json
+import math
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -607,6 +610,58 @@ class TestSqlPipeline:
         assert merge["total"] == merge["mined_kept"] + merge["annotated_added"]
         assert reports["stats"]["pairs"] == merge["total"]
         assert reports["stats"]["provenance_sum_matches_total"]
+
+
+class TestCrossProcess:
+    """Reruns in one process share its string hashes, so an output that
+    follows set or dict-of-str hash order cannot differ there. These run
+    each command in processes with other hash seeds."""
+
+    def run(self, ws, out, hash_seed):
+        out.mkdir()
+        dump, config = str(ws["dump"]), ["--config", str(ws["config"])]
+        argvs = [
+            ["mine", "--dump", dump, "--biv", str(ws["biv_hnn"]), "--text", str(ws["text_hnn"]),
+             "--code", str(ws["code_hnn"]), "--filter-model", str(ws["filter"]),
+             "--out", str(out / "pairs.jsonl"), *config],
+            ["filter", "--dump", dump, "--model", str(ws["filter"]),
+             "--out", str(out / "labels.jsonl"), *config],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        reports = [
+            subprocess.run([sys.executable, "-m", "qcmine.cli", *argv], env=env, check=True,
+                           capture_output=True, text=True).stdout
+            for argv in argvs
+        ]
+        return reports, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_mine_and_filter_byte_identical_across_hash_seeds(self, ws, tmp_path):
+        reports, files = self.run(ws, tmp_path / "seed0", "0")
+        assert (reports, files) == self.run(ws, tmp_path / "seed1", "1")
+        assert sorted(files) == ["labels.jsonl", "pairs.jsonl", "pairs.jsonl.abstentions.jsonl"]
+        assert files["pairs.jsonl"] and files["labels.jsonl"]
+
+
+PAIRS = st.builds(
+    cli.MinedPair,
+    st.integers(),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x9f)) | st.text(),
+    st.integers(1, 9),
+    st.sampled_from(cli.Provenance),
+    st.none() | st.integers() | st.floats(),
+)
+
+
+@given(PAIRS)
+@settings(max_examples=300, deadline=None)
+def test_pair_line_is_json_dumps(pair):
+    # the writer reuses one encoder; its lines must be json.dumps's
+    expected = json.dumps({**vars(pair), "provenance": pair.provenance.value},
+                          sort_keys=True, ensure_ascii=False)
+    assert pair.to_json() == expected
 
 
 def tape_ensemble_batch(biv, text, code, instances):
@@ -1293,10 +1348,11 @@ class TestMissingKeyCheckpoint:
 
 
 class TestLexiconParts:
-    """A question filter whose keywords are not a list of strings, or a
-    linear bundle whose connectives are not a list of token lists, is
-    refused on load with a CheckpointMismatch that names the file and the
-    part, so neither `mine` nor `eval` runs with it."""
+    """A question filter whose keywords are not a list of non-empty
+    lowercase strings or whose linear model cannot score, or a linear
+    bundle whose connectives are not a list of token lists, is refused on
+    load with a CheckpointMismatch that names the file and the part, so
+    neither `mine` nor `eval` runs with it."""
 
     @staticmethod
     def edited(src, tmp_path, key, value):
@@ -1306,12 +1362,26 @@ class TestLexiconParts:
         path.write_text(json.dumps(obj))
         return path
 
+    # titles are lowercased before matching: "How to" would never fire,
+    # and "" would fire on every title
     @pytest.mark.parametrize(
-        "keywords", [[1], "how to", [["how"]], None], ids=["int", "string", "nested", "null"]
+        "keywords", [[1], "how to", [["how"]], None, ["how to", "How to"], ["how to", ""]],
+        ids=["int", "string", "nested", "null", "uppercase", "empty"],
     )
     def test_filter_keywords(self, ws, tmp_path, keywords):
         path = self.edited(ws["filter"], tmp_path, "keywords", keywords)
-        refused = re.escape(str(path)) + ".*part 'keywords'"
+        self.assert_refused(ws, tmp_path, path, "keywords")
+
+    def test_filter_nan_weight(self, ws, tmp_path):
+        # a NaN weight would score every question (0, 0.0): non-how-to
+        linear = json.loads(ws["filter"].read_text())["linear"]
+        linear["weights"][0] = math.nan
+        path = self.edited(ws["filter"], tmp_path, "linear", linear)
+        self.assert_refused(ws, tmp_path, path, "linear")
+
+    @staticmethod
+    def assert_refused(ws, tmp_path, path, part):
+        refused = re.escape(str(path)) + f".*part '{part}'"
         with pytest.raises(CheckpointMismatch, match=refused):
             question_filter.QuestionFilterModel.load(path)
         argv = ["mine", "--dump", str(ws["dump"]), "--out", str(tmp_path / "pairs.jsonl"),

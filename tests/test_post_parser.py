@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_post
+from qcmine import cli
+from qcmine.cli import _parse_or_empty
 from qcmine.post_parser import (
     BlockKind,
+    BlockSequence,
     EmptyPost,
     PositionMismatch,
     _PostHTMLParser,
@@ -326,3 +329,49 @@ class TestProseFree:
     ])
     def test_visible_text_decides_empty_post(self, html):
         assert prose_free_outcome(html) == without_prose(outcome(html))
+
+
+def code_outcome(seq):
+    return [(b.kind, b.raw) for b in seq.code_blocks()]
+
+
+def prose_free_code(html):
+    """The code blocks of the prose-free parse; none on EmptyPost."""
+    try:
+        return code_outcome(parse_answer_post(html, prose=False))
+    except EmptyPost:
+        return []
+
+
+class TestCodeFreeSkip:
+    """``cli._parse_or_empty`` does not parse a post without "<pre" in any
+    case; its code blocks are still those of the prose-free parse."""
+
+    @given(POSTS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_prose_free_parse(self, html):
+        assert code_outcome(_parse_or_empty(html, 0)) == prose_free_code(html)
+
+    @pytest.mark.parametrize("html", [
+        "<PRE><CODE>x = 1</CODE></PRE>", '<Pre class="x"><code>y()</code></Pre>',
+        "<p>a</p><preview>b</preview>", "<preview><pre><code>z</code></pre></preview>",
+        "<pre>no code element</pre>", "<!-- <pre><code>x</code></pre> -->",
+        '<a title="<pre><code>x</code></pre>">t</a>', "&lt;pre&gt;<code>x</code>&lt;/pre&gt;",
+        "< pre><code>x</code>", "<p>no tags that open a pre</p>", "", "<pre",
+    ])
+    def test_rows(self, html):
+        assert code_outcome(_parse_or_empty(html, 0)) == prose_free_code(html)
+
+    @pytest.mark.parametrize("tail", ["<pre><code>y = 1</code></pre>", ""], ids=["code", "alone"])
+    @pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS.keys())
+    def test_fallback_trigger(self, trigger, tail):
+        html = f"<p>x</p>{trigger}{tail}"
+        assert code_outcome(_parse_or_empty(html, 0)) == prose_free_code(html)
+
+    def test_code_free_post_not_parsed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed")
+
+        monkeypatch.setattr(cli, "parse_answer_post", refuse)
+        for html in (None, "", "<p>x &lt;pre&gt;</p><code>y</code>", "< pre>"):
+            assert _parse_or_empty(html, 7) == BlockSequence(7, [])

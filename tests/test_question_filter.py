@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcmine.baselines import LOGISTIC, LinearModel, UntrainedModel
-from qcmine.post_parser import parse_answer_post
+from qcmine.post_parser import BlockSequence, parse_answer_post
 from qcmine.question_filter import (
+    QuestionFeatures,
     QuestionFilterModel,
     QuestionLabel,
     classify_question,
@@ -12,6 +15,7 @@ from qcmine.question_filter import (
     features_to_sparse,
     train_question_filter,
 )
+from qcmine.tokenize import tokenize_text
 
 
 def seqs(question_html="<p>body</p>", answer_html="<p>a</p>"):
@@ -134,3 +138,29 @@ def test_features_to_sparse_deterministic():
     v1, v2 = features_to_sparse(feats), features_to_sparse(feats)
     assert list(v1.items()) == list(v2.items())
     assert list(v1) == ["kw:how to", "n_code_q", "n_code_a", "max_code_len", "title_len"]
+
+
+def item_sorted_sparse(features):
+    """``features_to_sparse`` as it was built: flags sorted as items."""
+    feats = {f"kw:{kw}": 1.0 for kw, flag in sorted(features.keyword_flags.items()) if flag}
+    feats["n_code_q"] = float(features.n_code_blocks_question)
+    feats["n_code_a"] = float(features.n_code_blocks_answer)
+    feats["max_code_len"] = float(features.max_code_block_len)
+    feats["title_len"] = float(features.title_len)
+    return feats
+
+
+@given(st.dictionaries(st.text(max_size=8), st.booleans()), st.lists(st.integers(0, 99), min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_features_to_sparse_is_the_item_sorted_build(flags, counts):
+    # the filter's dot product sums in this order, so the order is part of
+    # the bit-identical probability
+    feats = QuestionFeatures(dict(flags), *counts)
+    assert list(features_to_sparse(feats).items()) == list(item_sorted_sparse(feats).items())
+
+
+@given(st.text() | st.text(st.characters(max_codepoint=127)))
+@settings(max_examples=300, deadline=None)
+def test_title_len_is_the_text_token_count(title):
+    q, a = BlockSequence(1, []), BlockSequence(1, [])
+    assert featurize_question(title, q, a).title_len == len(tokenize_text(title).tokens)
