@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 from collections import Counter
@@ -113,8 +112,9 @@ class Config:
 
 
 # The values a key may take, beyond its default's JSON type and, for a
-# float, being finite. A size, count or patience below 1, a step size of 0
-# or less, or a negative penalty would make a command crash or train nothing.
+# float key, lying inside the float range, ints included. A size, count or
+# patience below 1, a step size of 0 or less, or a negative penalty would
+# make a command crash or train nothing.
 _CHOICES = {"language": ("python", "sql"), "variant": tuple(v.value for v in Variant)}
 _AT_LEAST = {**dict.fromkeys(["min_count", "d_embed", "d_token_gru", "d_block", "batch_size",
                               "max_epochs", "linear_epochs", "patience"], 1), "l2": 0}
@@ -170,8 +170,8 @@ def _known_items(path, given, known: dict, where: str):
             check_json_type(path, key, value, known[key])
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ValueError(f"{path}: {key!r} must be one of {_CHOICES[key]}, not {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{path}: {key!r} must be a finite number, not {value}")
+        if isinstance(known[key], float) and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{path}: {key!r} must be a finite number, not {value!r:.80}")
         if key in _AT_LEAST and value < _AT_LEAST[key]:
             raise ValueError(f"{path}: {key!r} must be at least {_AT_LEAST[key]}, not {value}")
         if key in _ABOVE_ZERO and value <= 0:

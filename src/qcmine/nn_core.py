@@ -21,6 +21,11 @@ use them as the reference.
 
 The GRU follows the convention where the update gate u weighs the previous
 state: h = u*h_prev + (1-u)*h_tilde, so u near 1 memorizes the past.
+
+Checkpoint tensors are base64 of little-endian float64 bytes
+(``tensor_to_obj``). ``tensor_from_obj`` decodes that text a slice at a
+time straight into the array it returns, so loading a checkpoint holds the
+JSON text and its strings but no second full-size copy of any tensor.
 """
 
 from __future__ import annotations
@@ -737,16 +742,50 @@ def tensor_to_obj(arr: np.ndarray) -> dict:
     """JSON form of a float64 tensor: its shape and base64 of its
     little-endian float64 bytes in C order. Lossless: every bit, NaN
     payloads and signed zeros included, survives ``tensor_from_obj``."""
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    data = np.ascontiguousarray(arr, dtype="<f8")  # encoded through its buffer, not copied
     return {"shape": list(arr.shape), "data": base64.b64encode(data).decode("ascii")}
+
+
+# Base64 characters decoded at a time: a multiple of 4, so every slice but
+# the last holds whole quanta, and small enough that a slice's temporaries
+# stay below glibc's default 128 KiB mmap threshold.
+_DECODE_CHUNK = 1 << 16
 
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
     """The writable, C-contiguous float64 array of a ``tensor_to_obj``
-    object. Raises ValueError on bad base64 or a byte count that does not
-    match the shape."""
-    shape = tuple(obj["shape"])
-    raw = base64.b64decode(obj["data"], validate=True)
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{len(raw)} data bytes do not fit float64 shape {list(shape)}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    object. Raises TypeError on data that is not a string, and ValueError
+    on a shape that is not a list of sizes, bad base64, or a byte count
+    that does not match the shape.
+
+    The data is decoded a slice at a time straight into the array, so no
+    full-size copy is made besides the result. It accepts what
+    ``base64.b64decode(data, validate=True)`` accepts, and nothing more:
+    every slice but the last holds whole quanta without padding, so it
+    decodes as it would inside the whole string. The length is checked
+    before the array is allocated; ``validate=True`` on Python 3.10 also
+    takes up to two ``=`` past the padded length."""
+    shape, data = tuple(obj["shape"]), obj["data"]
+    if not isinstance(data, str):
+        raise TypeError(f"tensor data must be a base64 string, not {type(data).__name__}")
+    if not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"tensor shape {list(shape)!r:.80} is not a list of sizes")
+    nbytes = 8 * math.prod(shape)
+    size = 4 * -(-nbytes // 3)  # the padded base64 length of nbytes
+    if not size <= len(data) <= size + 2:
+        raise ValueError(f"{len(data)} base64 characters do not fit float64 shape {list(shape)}")
+    out = np.empty(nbytes // 8, "<f8")
+    view = memoryview(out).cast("B")
+    filled = 0
+    for start in range(0, size or 1, _DECODE_CHUNK):  # data of no bytes is one slice too
+        last = start + _DECODE_CHUNK >= size
+        piece = data[start:] if last else data[start:start + _DECODE_CHUNK]
+        if not last and "=" in piece:
+            raise ValueError("base64 padding before the end of the tensor data")
+        raw = base64.b64decode(piece, validate=True)
+        if filled + len(raw) <= nbytes:
+            view[filled:filled + len(raw)] = raw
+        filled += len(raw)
+    if filled != nbytes:
+        raise ValueError(f"{filled} data bytes do not fit float64 shape {list(shape)}")
+    return out.astype(np.float64, copy=False).reshape(shape)

@@ -1599,6 +1599,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("key", ["lr", "l2", "linear_lr"])
+    def test_int_beyond_float_range_refused(self, tmp_path, key, sign):
+        """An int may stand for a float, but not one no float can hold:
+        ``np.float64(1.0) * lr`` would raise OverflowError mid-training."""
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"train": {{"{key}": {sign}1{"0" * 400}}}}}')
+        with pytest.raises(ValueError, match=re.escape(str(path)) + f".*'{key}' must be a finite number"):
+            cli.load_config(path)
+
     def test_int_for_float_and_string_for_null_accepted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"

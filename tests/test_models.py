@@ -547,6 +547,19 @@ class TestCheckpoints:
             expected = json.dumps(obj, sort_keys=True, ensure_ascii=False).encode("utf-8")
             assert path.read_bytes() == expected, variant
 
+    def test_saved_file_is_pinned(self, vocabs, tmp_path):
+        """The bytes ``save_model`` writes for a fixed seeded model, with a
+        Fortran-order and a big-endian parameter, stay what they were when
+        tensors were encoded through ``tobytes()``."""
+        model = init_model(tiny_cfg(seed=11), *vocabs)
+        model.output.w.value = np.asfortranarray(model.output.w.value)
+        model.output.b.value = model.output.b.value.astype(">f8")
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d584014cdbea535ee6b54db043a9f8910160bb085e231fa1ecbf40548c99c838"
+        )
+
     def test_save_load_save_byte_identical(self, vocabs, tmp_path):
         keep = Tokenizer(keep=frozenset({"print"}))
         for variant in Variant:
@@ -615,6 +628,24 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatch, match="output.w") as info:
             load_model(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("tensor", [
+        {"shape": [2], "data": [0.0, 1.0]},
+        {"shape": [2], "data": 7},
+        {"shape": [2], "data": None},
+        {"shape": [10**12], "data": "AAAAAAAAAAA="},
+        {"shape": [-1], "data": "AAAAAAAAAAA="},
+        {"shape": [2.5], "data": base64.b64encode(bytes(20)).decode()},
+    ], ids=["list_data", "int_data", "null_data", "huge_shape", "negative_shape", "float_shape"])
+    def test_bad_tensor_refused_naming_the_part(self, vocabs, tmp_path, tensor):
+        """Refused before any array is allocated, so a huge shape is a
+        CheckpointMismatch and not a MemoryError."""
+        def edit(obj):
+            obj["params"]["output.b"] = tensor
+
+        path = self.edited(vocabs, tmp_path, edit)
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*part 'output.b'"):
+            load_model(path)
 
     def test_edited_preprocessing_refused_by_hash(self, vocabs, tmp_path):
         def edit(obj):

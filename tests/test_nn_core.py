@@ -3,11 +3,14 @@ import gc
 import json
 import math
 import os
+import string
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import STEP_BLOCK_RULES, finite_diff_check, out_of_place_gru
 from qcmine import nn_core
@@ -879,6 +882,21 @@ def bits(arr):
     return np.ascontiguousarray(arr).view(np.uint64)
 
 
+# The base64 alphabet, its padding, and characters it refuses
+B64_EDITS = string.ascii_letters + string.digits + "+/" + "=\n!é"
+
+
+@st.composite
+def base64_like(draw):
+    """The base64 of a few float64 values, with up to three characters
+    inserted or replaced: mostly near-misses of valid tensor data."""
+    text = base64.b64encode(draw(st.binary(max_size=40))).decode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(B64_EDITS)) + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
 class TestTensorObj:
     """The v2 checkpoint tensor: base64 of little-endian float64 bytes."""
 
@@ -917,8 +935,52 @@ class TestTensorObj:
         with pytest.raises(ValueError):
             tensor_from_obj({"shape": [1], "data": data})
 
-    @pytest.mark.parametrize("shape", [[2], [0], [1, 2], [-1]])
+    @pytest.mark.parametrize("shape", [[2], [0], [1, 2], [-1], [10**12], [2.5], [True]])
     def test_wrong_byte_length_rejected(self, shape):
+        """The shape and the data's length are checked before the array is
+        allocated: a ValueError, never a MemoryError or a TypeError."""
         data = base64.b64encode(np.ones(1).tobytes()).decode()
         with pytest.raises(ValueError):
             tensor_from_obj({"shape": shape, "data": data})
+
+    @pytest.mark.parametrize("data", [[0.0], 7, None, b"AAAAAAAAAAA="])
+    def test_data_that_is_not_a_string_rejected(self, data):
+        with pytest.raises(TypeError):
+            tensor_from_obj({"shape": [1], "data": data})
+
+    @pytest.mark.parametrize("chunk", [4, 8])
+    @settings(max_examples=400, deadline=None)
+    @given(data=base64_like())
+    def test_accepts_exactly_what_b64decode_accepts(self, chunk, data):
+        """Slices of 4 or 8 characters put slice boundaries inside the
+        drawn strings. Every shape is refused unless the running
+        interpreter's ``b64decode(validate=True)`` accepts the string and
+        its bytes fit the shape, and then the bits are the same."""
+        try:
+            want = base64.b64decode(data, validate=True)
+        except ValueError:
+            want = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn_core, "_DECODE_CHUNK", chunk)
+            for n in range(len(data) // 8 + 2):
+                try:
+                    got = tensor_from_obj({"shape": [n], "data": data}).tobytes()
+                except ValueError:
+                    got = None
+                assert got == (want if want is not None and len(want) == 8 * n else None), n
+
+    def test_decodes_without_a_full_size_copy(self):
+        """The traced peak of a decode is the array plus a slice's
+        temporaries, not a second full-size copy of the tensor."""
+        arr = np.random.default_rng(0).standard_normal((1024, 1024))
+        obj = tensor_to_obj(arr)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            back = tensor_from_obj(obj)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert bits(back).tolist() == bits(arr).tolist()
+        assert peak <= arr.nbytes + (1 << 20)
