@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import json_object, read_model_file, string_list
+from .models import json_object, read_model_file, string_list, write_model_file
 from .post_parser import BlockKind, CodeContextInstance
 from .tokenize import (
     TokenStream, Tokenizer, count_lines, load_wordlist_resource, tokenize_text, wordlist_entries,
@@ -43,7 +43,7 @@ def default_connectives() -> list[list[str]]:
 
 
 def load_connectives(path) -> list[list[str]]:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         phrases = sorted(wordlist_entries(f))
     return [tokenize_text(p).tokens for p in phrases]
 
@@ -159,6 +159,11 @@ def _finite(key: str, value) -> float:
     return float(value)
 
 
+def _logistic(score: float) -> float:
+    """1 / (1 + e^-score), and 0.0 where e^-score would overflow."""
+    return 1.0 / (1.0 + math.exp(-score)) if score > -500 else 0.0
+
+
 def _dot(weights: np.ndarray, index: dict[str, int], features: dict[str, float]) -> float:
     """The weighted sum over the features ``index`` names, in the features'
     order; other names are ignored."""
@@ -196,8 +201,7 @@ def train_linear(
             if l2 > 0.0:
                 w *= decay
             if kind == LOGISTIC:
-                p = 1.0 / (1.0 + math.exp(-score)) if score > -500 else 0.0
-                coeff = lr * (label - p)
+                coeff = lr * (label - _logistic(score))
             else:
                 y = 2 * label - 1
                 coeff = lr * y if y * score < 1.0 else 0.0
@@ -216,7 +220,7 @@ def predict_linear(model: LinearModel, features: dict[str, float]):
         raise UntrainedModel("model has no weights")
     raw = _dot(model.weights, model.index, features) + model.bias
     if model.kind == LOGISTIC:
-        score = 1.0 / (1.0 + math.exp(-raw)) if raw > -500 else 0.0
+        score = _logistic(raw)
         return (1 if score >= 0.5 else 0), score
     return (1 if raw >= 0.0 else 0), raw
 
@@ -240,15 +244,12 @@ class LinearBundle:
         return predict_linear(self.linear, feats)
 
     def save(self, path):
-        obj = {
-            "format": _LINEAR_FORMAT,
+        write_model_file(path, _LINEAR_FORMAT, {
             "linear": self.linear.to_dict(),
             "preprocessing": self.preprocessing,
             "codeclass": self.codeclass.to_dict() if self.codeclass else None,
             "connectives": self.connectives,
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True)
+        })
 
     @classmethod
     def load(cls, path) -> "LinearBundle":

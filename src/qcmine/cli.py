@@ -33,7 +33,7 @@ from .post_parser import (
     tokenize_sequence,
 )
 from .tokenize import Language, Tokenizer, load_keep_list, tokenize_text
-from .train_eval import Decision, Metrics, TrainConfig, evaluate
+from .train_eval import Decision, TrainConfig, evaluate
 from .vocab_embed import build_vocab
 
 
@@ -47,10 +47,6 @@ class Provenance(Enum):
     ANNOTATED = "annotated"
 
 
-# json.dumps with these options builds a new encoder on every call
-_PAIR_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-
-
 @dataclass
 class MinedPair:
     question_id: int
@@ -61,7 +57,7 @@ class MinedPair:
     score: float | None = None
 
     def to_json(self) -> str:
-        return _PAIR_ENCODER.encode({**vars(self), "provenance": self.provenance.value})
+        return models.JSON_ENCODER.encode({**vars(self), "provenance": self.provenance.value})
 
     @classmethod
     def from_json(cls, line: str) -> "MinedPair":
@@ -130,7 +126,7 @@ def load_config(path=None) -> Config:
     naming the file and the key."""
     raw = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             user = json.load(f)
         for key, value in _known_items(path, user, raw, "the config"):
             if isinstance(raw[key], dict):
@@ -255,7 +251,7 @@ def read_dump(path, ids=None):
     passed over unparsed, so it yields nothing, not even its error; every
     other line is read as without ``ids``.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, 1):
             if line.isspace():
                 continue
@@ -324,7 +320,7 @@ def _csv_rows(path):
     The first such row is a header, and skipped, if its first field is not
     an integer; a later one raises a ValueError naming the file, the line
     and the id."""
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         rows = (row for row in reader if any(field.strip() for field in row))
         for n, row in enumerate(rows):
@@ -567,10 +563,10 @@ def _flush(pending, voters, out, abstain_out, report) -> None:
             elif decision.decision is Decision.LABEL0:
                 report["ensemble_rejections"] += 1
             else:
-                abstain_out.write(json.dumps({
+                abstain_out.write(models.JSON_ENCODER.encode({
                     "question_id": qid, "position": inst.position,
                     "votes": list(decision.votes), "scores": list(decision.scores),
-                }, sort_keys=True) + "\n")
+                }) + "\n")
                 report["abstentions"] += 1
     pending.clear()
 
@@ -762,12 +758,11 @@ def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, con
                 decided_preds.append(decision.decision.value)
                 decided_golds.append(inst.label)
     coverage = len(decided_preds) / len(instances) if instances else 0.0
-    decided = evaluate(decided_preds, decided_golds) if decided_preds else Metrics()
     return {
         "instances": len(instances),
         "coverage": coverage,
         "abstained": abstained,
-        "decided_metrics": decided.to_dict(),
+        "decided_metrics": evaluate(decided_preds, decided_golds).to_dict(),
     }
 
 
@@ -784,10 +779,10 @@ def cmd_parse(args, config):
     report = Counter()
     with open(args.out, "w", encoding="utf-8") as out:
         for record, seq in read_answers(args.dump, report):
-            out.write(json.dumps({
+            out.write(models.JSON_ENCODER.encode({
                 "question_id": record["question_id"], "title": record["title"],
                 "blocks": [{"kind": b.kind.value, "raw": b.raw} for b in seq.blocks],
-            }, sort_keys=True, ensure_ascii=False) + "\n")
+            }) + "\n")
     return {"parsed": report["records"] - report["parse_errors"], "skipped": report["parse_errors"]}
 
 
@@ -813,9 +808,8 @@ def cmd_filter(args, config):
     with open(args.out, "w", encoding="utf-8") as out:
         for record, feats in _question_records(args.dump, report, model.keywords):
             label, prob = question_filter.classify_question(feats, model)
-            out.write(json.dumps(
-                {"question_id": record["question_id"], "label": label.value, "probability": prob},
-                sort_keys=True,
+            out.write(models.JSON_ENCODER.encode(
+                {"question_id": record["question_id"], "label": label.value, "probability": prob}
             ) + "\n")
             report["classified"] += 1
     return report

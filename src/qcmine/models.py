@@ -347,10 +347,8 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
     v = model.config.variant
     n = len(instances)
     if v is Variant.TEXT_RNN:
-        vocab = model.word_vocab
         ids = [
-            vocab.lookup_all(inst.pre_tokens) + vocab.lookup_all([CODEBLOCK_TOKEN])
-            + vocab.lookup_all(inst.post_tokens)
+            model.word_vocab.lookup_all([*inst.pre_tokens, CODEBLOCK_TOKEN, *inst.post_tokens])
             for inst in instances
         ]
         # the states at each instance's <codeblock>
@@ -495,19 +493,29 @@ def vocabulary(obj) -> Vocabulary:
     return Vocabulary(obj)
 
 
+# The JSON policy of every file qcmine writes: sorted keys, text as UTF-8. A
+# model file streams through its iterencode, a JSON Lines line is one encode.
+# Not files, and kept on json.dumps: _head_hash's bytes, which every saved
+# config_hash covers, and cli.main's report, in ASCII for any terminal.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
+def write_model_file(path, fmt: str, parts: dict) -> None:
+    """Write ``{"format": fmt, **parts}``: the one writer of every model file."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(JSON_ENCODER.iterencode({"format": fmt, **parts}))
+
+
 def save_model(model: ModelParameters, path) -> None:
     """One JSON object; each tensor is ``nn_core.tensor_to_obj``'s base64."""
-    obj = {
-        "format": _CHECKPOINT_FORMAT,
+    write_model_file(path, _CHECKPOINT_FORMAT, {
         "config": model.config.to_dict(),
         "config_hash": _head_hash(model.config, model.preprocessing),
         "preprocessing": model.preprocessing,
         "word_vocab": model.word_vocab.token_to_id,
         "code_vocab": model.code_vocab.token_to_id,
         "params": {name: nn_core.tensor_to_obj(n.value) for name, n in model.params.items()},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, ensure_ascii=False)
+    })
 
 
 def load_model(path, tokenizer: Tokenizer | None = None) -> ModelParameters:

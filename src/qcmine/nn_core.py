@@ -3,7 +3,9 @@
 Everything is double precision. Each op takes Nodes (or arrays), returns a
 Node carrying its value, and records a closure that routes the incoming
 gradient to its parents. ``backward`` replays the tape once per loss;
-parameter gradients accumulate across calls until ``zero_grad``.
+parameter gradients accumulate across calls until ``zero_grad``. ``_grad``
+allocates each node's ``grad``, as ``np.zeros`` on first use: C-contiguous
+for ``_scatter_rows``, and zeroed lazily, so rows never read are never written.
 
 The model's graph is built from row-level ops, so a whole mini-batch of
 instances is a handful of nodes: ``take_rows`` (row selections),
@@ -72,10 +74,15 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
 
 
-def _acc(node: Node, g):
+def _grad(node: Node) -> np.ndarray:
     if node.grad is None:
         node.grad = np.zeros(node.value.shape)
-    node.grad += g
+    return node.grad
+
+
+def _acc(node: Node, g):
+    grad = _grad(node)
+    grad += g
 
 
 def backward(loss: Node, seed: float = 1.0) -> None:
@@ -172,9 +179,7 @@ def take_rows(x, idx, fill=None) -> Node:
 
     def backward_fn(g):
         if fill is None:
-            if x.grad is None:
-                x.grad = np.zeros(x.value.shape)
-            _scatter_rows(x.grad, idx, g)
+            _scatter_rows(_grad(x), idx, g)
             return
         acc = np.zeros(source.shape)
         _scatter_rows(acc, idx, g)
@@ -444,8 +449,7 @@ def gru_final_states(
     runs back through time inside the block, and folds the block into the
     bias, state-weight and per-distinct-row gradients (``_scatter_rows``).
     It then forms the input-weight gradient as one matmul and adds the input
-    gradient straight into the table's gradient rows; a table gradient it
-    allocates is zeroed lazily, so rows never read are never written.
+    gradient straight into the table's gradient rows (``_grad``).
     Without ``grad`` (inference) nothing is kept and the node has no
     backward. Gates and states are computed in place (``_gates``), with the
     operations of the formulas in their order, so both passes are bit for
@@ -512,10 +516,7 @@ def gru_final_states(
             _acc(bp, d_b[gates])
         d_x = d_used @ w_x
         del d_used, d_w_x  # freed before a table gradient is allocated
-        if table.grad is None:
-            # zeroed lazily by the allocator: rows never read are never written
-            table.grad = np.zeros(tv.shape)
-        table.grad[used] += d_x
+        _grad(table)[used] += d_x
 
     node.backward_fn = backward_fn
     return node
@@ -660,9 +661,7 @@ def embedding_row(table: Node, idx: int) -> Node:
     out = Node(table.value[idx], (table,))
 
     def backward_fn(g):
-        if table.grad is None:
-            table.grad = np.zeros(table.value.shape)
-        table.grad[idx] += g
+        _grad(table)[idx] += g
 
     out.backward_fn = backward_fn
     return out

@@ -262,7 +262,7 @@ def extract_instances(
     unlisted positions stay unlabeled. Blocks that ``tokenize_sequence`` has
     not filled in are tokenized here with ``tokenizer``.
     """
-    code_count = sum(1 for b in seq.blocks if b.kind is BlockKind.CODE)
+    code_count = len(seq.code_blocks())
     if labels:
         bad = [p for p in labels if not 1 <= p <= code_count]
         if bad:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .baselines import LinearModel, predict_linear, train_linear
-from .models import read_model_file, string_list
+from .models import read_model_file, string_list, write_model_file
 from .post_parser import BlockSequence
 from .tokenize import (
     load_wordlist_resource,
@@ -84,9 +84,7 @@ class QuestionFilterModel:
     keywords: list[str]
 
     def save(self, path):
-        obj = {"format": _FORMAT, "linear": self.linear.to_dict(), "keywords": self.keywords}
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True)
+        write_model_file(path, _FORMAT, {"linear": self.linear.to_dict(), "keywords": self.keywords})
 
     @classmethod
     def load(cls, path) -> "QuestionFilterModel":

@@ -101,7 +101,7 @@ def default_python_keep_list() -> frozenset[str]:
 
 def load_keep_list(path) -> frozenset[str]:
     """Load a keep-list file: one token per line, '#' comments ignored."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         return wordlist_entries(f)
 
 

@@ -9,7 +9,9 @@ vector file when available and are randomly initialized otherwise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -54,35 +56,28 @@ def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    seen_any = False
-    for tokens in token_lists:
-        for tok in tokens:
-            seen_any = True
-            counts[tok] = counts.get(tok, 0) + 1
-    if not seen_any:
+    counts = Counter(chain.from_iterable(token_lists))
+    if not counts:
         raise EmptyCorpus("no tokens in corpus")
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_count and tok not in _SPECIALS),
         key=lambda tok: (-counts[tok], tok),
     )
-    token_to_id = {tok: i for i, tok in enumerate(_SPECIALS)}
-    for tok in kept:
-        token_to_id[tok] = len(token_to_id)
-    return Vocabulary(token_to_id)
+    return Vocabulary({tok: i for i, tok in enumerate((*_SPECIALS, *kept))})
 
 
 def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:
     """The embedding table (vocab.size x d, float64) of a vocabulary.
 
     Rows found in the vector file (whitespace-separated "token v1 .. vd")
-    are used as-is; missing tokens draw uniform(-0.05, 0.05) from the
-    seed. ``path=None`` random-initializes everything. The PAD row is
-    always zero.
+    are used as-is; missing tokens draw uniform(-0.05, 0.05) from the seed.
+    ``path=None`` random-initializes everything. The PAD row is always zero.
+    A row of another length, or with a value that is not a finite number,
+    raises a ValueError (DimensionMismatch for the length) naming file:line.
     """
     vectors: dict[str, np.ndarray] = {}
     if path is not None:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for line_no, line in enumerate(f, 1):
                 parts = line.rstrip("\n").split()
                 if not parts:
@@ -92,7 +87,12 @@ def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:
                     raise DimensionMismatch(
                         f"{path}:{line_no}: expected {d} values, got {len(values)}"
                     )
-                vectors[token] = np.array(values, dtype=np.float64)
+                try:
+                    vectors[token] = row = np.array(values, dtype=np.float64)
+                    if not np.isfinite(row).all():
+                        raise ValueError("NaN or infinity")
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: not a finite number: {exc}") from None
 
     rng = np.random.default_rng(seed)
     table = np.zeros((vocab.size, d), dtype=np.float64)

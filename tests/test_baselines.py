@@ -6,18 +6,20 @@ import pytest
 from qcmine.baselines import (
     HINGE_SVM,
     LOGISTIC,
+    LinearBundle,
     LinearModel,
     SingleClassData,
     UntrainedModel,
     codeclass_features,
     extract_features,
     harvest_codeclass_corpus,
+    load_connectives,
     predict_linear,
     train_codeclass,
     train_linear,
 )
 from qcmine.post_parser import CodeContextInstance, parse_answer_post
-from qcmine.tokenize import TokenStream, normalize_python
+from qcmine.tokenize import Tokenizer, TokenStream, normalize_python
 
 
 def make_inst(pre=(), code=("VAR",), post=(), q=("how",)):
@@ -217,3 +219,32 @@ class TestCodeclassPipeline:
         c2 = harvest_codeclass_corpus(posts, per_class_cap=7, seed=3)
         assert c1 == c2
         assert len(c1) == 7
+
+
+class TestBundleFile:
+    def test_non_ascii_text_written_as_utf8(self, tmp_path):
+        """Bundles follow the one JSON policy of every file qcmine writes:
+        non-ASCII feature names and connectives are written as UTF-8, not as
+        \\u escapes, and load back equal."""
+        data = [({"tok:qué": 1.0, "code:naïve": 1.0}, 1), ({"tok:how": 1.0}, 0)]
+        linear = train_linear(data, epochs=3, seed=0)
+        bundle = LinearBundle(linear, Tokenizer().fingerprint(), None, [["en", "lugar", "de"], ["ó"]])
+        path = tmp_path / "lr.json"
+        bundle.save(path)
+        text = path.read_bytes().decode("utf-8")
+        assert "tok:qué" in text and "code:naïve" in text and '"ó"' in text
+        assert "\\u" not in text
+        loaded = LinearBundle.load(path)
+        assert loaded.linear.to_dict() == linear.to_dict()
+        assert loaded.connectives == bundle.connectives
+        assert loaded.preprocessing == bundle.preprocessing
+
+
+def test_connectives_file_with_bom(tmp_path):
+    """A spreadsheet's "UTF-8" export starts with a byte order mark, which
+    must not become part of the first phrase."""
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text("in addition\nbecause\n", encoding="utf-8")
+    bom.write_text("in addition\nbecause\n", encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_connectives(bom) == load_connectives(plain) == [["because"], ["in", "addition"]]

@@ -232,6 +232,39 @@ class TestQuestionLabelCsv:
         }
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark, which a spreadsheet's "CSV UTF-8"
+    export writes, is read as no text: each input reads as the same file
+    without it."""
+
+    def test_annotation_csv_without_header_keeps_first_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("12,1,1\n13,2,0\n", encoding="utf-8-sig")
+        assert cli.read_annotation_csv(path) == {12: {1: 1}, 13: {2: 0}}
+
+    def test_question_labels_csv_without_header_keeps_first_row(self, tmp_path):
+        path = tmp_path / "qlabels.csv"
+        path.write_text("12,howto\n13,other\n", encoding="utf-8-sig")
+        assert cli.read_question_labels_csv(path) == {
+            12: cli.question_filter.QuestionLabel.HOW_TO,
+            13: cli.question_filter.QuestionLabel.NON_HOW_TO,
+        }
+
+    def test_dump_first_record_read(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        lines = [json.dumps(dump_record(qid, "How to frob", ["python"], SINGLE_HTML)) for qid in (1, 2)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        read = list(cli.read_dump(path))
+        assert [err for _, err in read] == [None, None]
+        assert [record["question_id"] for record, _ in read] == [1, 2]
+        assert [record["question_id"] for record, _ in cli.read_dump(path, ids={1})] == [1]
+
+    def test_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"vocab": {"min_count": 2}}', encoding="utf-8-sig")
+        assert cli.load_config(path).min_count == 2
+
+
 class TestDuplicateCsvRows:
     def test_conflicting_repeat_refused_identical_accepted(self, tmp_path):
         annotations, qlabels = tmp_path / "labels.csv", tmp_path / "qlabels.csv"

@@ -118,6 +118,20 @@ class TestClassify:
         feats = featurize_question("How to do it", q, a)
         assert classify_question(feats, model) == classify_question(feats, loaded)
 
+    def test_non_ascii_keyword_written_as_utf8(self, tmp_path):
+        """Filter files follow the one JSON policy of every file qcmine
+        writes: a keyword such as "qué" is written as UTF-8, not as a \\u
+        escape, and loads back equal."""
+        model = train_question_filter(synthetic_training_set(), epochs=1)
+        model.keywords.append("qué")
+        path = tmp_path / "filter.json"
+        model.save(path)
+        text = path.read_bytes().decode("utf-8")
+        assert '"qué"' in text and "\\u" not in text
+        loaded = QuestionFilterModel.load(path)
+        assert loaded.keywords == model.keywords
+        assert loaded.linear.to_dict() == model.linear.to_dict()
+
 
 def test_default_keyword_lexicon_loads():
     kws = default_keywords()

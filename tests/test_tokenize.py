@@ -290,6 +290,21 @@ def test_keep_list_override(tmp_path):
     assert default[0].code_tokens == ["VAR", "(", "print", ")"]
 
 
+def test_keep_list_with_bom(tmp_path):
+    """A leading byte order mark is not part of the first entry, so the
+    entry is kept and the tokenizer fingerprint is that of the same list
+    without the mark."""
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text("sorted\nfoo\n", encoding="utf-8")
+    bom.write_text("sorted\nfoo\n", encoding="utf-8-sig")
+    keep = load_keep_list(bom)
+    assert keep == load_keep_list(plain) == {"sorted", "foo"}
+    assert normalize_python("sorted(x)", keep=keep).tokens == ["sorted", "(", "VAR", ")"]
+    assert Tokenizer(Language.PYTHON, keep).fingerprint() == (
+        Tokenizer(Language.PYTHON, load_keep_list(plain)).fingerprint()
+    )
+
+
 class TestFingerprint:
     def test_sql_records_no_keep_list(self):
         expected = {"language": "sql", "normalizer": NORMALIZER_VERSION}

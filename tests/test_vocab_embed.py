@@ -96,6 +96,21 @@ class TestLoadEmbeddings:
         with pytest.raises(DimensionMismatch):
             load_embeddings(path, vocab, d=2, seed=0)
 
+    @pytest.mark.parametrize("value", ["x", "nan", "inf", "-Infinity", "1e400"])
+    def test_value_not_a_finite_number_names_file_and_line(self, tmp_path, value):
+        vocab = build_vocab([["a", "b"]])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 1.0 2.0\nb 0.5 {value}\n")
+        with pytest.raises(ValueError, match=r"vec\.txt:2: "):
+            load_embeddings(path, vocab, d=2, seed=0)
+
+    def test_leading_bom_does_not_hide_the_first_row(self, tmp_path):
+        vocab = build_vocab([["a", "b"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1.0 2.0\nb -1.0 0.5\n", encoding="utf-8-sig")
+        emb = load_embeddings(path, vocab, d=2, seed=0)
+        np.testing.assert_array_equal(emb[vocab.token_to_id["a"]], [1.0, 2.0])
+
     def test_deterministic_per_seed(self):
         vocab = build_vocab([["a", "b"]])
         t1 = load_embeddings(None, vocab, d=3, seed=11)
