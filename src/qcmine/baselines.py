@@ -10,7 +10,6 @@ than an input-output demo.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from collections import Counter
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import json_object, read_model_file, string_list, write_model_file
+from .models import json_object, parse_model_file, read_model_file, string_list, write_model_file
 from .post_parser import BlockKind, CodeContextInstance
 from .tokenize import (
     TokenStream, Tokenizer, count_lines, load_wordlist_resource, tokenize_text, wordlist_entries,
@@ -253,8 +252,7 @@ class LinearBundle:
 
     @classmethod
     def load(cls, path) -> "LinearBundle":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_obj(json.load(f), path)
+        return cls.from_obj(parse_model_file(path), path)
 
     @classmethod
     def from_obj(cls, obj, path, tokenizer: Tokenizer | None = None) -> "LinearBundle":

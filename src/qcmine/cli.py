@@ -617,8 +617,9 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
 
 def read_pairs(path):
     """The MinedPair of every non-blank line of a pairs file. A line that
-    is not a pair raises a ValueError naming ``file:line``."""
-    with open(path, encoding="utf-8") as f:
+    is not a pair raises a ValueError naming ``file:line``. A leading
+    byte order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
@@ -719,8 +720,7 @@ def evaluate_checkpoint(dump_path, labels_csv, checkpoint_path, config) -> dict:
     """Evaluate any checkpoint (neural or linear) plus the two heuristics
     on a labeled set. The checkpoint is read once, before the dump."""
     tokenizer = config.tokenizer
-    with open(checkpoint_path, encoding="utf-8") as f:
-        obj = json.load(f)
+    obj = models.parse_model_file(checkpoint_path)
     # any bundle version, so an older one is refused as a bundle
     linear = isinstance(obj, dict) and str(obj.get("format")).startswith("qcmine-linear-")
     if linear:

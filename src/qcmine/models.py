@@ -506,6 +506,14 @@ def write_model_file(path, fmt: str, parts: dict) -> None:
         f.writelines(JSON_ENCODER.iterencode({"format": fmt, **parts}))
 
 
+def parse_model_file(path):
+    """The parsed JSON of the model file at ``path``: the one opener of
+    every trained file, for ``read_model_file``. A leading UTF-8 byte order
+    mark, which an editor may add, is skipped."""
+    with open(path, encoding="utf-8-sig") as f:
+        return json.load(f)
+
+
 def save_model(model: ModelParameters, path) -> None:
     """One JSON object; each tensor is ``nn_core.tensor_to_obj``'s base64."""
     write_model_file(path, _CHECKPOINT_FORMAT, {
@@ -520,8 +528,7 @@ def save_model(model: ModelParameters, path) -> None:
 
 def load_model(path, tokenizer: Tokenizer | None = None) -> ModelParameters:
     """Read a checkpoint; given ``tokenizer``, refuse one of other tokens."""
-    with open(path, encoding="utf-8") as f:
-        return model_from_obj(json.load(f), path, tokenizer)
+    return model_from_obj(parse_model_file(path), path, tokenizer)
 
 
 def model_from_obj(obj, path, tokenizer: Tokenizer | None = None) -> ModelParameters:

@@ -33,7 +33,11 @@ JSON text and its strings but no second full-size copy of any tensor.
 from __future__ import annotations
 
 import base64
+import ctypes
+import functools
+import importlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -730,6 +734,66 @@ def glorot_init(shape, rng) -> np.ndarray:
         rng = np.random.default_rng(rng)
     a = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-a, a, shape)
+
+
+# --------------------------------------------------------------------------
+# BLAS threads
+# --------------------------------------------------------------------------
+
+# (getter, setter) spellings of the OpenBLAS numpy links against: the
+# scipy-openblas build of numpy 2 wheels, the 64-bit-integer build of numpy
+# 1.x wheels, and a plain build.
+_OPENBLAS_THREAD_CONTROLS = [
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+]
+
+
+@functools.cache
+def blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or
+    None where numpy links no OpenBLAS of the spellings above.
+
+    The functions are looked up through numpy's own extension module, whose
+    symbol lookup also searches the libraries it links, so no library path
+    is guessed. OpenBLAS's per-thread setter is not used: on the scipy-openblas
+    build it changes the count of the whole process all the same."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(name).__file__)
+        except (ImportError, OSError):  # no numpy._core before numpy 2; a Python shim
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS to one thread for the block, then restore its
+    count; yields whether it could. Callers that run numpy on threads of
+    their own use it so that their matmuls do not contend for BLAS's
+    threads. The count is the whole process's, so the block holds it for
+    every thread, and blocks open at once on two threads may restore each
+    other's count in the wrong order."""
+    control = blas_thread_control()
+    if control is None:
+        yield False
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
 
 
 # --------------------------------------------------------------------------

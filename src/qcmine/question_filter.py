@@ -8,12 +8,11 @@ regression from the baselines module.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .baselines import LinearModel, predict_linear, train_linear
-from .models import read_model_file, string_list, write_model_file
+from .models import parse_model_file, read_model_file, string_list, write_model_file
 from .post_parser import BlockSequence
 from .tokenize import (
     load_wordlist_resource,
@@ -88,10 +87,9 @@ class QuestionFilterModel:
 
     @classmethod
     def load(cls, path) -> "QuestionFilterModel":
-        with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
         return cls(**read_model_file(
-            path, obj, _FORMAT, {"linear": LinearModel.from_dict, "keywords": _keywords}
+            path, parse_model_file(path), _FORMAT,
+            {"linear": LinearModel.from_dict, "keywords": _keywords},
         ))
 
 

@@ -3,14 +3,16 @@ three-model agreement ensemble."""
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import models as models_mod
-from .nn_core import AdamState, adam_update, backward, softmax_xent_rows
+from .nn_core import AdamState, adam_update, backward, one_blas_thread, softmax_xent_rows
 from .post_parser import CodeContextInstance
 
 
@@ -135,9 +137,11 @@ def combine_votes(votes) -> Decision:
 # batch runs as many steps as its longest sequence, so taller batches take
 # fewer steps per instance: the 252 blocks of the benchmark's mine_multi dump
 # take 1,052 steps in one chunk of 512, 2,102 in two of 128. The bound keeps
-# the working set small: a full chunk of 512 peaks at ~21 MiB of numpy
-# arrays (~8 MiB at 128), well under the memory that loading three
-# paper-size checkpoints takes.
+# the working set small: one voter's forward over a full chunk of 512 peaks
+# at ~21 MiB of numpy arrays (~7 MiB at 128), and ``ensemble_batch`` runs the
+# voters at once, so a chunk peaks at ~37-41 MiB (~14 MiB at 128) with two
+# or three workers, at most three voters' ~62 MiB, well under the memory that
+# loading three paper-size checkpoints takes.
 INFERENCE_CHUNK = 512
 
 
@@ -147,9 +151,34 @@ def chunked(items):
         yield items[start : start + INFERENCE_CHUNK]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ensemble_batch(biv, text, code, instances) -> list[EnsembleDecision]:
-    """``ensemble`` of every instance, with one batched forward per voter."""
-    scores = [models_mod.predict_scores(model, instances) for model in (biv, text, code)]
+    """``ensemble`` of every instance, with one batched forward per voter.
+
+    The voters share nothing, and their forwards are mostly numpy calls
+    that release the interpreter lock, so they run on up to three worker
+    threads, one per usable CPU. Meanwhile numpy's BLAS is held to one
+    thread (``nn_core.one_blas_thread``): concurrent callers of a
+    multithreaded BLAS contend for its threads and lose more than the
+    threads gain. Where the count cannot be held, one worker runs the
+    voters in turn. A thread changes nothing a forward computes, and the
+    tests find an inference forward's scores the same at one BLAS thread
+    as at two, so they are bit for bit those of the voters run in turn.
+    Results are read in voter order, so a failing voter raises what it
+    would there."""
+    if not instances:
+        return []
+    voters = (biv, text, code)
+    with one_blas_thread() as held:
+        workers = min(len(voters), _usable_cpus()) if held else 1
+        with ThreadPoolExecutor(workers) as pool:
+            scores = list(pool.map(models_mod.predict_scores, voters, [instances] * len(voters)))
     decisions = []
     for triple in zip(*scores):
         triple = tuple(float(s) for s in triple)

@@ -8,9 +8,10 @@ import random
 
 import numpy as np
 
-from qcmine import nn_core
+from qcmine import nn_core, train_eval
 from qcmine.models import (
     _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs, _forward_batch,
+    label_of, predict_scores,
 )
 from qcmine.nn_core import Node, backward, bigru_encode, concat, dense, embedding_row, zero_grad
 from qcmine.post_parser import CodeContextInstance
@@ -353,6 +354,20 @@ def dump_record(qid, title, tags, answer_html, question_html="<p>context</p>"):
         "question_body_html": question_html,
         "accepted_answer_html": answer_html,
     }
+
+
+def assert_ensemble_matches_voters_in_turn(voters, instances):
+    """``train_eval.ensemble_batch`` of ``instances`` holds, bit for bit, the
+    scores of each voter's ``predict_scores`` run in turn on this thread,
+    and the votes and decisions that follow from them."""
+    decisions = train_eval.ensemble_batch(*voters, instances)
+    expected = np.stack([predict_scores(voter, instances) for voter in voters], axis=1)
+    assert np.array([d.scores for d in decisions]).tobytes() == expected.tobytes()
+    for decision, scores in zip(decisions, expected):
+        votes = tuple(label_of(s) for s in scores)
+        assert decision.votes == votes
+        assert decision.decision is train_eval.combine_votes(votes)
+    return expected
 
 
 def build_workspace(root, language="python"):

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import importlib.util
 import inspect
@@ -263,6 +264,51 @@ class TestByteOrderMark:
         path = tmp_path / "config.json"
         path.write_text('{"vocab": {"min_count": 2}}', encoding="utf-8-sig")
         assert cli.load_config(path).min_count == 2
+
+    # Files qcmine writes itself, which a user may open and save again
+
+    def test_checkpoint_through_eval(self, ws, tmp_path):
+        config = cli.load_config(ws["config"])
+        reports = [
+            cli.evaluate_checkpoint(ws["dump"], ws["valid"], path, config)
+            for path in (ws["biv_hnn"], with_bom(ws["biv_hnn"], tmp_path))
+        ]
+        assert reports[0] == reports[1]
+
+    def test_lr_bundle_through_eval(self, ws, linear, tmp_path):
+        config = cli.load_config(ws["config"])
+        copy = with_bom(linear, tmp_path)
+        reports = [
+            cli.evaluate_checkpoint(ws["dump"], ws["valid"], path, config) for path in (linear, copy)
+        ]
+        assert reports[0] == reports[1]
+        bundles = [baselines.LinearBundle.load(path) for path in (linear, copy)]
+        assert bundles[0].linear.to_dict() == bundles[1].linear.to_dict()
+
+    def test_voters_and_filter_through_mine(self, ws, mined, tmp_path):
+        out = tmp_path / "pairs.jsonl"
+        copies = [with_bom(ws[k], tmp_path) for k in ("biv_hnn", "text_hnn", "code_hnn", "filter")]
+        report = cli.mine(ws["dump"], *copies, out, cli.load_config(ws["config"]))
+        assert report == mined[1]
+        for suffix in ("", ".abstentions.jsonl"):
+            assert Path(f"{out}{suffix}").read_bytes() == Path(f"{mined[0]}{suffix}").read_bytes()
+
+    def test_pairs_file_through_merge_and_stats(self, ws, mined, tmp_path):
+        runs = []
+        for path in (mined[0], with_bom(mined[0], tmp_path)):
+            merged = tmp_path / f"merged-{path.name}"
+            report = cli.merge_annotated(path, ws["train"], ws["dump"], merged)
+            runs.append((report, merged.read_bytes(), cli.dataset_stats(path)))
+        assert runs[0] == runs[1]
+        assert runs[0][2]["pairs"] > 0
+
+
+def with_bom(path, tmp_path):
+    """A copy of ``path`` in ``tmp_path`` with a UTF-8 byte order mark
+    before its text."""
+    copy = tmp_path / f"bom-{Path(path).name}"
+    copy.write_bytes(codecs.BOM_UTF8 + Path(path).read_bytes())
+    return copy
 
 
 class TestDuplicateCsvRows:
@@ -646,22 +692,28 @@ class TestSqlPipeline:
 
 
 class TestCrossProcess:
-    """Reruns in one process share its string hashes, so an output that
-    follows set or dict-of-str hash order cannot differ there. These run
-    each command in processes with other hash seeds."""
+    """Reruns in one process share its string hashes and its BLAS thread
+    count, so an output that follows set or dict-of-str hash order, or a
+    sum that BLAS splits across its threads, cannot differ there. These run
+    each command in processes with other hash seeds or BLAS thread counts,
+    set only in the child's environment."""
 
-    def run(self, ws, out, hash_seed):
+    def run(self, ws, out, **env):
         out.mkdir()
         dump, config = str(ws["dump"]), ["--config", str(ws["config"])]
+        voters = ["--biv", str(ws["biv_hnn"]), "--text", str(ws["text_hnn"]),
+                  "--code", str(ws["code_hnn"])]
         argvs = [
-            ["mine", "--dump", dump, "--biv", str(ws["biv_hnn"]), "--text", str(ws["text_hnn"]),
-             "--code", str(ws["code_hnn"]), "--filter-model", str(ws["filter"]),
+            ["mine", "--dump", dump, *voters, "--filter-model", str(ws["filter"]),
              "--out", str(out / "pairs.jsonl"), *config],
             ["filter", "--dump", dump, "--model", str(ws["filter"]),
              "--out", str(out / "labels.jsonl"), *config],
+            ["ensemble-eval", "--dump", dump, "--labels", str(ws["valid"]), *voters, *config],
+            ["eval", "--dump", dump, "--labels", str(ws["valid"]), "--checkpoint",
+             str(ws["biv_hnn"]), *config],
         ]
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+        env = {**os.environ, **env,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         reports = [
             subprocess.run([sys.executable, "-m", "qcmine.cli", *argv], env=env, check=True,
@@ -671,10 +723,34 @@ class TestCrossProcess:
         return reports, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     def test_mine_and_filter_byte_identical_across_hash_seeds(self, ws, tmp_path):
-        reports, files = self.run(ws, tmp_path / "seed0", "0")
-        assert (reports, files) == self.run(ws, tmp_path / "seed1", "1")
+        reports, files = self.run(ws, tmp_path / "seed0", PYTHONHASHSEED="0")
+        assert (reports, files) == self.run(ws, tmp_path / "seed1", PYTHONHASHSEED="1")
         assert sorted(files) == ["labels.jsonl", "pairs.jsonl", "pairs.jsonl.abstentions.jsonl"]
         assert files["pairs.jsonl"] and files["labels.jsonl"]
+        assert json.loads(reports[2])["instances"] == 8
+
+    def test_inference_byte_identical_across_blas_thread_counts(self, ws, tmp_path):
+        # the child's count does follow the variable, where it can be read
+        probe = "from qcmine.nn_core import blas_thread_control as c; print(c() and c()[0]())"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            read = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                  capture_output=True, text=True).stdout.strip()
+            assert read in (threads, "None")
+        one = self.run(ws, tmp_path / "one", OPENBLAS_NUM_THREADS="1")
+        assert one == self.run(ws, tmp_path / "two", OPENBLAS_NUM_THREADS="2")
+
+
+class TestThreadedEnsemble:
+    @pytest.mark.parametrize("workspace", ["ws", "sql_ws"])
+    def test_matches_voters_in_turn(self, workspace, request):
+        paths = request.getfixturevalue(workspace)
+        tokenizer = cli.load_config(paths["config"]).tokenizer
+        voters = cli._load_ensemble(paths["biv_hnn"], paths["text_hnn"], paths["code_hnn"], tokenizer)
+        labels = [cli.read_annotation_csv(paths[split]) for split in ("train", "valid")]
+        train, valid = cli.load_labeled_instances(paths["dump"], labels, tokenizer)
+        helpers.assert_ensemble_matches_voters_in_turn(voters, train + valid)
 
 
 PAIRS = st.builds(

@@ -1,11 +1,16 @@
 import itertools
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from helpers import make_cue_dataset
-from qcmine.models import Variant, VariantConfig, init_model, predict_label
+from helpers import assert_ensemble_matches_voters_in_turn, make_cue_dataset
+from qcmine import models, nn_core, train_eval
+from qcmine.models import Variant, VariantConfig, VocabMissing, init_model, predict_label
+from qcmine.nn_core import NonFiniteInput, blas_thread_control
 from qcmine.post_parser import extract_instances, parse_answer_post
 from qcmine.train_eval import (
     Decision,
@@ -16,12 +21,14 @@ from qcmine.train_eval import (
     cohens_kappa,
     combine_votes,
     ensemble,
+    ensemble_batch,
     evaluate,
     mrr,
     select_all,
     select_first,
     train,
 )
+from qcmine.vocab_embed import CODEBLOCK_ID
 
 
 def brute_force_metrics(preds, golds):
@@ -200,6 +207,132 @@ class TestEnsemble:
             assert decision.votes == votes
             if decision.decision is not Decision.ABSTAIN:
                 assert decision.decision.value == votes[0] == votes[1] == votes[2]
+
+
+def voter_trio(variants=(Variant.BIV_HNN, Variant.TEXT_HNN, Variant.CODE_HNN), seeds=(0, 1, 2)):
+    """Three tiny voters and the instances they score."""
+    insts, wv, cv = make_cue_dataset(n=12, seed=2)
+    trio = [
+        init_model(VariantConfig(variant=v, d_embed=4, d_token_gru=3, d_block=3, seed=s), wv, cv)
+        for v, s in zip(variants, seeds)
+    ]
+    return trio, insts
+
+
+@pytest.fixture
+def blas_two_threads():
+    """The BLAS thread count's getter, with the count set to 2 for the test
+    so that a count left at 1 shows."""
+    control = blas_thread_control()
+    if control is None:
+        pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+    get, set_ = control
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def recording_predict(monkeypatch, before):
+    """Patch ``models.predict_scores`` to record the thread of each call
+    and to call ``before`` ahead of the forward; returns the list of
+    thread idents."""
+    idents = []
+    predict = models.predict_scores
+
+    def recorded(model, instances):
+        idents.append(threading.get_ident())
+        before()
+        return predict(model, instances)
+
+    monkeypatch.setattr(models, "predict_scores", recorded)
+    return idents
+
+
+class TestThreadedEnsemble:
+    """``ensemble_batch`` runs the voters on worker threads with BLAS held
+    to one thread."""
+
+    def test_same_variant_voters_of_other_seeds_match_voters_in_turn(self):
+        trio, insts = voter_trio(variants=[Variant.BIV_HNN] * 3)
+        scores = assert_ensemble_matches_voters_in_turn(trio, insts)
+        # the voters differ, so scores read from the wrong voter would show
+        assert len({scores[:, k].tobytes() for k in range(3)}) == 3
+
+    def test_blas_held_to_one_thread_and_restored(self, blas_two_threads, monkeypatch):
+        trio, insts = voter_trio()
+        counts = []
+        recording_predict(monkeypatch, lambda: counts.append(blas_two_threads()))
+        ensemble_batch(*trio, insts)
+        assert counts == [1, 1, 1]
+        assert blas_two_threads() == 2
+
+    def test_failing_voter_raises_in_voter_order_and_restores_blas(self, blas_two_threads):
+        trio, insts = voter_trio()
+        # TEXT_HNN reads the <codeblock> row for every instance
+        trio[1].word_emb.value[CODEBLOCK_ID] = np.nan
+        trio[2].word_vocab = None  # a later voter fails another way
+        with pytest.raises(NonFiniteInput):
+            ensemble_batch(*trio, insts)
+        assert blas_two_threads() == 2
+        trio[1], trio[2] = trio[2], trio[1]
+        with pytest.raises(VocabMissing):
+            ensemble_batch(*trio, insts)
+        assert blas_two_threads() == 2
+
+    def test_without_blas_control_one_thread_runs_the_voters(self, monkeypatch):
+        trio, insts = voter_trio()
+        expected = ensemble_batch(*trio, insts)
+        monkeypatch.setattr(nn_core, "blas_thread_control", lambda: None)
+        # each call sleeps, so a second worker, had one started, would take a voter
+        idents = recording_predict(monkeypatch, lambda: time.sleep(0.02))
+        assert ensemble_batch(*trio, insts) == expected
+        assert len(idents) == 3 and len(set(idents)) == 1
+
+    def test_two_cpus_run_the_voters_on_two_threads(self, blas_two_threads, monkeypatch):
+        trio, insts = voter_trio()
+        monkeypatch.setattr(train_eval, "_usable_cpus", lambda: 2)
+        # the first two voters wait for each other: one worker would time out
+        barrier, lock, arrived = threading.Barrier(2, timeout=10), threading.Lock(), []
+
+        def meet():
+            with lock:
+                arrived.append(None)
+                first_two = len(arrived) <= 2
+            if first_two:
+                barrier.wait()
+
+        idents = recording_predict(monkeypatch, meet)
+        assert_ensemble_matches_voters_in_turn(trio, insts)
+        assert len(set(idents)) >= 2
+
+    def test_more_workers_than_cpus_and_short_switch_interval(self, monkeypatch):
+        # one model twice: a forward that wrote to its model would show
+        trio, insts = voter_trio()
+        trio[1] = trio[0]
+        monkeypatch.setattr(train_eval, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert_ensemble_matches_voters_in_turn(trio, insts)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_empty_batch_starts_no_thread_and_sets_no_blas_count(self, monkeypatch):
+        trio, insts = voter_trio()
+        set_calls = []
+        monkeypatch.setattr(nn_core, "blas_thread_control", lambda: (lambda: 2, set_calls.append))
+        ensemble_batch(*trio, insts[:1])
+        assert set_calls == [1, 2]  # the fake control is the one in use
+        set_calls.clear()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an empty batch started a thread pool")
+
+        monkeypatch.setattr(train_eval, "ThreadPoolExecutor", no_pool)
+        assert ensemble_batch(*trio, []) == []
+        assert set_calls == []
 
 
 class TestTrain:
