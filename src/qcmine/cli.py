@@ -479,96 +479,78 @@ def mine(
     bodies are parsed without their prose; an answer bound for the ensemble
     is parsed again with it.
 
-    Multi-code answers are collected until they hold ``INFERENCE_CHUNK``
-    instances, and each voter then runs once over the whole chunk. Output
-    that follows a waiting answer waits with it, so lines are written in
-    dump order.
+    The how-to answers with code are taken in ``train_eval.chunked`` runs:
+    a run closes once its multi-code answers fill a chunk of instances, or
+    at once while it holds none, so a single-code pair waits only behind a
+    multi-code answer. Each voter runs once over a run's instances, and the
+    run's lines are then written in dump order.
     """
     tokenizer = (config or load_config()).tokenizer
-    biv, text, code = _load_ensemble(biv_path, text_path, code_path, tokenizer)
+    voters = _load_ensemble(biv_path, text_path, code_path, tokenizer)
     qfilter = question_filter.QuestionFilterModel.load(filter_model_path)
 
     report = dict.fromkeys([
         "records", "parse_errors", "domain_skipped", "non_howto", "no_code",
         "single_code_pairs", "ensemble_pairs", "ensemble_rejections", "abstentions",
     ], 0)
-    # In dump order: pair lines, and (qid, title, instances) of multi-code
-    # answers waiting for the ensemble.
-    pending: list = []
-    n_pending = 0
 
     def off_domain(record):
         return None if domain_matches(record["tags"], tokenizer.language) else "domain_skipped"
 
-    abstention_path = str(out_path) + ".abstentions.jsonl"
-    with open(out_path, "w", encoding="utf-8") as out, open(
-        abstention_path, "w", encoding="utf-8"
-    ) as abstain_out:
+    def how_to_answers():
+        """(qid, title, code blocks, instances) of each how-to answer with
+        code; only multi-code answers have instances."""
         for record, answer_seq in read_answers(dump_path, report, off_domain, prose=False):
             code_blocks = answer_seq.code_blocks()
             if not code_blocks:
                 report["no_code"] += 1
                 continue
-
             qid, title = record["question_id"], record["title"]
             question_seq = _parse_or_empty(record.get("question_body_html"), qid)
             feats = question_filter.featurize_question(title, question_seq, answer_seq, qfilter.keywords)
             label, _ = question_filter.classify_question(feats, qfilter)
             if label is not question_filter.QuestionLabel.HOW_TO:
                 report["non_howto"] += 1
-                continue
-
-            if len(code_blocks) == 1:
-                pair = MinedPair(qid, title, code_blocks[0].raw, 1, Provenance.SINGLE_CODE)
-                line = pair.to_json() + "\n"
-                if pending:
-                    pending.append(line)
-                else:
-                    out.write(line)
-                report["single_code_pairs"] += 1
-                continue
-
-            # only the ensemble reads the prose around each code block
-            answer_seq = parse_answer_post(record["accepted_answer_html"], qid)
-            tokenize_sequence(answer_seq, tokenizer)
-            instances = extract_instances(title, answer_seq, None, tokenizer)
-            pending.append((qid, title, instances))
-            n_pending += len(instances)
-            if n_pending >= train_eval.INFERENCE_CHUNK:
-                _flush(pending, (biv, text, code), out, abstain_out, report)
-                n_pending = 0
-        _flush(pending, (biv, text, code), out, abstain_out, report)
-    return report
-
-
-def _flush(pending, voters, out, abstain_out, report) -> None:
-    """Decide every waiting answer with one batched ensemble call, then
-    write all waiting output in dump order and empty ``pending``."""
-    instances = [inst for item in pending if isinstance(item, tuple) for inst in item[2]]
-    decisions = iter(train_eval.ensemble_batch(*voters, instances))
-    for item in pending:
-        if isinstance(item, str):
-            out.write(item)
-            continue
-        qid, title, answer_instances = item
-        for inst in answer_instances:
-            decision = next(decisions)
-            if decision.decision is Decision.LABEL1:
-                pair = MinedPair(
-                    qid, title, inst.raw_code, inst.position, Provenance.ENSEMBLE_MINED,
-                    score=decision.scores[0],
-                )
-                out.write(pair.to_json() + "\n")
-                report["ensemble_pairs"] += 1
-            elif decision.decision is Decision.LABEL0:
-                report["ensemble_rejections"] += 1
+            elif len(code_blocks) == 1:
+                yield qid, title, code_blocks, ()
             else:
-                abstain_out.write(models.JSON_ENCODER.encode({
-                    "question_id": qid, "position": inst.position,
-                    "votes": list(decision.votes), "scores": list(decision.scores),
-                }) + "\n")
-                report["abstentions"] += 1
-    pending.clear()
+                # only the ensemble reads the prose around each code block
+                answer_seq = parse_answer_post(record["accepted_answer_html"], qid)
+                tokenize_sequence(answer_seq, tokenizer)
+                yield qid, title, code_blocks, extract_instances(title, answer_seq, None, tokenizer)
+
+    abstention_path = str(out_path) + ".abstentions.jsonl"
+    with open(out_path, "w", encoding="utf-8") as out, open(
+        abstention_path, "w", encoding="utf-8"
+    ) as abstain_out:
+        for run in train_eval.chunked(how_to_answers(), lambda answer: len(answer[3])):
+            decisions = ()
+            if run[0][3]:  # else the run is one single-code answer
+                instances = [inst for answer in run for inst in answer[3]]
+                decisions = iter(train_eval.ensemble_batch(*voters, instances))
+            for qid, title, code_blocks, answer_instances in run:
+                if not answer_instances:
+                    pair = MinedPair(qid, title, code_blocks[0].raw, 1, Provenance.SINGLE_CODE)
+                    out.write(pair.to_json() + "\n")
+                    report["single_code_pairs"] += 1
+                    continue
+                for inst, decision in zip(answer_instances, decisions):
+                    if decision.decision is Decision.LABEL1:
+                        pair = MinedPair(
+                            qid, title, inst.raw_code, inst.position, Provenance.ENSEMBLE_MINED,
+                            score=decision.scores[0],
+                        )
+                        out.write(pair.to_json() + "\n")
+                        report["ensemble_pairs"] += 1
+                    elif decision.decision is Decision.LABEL0:
+                        report["ensemble_rejections"] += 1
+                    else:
+                        abstain_out.write(models.JSON_ENCODER.encode({
+                            "question_id": qid, "position": inst.position,
+                            "votes": list(decision.votes), "scores": list(decision.scores),
+                        }) + "\n")
+                        report["abstentions"] += 1
+    return report
 
 
 def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:

@@ -132,23 +132,37 @@ def combine_votes(votes) -> Decision:
     return Decision.ABSTAIN
 
 
-# Instances per batched forward. Each GRU step multiplies the states of the
-# whole batch at once and costs 20-30 us besides its per-row arithmetic, and a
-# batch runs as many steps as its longest sequence, so taller batches take
-# fewer steps per instance: the 252 blocks of the benchmark's mine_multi dump
-# take 1,052 steps in one chunk of 512, 2,102 in two of 128. The bound keeps
-# the working set small: one voter's forward over a full chunk of 512 peaks
-# at ~21 MiB of numpy arrays (~7 MiB at 128), and ``ensemble_batch`` runs the
-# voters at once, so a chunk peaks at ~37-41 MiB (~14 MiB at 128) with two
-# or three workers, at most three voters' ~62 MiB, well under the memory that
-# loading three paper-size checkpoints takes.
+# Instances per batched forward (``chunked``). Each GRU step multiplies the
+# states of the whole batch at once and costs 20-30 us besides its per-row
+# arithmetic, and a batch runs as many steps as its longest sequence, so
+# taller batches take fewer steps per instance: the 252 blocks of the
+# benchmark's mine_multi dump take 1,052 steps in one chunk of 512, 2,102 in
+# two of 128. The bound keeps the working set small: one voter's forward over
+# a chunk of 512 peaks at ~21 MiB of numpy arrays (~7 MiB at 128), and
+# ``ensemble_batch`` runs the voters at once, so a chunk peaks at ~37-41 MiB
+# (~14 MiB at 128) with two or three workers, at most three voters' ~62 MiB,
+# well under the memory that loading three paper-size checkpoints takes.
+# ``ensemble-eval`` and ``predict_labels`` make chunks of exactly 512. A
+# ``mine`` chunk ends with the whole answer that fills it, so it can hold up
+# to INFERENCE_CHUNK plus the largest answer's code blocks minus one
+# instances, and its peak is not bounded by these figures.
 INFERENCE_CHUNK = 512
 
 
-def chunked(items):
-    """Consecutive slices of at most INFERENCE_CHUNK items."""
-    for start in range(0, len(items), INFERENCE_CHUNK):
-        yield items[start : start + INFERENCE_CHUNK]
+def chunked(items, count=lambda item: 1):
+    """Consecutive runs of ``items``, in order, where an item holds
+    ``count(item)`` instances. A run closes once it holds INFERENCE_CHUNK
+    instances or more, and while it holds none, so nothing waits behind an
+    item that holds none; the last run may hold fewer."""
+    run, held = [], 0
+    for item in items:
+        run.append(item)
+        held += count(item)
+        if not held or held >= INFERENCE_CHUNK:
+            yield run
+            run, held = [], 0
+    if run:
+        yield run
 
 
 def _usable_cpus() -> int:

@@ -870,6 +870,53 @@ class TestChunkedMining:
                         a is None or abs(a - b) <= 1e-12 for a, b in zip(g_scores, w_scores)
                     )
 
+    def test_ensemble_asked_only_with_instances(self, ws, tmp_path, monkeypatch):
+        """A dump without multi-code answers makes no ensemble call, and at a
+        chunk of 64 each call holds the instances of consecutive multi-code
+        answers, in dump order, up to the first answer that fills the chunk."""
+        calls = []  # instances per ensemble call
+        batch = train_eval.ensemble_batch
+
+        def recording(biv, text, code, instances):
+            calls.append(len(instances))
+            return batch(biv, text, code, instances)
+
+        monkeypatch.setattr(train_eval, "ensemble_batch", recording)
+        args = (ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"], ws["filter"])
+        config = cli.load_config(ws["config"])
+
+        single = tmp_path / "single.jsonl"
+        single.write_text("".join(
+            json.dumps(dump_record(2000 + i, f"How to unfrob {i}", ["python"], SINGLE_HTML)) + "\n"
+            for i in range(5)
+        ))
+        report = cli.mine(single, *args, tmp_path / "single_pairs.jsonl", config)
+        assert report["single_code_pairs"] == 5
+        assert calls == []
+
+        dump = tmp_path / "dump.jsonl"
+        chunk_dump(dump)
+        monkeypatch.setattr(train_eval, "INFERENCE_CHUNK", 64)
+        report = cli.mine(dump, *args, tmp_path / "pairs.jsonl", config)
+        # the multi-code answers are questions 1000-1099, one instance per block
+        counts = []
+        for line in dump.read_text().splitlines():
+            if line.startswith("{") and line.endswith("}"):
+                record = json.loads(line)
+                if record["question_id"] < 2000:
+                    counts.append(record["accepted_answer_html"].count("<pre>"))
+        want, held = [], 0
+        for n in counts:
+            held += n
+            if held >= 64:
+                want.append(held)
+                held = 0
+        want += [held] if held else []
+        assert calls == want
+        assert sum(calls) == (
+            report["ensemble_pairs"] + report["ensemble_rejections"] + report["abstentions"]
+        )
+
 
 class TestTrainReport:
     def test_neural_train_reports_every_epoch(self, ws, tmp_path, capsys):

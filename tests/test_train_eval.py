@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_ensemble_matches_voters_in_turn, make_cue_dataset
 from qcmine import models, nn_core, train_eval
@@ -207,6 +209,58 @@ class TestEnsemble:
             assert decision.votes == votes
             if decision.decision is not Decision.ABSTAIN:
                 assert decision.decision.value == votes[0] == votes[1] == votes[2]
+
+
+def pulled_runs(counts, chunk):
+    """``chunked``'s runs over a generator of (index, count) items at an
+    INFERENCE_CHUNK of ``chunk``, each with the number of items the
+    generator had given when the run came out."""
+    pulled = 0
+
+    def items():
+        nonlocal pulled
+        for item in enumerate(counts):
+            pulled += 1
+            yield item
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(train_eval, "INFERENCE_CHUNK", chunk)
+        return [(run, pulled) for run in train_eval.chunked(items(), lambda item: item[1])]
+
+
+class TestChunked:
+    def test_default_runs_of_exactly_the_chunk(self):
+        for items in (list(range(1100)), iter(range(1100))):
+            runs = list(train_eval.chunked(items))
+            assert [len(run) for run in runs] == [512, 512, 76]
+            assert [i for run in runs for i in run] == list(range(1100))
+
+    def test_patched_chunk_honoured(self, monkeypatch):
+        monkeypatch.setattr(train_eval, "INFERENCE_CHUNK", 3)
+        assert list(train_eval.chunked(range(7))) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert list(train_eval.chunked([])) == []
+
+    def test_runs_close_at_the_chunk_or_more_and_empty_at_once(self):
+        runs = pulled_runs([0, 2, 0, 0, 3, 0, 5, 1], 4)
+        assert [([i for i, _ in run], pulled) for run, pulled in runs] == [
+            ([0], 1),           # holds none: out before the next item is taken
+            ([1, 2, 3, 4], 5),  # 2 + 3 passes the chunk of 4
+            ([5], 6),           # holds none again
+            ([6], 7),           # 5 alone fills it
+            ([7], 8),           # the last partial run
+        ]
+
+    @given(st.lists(st.integers(0, 9), max_size=60), st.integers(1, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_follow_the_rule(self, counts, chunk):
+        runs = pulled_runs(counts, chunk)
+        assert [item for run, _ in runs for item in run] == list(enumerate(counts))
+        for k, (run, pulled) in enumerate(runs):
+            assert pulled == run[-1][0] + 1  # out as soon as its last item is in
+            held = list(itertools.accumulate(n for _, n in run))
+            assert all(0 < h < chunk for h in held[:-1])
+            if k < len(runs) - 1:
+                assert held[-1] == 0 or held[-1] >= chunk
 
 
 def voter_trio(variants=(Variant.BIV_HNN, Variant.TEXT_HNN, Variant.CODE_HNN), seeds=(0, 1, 2)):
