@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import json_object, parse_model_file, read_model_file, string_list, write_model_file
+from .models import (
+    check_json_type, json_object, label_of, parse_model_file, read_model_file, string_list,
+    write_model_file,
+)
 from .post_parser import BlockKind, CodeContextInstance
 from .tokenize import (
     TokenStream, Tokenizer, count_lines, load_wordlist_resource, tokenize_text, wordlist_entries,
@@ -25,7 +27,6 @@ from .tokenize import (
 
 LOGISTIC = "logistic"
 HINGE_SVM = "hinge_svm"
-_MAX = sys.float_info.max
 
 
 class SingleClassData(ValueError):
@@ -131,31 +132,25 @@ class LinearModel:
     def from_dict(cls, obj: dict) -> "LinearModel":
         """The model of ``to_dict``'s object. A kind other than logistic or
         hinge_svm, a feature name that is not a string, or a weight, bias
-        or l2 that is not a finite JSON number raises a ValueError or
-        TypeError, which ``models.read_parts`` reports."""
+        or l2 that is not a finite JSON number (``models.check_json_type``)
+        raises a ValueError or TypeError, which ``models.read_parts`` reports."""
         if obj["kind"] not in (LOGISTIC, HINGE_SVM):
             raise ValueError(f"kind {obj['kind']!r:.80} is neither {LOGISTIC} nor {HINGE_SVM}")
         features = string_list(obj["features"])
         index = {name: i for i, name in enumerate(features)}
-        weights = np.array([_finite("weights", w) for w in obj["weights"]], dtype=np.float64)
+        numbers = {"bias": obj["bias"], "l2": obj.get("l2", 0.0)}
+        for key, value in [*(("weights", w) for w in obj["weights"]), *numbers.items()]:
+            check_json_type("linear model", key, value, 0.0)
+        weights = np.array(obj["weights"], dtype=np.float64)
         if weights.shape != (len(index),):
             raise ValueError(f"weights of shape {weights.shape} for {len(index)} distinct features")
         return cls(
             kind=obj["kind"],
             weights=weights,
-            bias=_finite("bias", obj["bias"]),
-            l2=_finite("l2", obj.get("l2", 0.0)),
+            bias=float(numbers["bias"]),
+            l2=float(numbers["l2"]),
             index=index,
         )
-
-
-def _finite(key: str, value) -> float:
-    """``value`` as a float if it is a JSON number inside the float range
-    (not a bool, a string, NaN, an infinity or an integer beyond it), else
-    ValueError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_MAX <= value <= _MAX:
-        raise ValueError(f"{key}: {value!r:.80} is not a finite number")
-    return float(value)
 
 
 def _logistic(score: float) -> float:
@@ -212,15 +207,15 @@ def train_linear(
 
 
 def predict_linear(model: LinearModel, features: dict[str, float]):
-    """(label, score): sigmoid score thresholded at 0.5 for logistic,
-    raw margin thresholded at 0 for the SVM. Feature names the model was
-    not trained on are ignored."""
+    """(label, score): the sigmoid score labeled by ``models.label_of`` for
+    logistic, the raw margin thresholded at 0 for the SVM. Feature names
+    the model was not trained on are ignored."""
     if model.weights is None:
         raise UntrainedModel("model has no weights")
     raw = _dot(model.weights, model.index, features) + model.bias
     if model.kind == LOGISTIC:
         score = _logistic(raw)
-        return (1 if score >= 0.5 else 0), score
+        return label_of(score), score
     return (1 if raw >= 0.0 else 0), raw
 
 

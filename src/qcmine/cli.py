@@ -27,6 +27,7 @@ from .post_parser import (
     BlockSequence,
     EmptyPost,
     PositionMismatch,
+    check_positions,
     code_stream,
     extract_instances,
     parse_answer_post,
@@ -62,8 +63,8 @@ class MinedPair:
     @classmethod
     def from_json(cls, line: str) -> "MinedPair":
         """The pair of one pairs-file line. The ids must be non-bool ints,
-        title and code strings, and score a number or null; a field of
-        another JSON type raises a ValueError naming it."""
+        title and code strings, and score a finite number or null; any
+        other field value raises a ValueError naming it."""
         obj = json.loads(line)
         for key, default in (("question_id", 0), ("title", ""), ("code", ""), ("position", 0)):
             check_json_type("pair", key, obj[key], default)
@@ -107,10 +108,10 @@ class Config:
     linear: dict  # l2, epochs, lr and seed, the keywords of every linear trainer
 
 
-# The values a key may take, beyond its default's JSON type and, for a
-# float key, lying inside the float range, ints included. A size, count or
-# patience below 1, a step size of 0 or less, or a negative penalty would
-# make a command crash or train nothing.
+# The values a key may take beyond its default's JSON type, which for a
+# float key admits only finite numbers (``models.check_json_type``). A
+# size, count or patience below 1, a step size of 0 or less, or a negative
+# penalty would make a command crash or train nothing.
 _CHOICES = {"language": ("python", "sql"), "variant": tuple(v.value for v in Variant)}
 _AT_LEAST = {**dict.fromkeys(["min_count", "d_embed", "d_token_gru", "d_block", "batch_size",
                               "max_epochs", "linear_epochs", "patience"], 1), "l2": 0}
@@ -166,8 +167,6 @@ def _known_items(path, given, known: dict, where: str):
             check_json_type(path, key, value, known[key])
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ValueError(f"{path}: {key!r} must be one of {_CHOICES[key]}, not {value!r}")
-        if isinstance(known[key], float) and not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ValueError(f"{path}: {key!r} must be a finite number, not {value!r:.80}")
         if key in _AT_LEAST and value < _AT_LEAST[key]:
             raise ValueError(f"{path}: {key!r} must be at least {_AT_LEAST[key]}, not {value}")
         if key in _ABOVE_ZERO and value <= 0:
@@ -560,27 +559,21 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
     Positions that do not exist in the dump raise PositionMismatch.
     """
     labels = read_annotation_csv(annotated_csv)
-    posts: dict[int, tuple[str, list[str]]] = {}
+    posts: dict[int, tuple[str, BlockSequence]] = {}
     for record, seq in read_answers(dump_path, Counter(), prose=False, ids=set(labels)):
-        posts[record["question_id"]] = (
-            record["title"],
-            [b.raw for b in seq.code_blocks()],
-        )
+        posts[record["question_id"]] = (record["title"], seq)
 
     annotated: dict[tuple[int, int], MinedPair] = {}
     for qid, by_pos in sorted(labels.items()):
         if qid not in posts:
             raise PositionMismatch(f"annotated question {qid} not found in dump")
-        title, code_blocks = posts[qid]
+        title, seq = posts[qid]
+        check_positions(seq, by_pos)
+        code_blocks = seq.code_blocks()
         for pos, label in sorted(by_pos.items()):
-            if pos < 1 or pos > len(code_blocks):
-                raise PositionMismatch(
-                    f"annotated position {pos} of question {qid} exceeds "
-                    f"{len(code_blocks)} code blocks"
-                )
             if label == 1:
                 annotated[(qid, pos)] = MinedPair(
-                    qid, title, code_blocks[pos - 1], pos, Provenance.ANNOTATED
+                    qid, title, code_blocks[pos - 1].raw, pos, Provenance.ANNOTATED
                 )
 
     report = {"mined_kept": 0, "mined_replaced": 0, "annotated_added": len(annotated)}

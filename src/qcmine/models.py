@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -102,13 +103,18 @@ class VariantConfig:
 def check_json_type(where, key, value, default) -> None:
     """Raise ConfigInvalid naming ``key`` unless ``value`` has the JSON type
     of ``default``: a bool is not a number, an int may stand for a float,
-    and a null default (an optional path) takes a string."""
+    and a null default (an optional path) takes a string. For a float
+    default the number must also be finite: NaN, an infinity or an int
+    beyond the float range is refused. This is the one finite-number rule
+    for config floats, pairs scores and linear-model weights."""
     wider = {float: (int, float), type(None): (str, type(None))}
     types = wider.get(type(default), (type(default),))
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigInvalid(
             f"{where}: key {key!r} must have the JSON type of {default!r}, not {value!r:.80}"
         )
+    if isinstance(default, float) and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigInvalid(f"{where}: key {key!r} must be a finite number, not {value!r:.80}")
 
 
 @dataclass

@@ -249,6 +249,17 @@ def code_stream(raw: str, tokenizer: Tokenizer) -> TokenStream:
     return code if code.tokens else TokenStream(wordpunct(raw), code.n_lines)
 
 
+def check_positions(seq: BlockSequence, positions) -> None:
+    """Raise PositionMismatch unless each 1-based position names one of
+    ``seq``'s code blocks."""
+    code_count = len(seq.code_blocks())
+    bad = [p for p in positions if not 1 <= p <= code_count]
+    if bad:
+        raise PositionMismatch(
+            f"label positions {bad} exceed the {code_count} code blocks of post {seq.question_id}"
+        )
+
+
 def extract_instances(
     question_title: str,
     seq: BlockSequence,
@@ -262,14 +273,7 @@ def extract_instances(
     unlisted positions stay unlabeled. Blocks that ``tokenize_sequence`` has
     not filled in are tokenized here with ``tokenizer``.
     """
-    code_count = len(seq.code_blocks())
-    if labels:
-        bad = [p for p in labels if not 1 <= p <= code_count]
-        if bad:
-            raise PositionMismatch(
-                f"label positions {bad} exceed the {code_count} code blocks of post {seq.question_id}"
-            )
-
+    check_positions(seq, labels or ())
     question_tokens = tokenize_text(question_title).tokens
     instances = []
     position = 0

@@ -132,9 +132,9 @@ class TestTrainLinear:
         "key, raw, refusal",
         [("weights", '["2"]', "weights"), ("bias", '"0.5"', "bias"), ("weights", "[true]", "weights"),
          ("weights", "[NaN]", "weights"), ("weights", "[1e400]", "weights"), ("kind", '"bogus"', "kind"),
-         ("features", "[1]", "list of strings")],
+         ("features", "[1]", "list of strings"), ("bias", "NaN", "bias"), ("l2", "Infinity", "l2")],
         ids=["string_weight", "string_bias", "bool_weight", "nan_weight", "overflow_weight",
-             "unknown_kind", "int_feature"],
+             "unknown_kind", "int_feature", "nan_bias", "infinite_l2"],
     )
     def test_from_dict_refuses_what_it_cannot_score(self, key, raw, refusal):
         obj = {"kind": LOGISTIC, "features": ["a"], "weights": [2.0], "bias": 0.5, "l2": 0.0}

@@ -1658,7 +1658,9 @@ class TestMergeAndStats:
     @pytest.mark.parametrize(
         "key, value",
         [("title", 5), ("code", ["x"]), ("question_id", 1.9), ("question_id", "1"),
-         ("position", True), ("score", "hi"), ("score", False)],
+         ("position", True), ("score", "hi"), ("score", False), ("score", math.nan),
+         ("score", math.inf), ("score", -math.inf),
+         pytest.param("score", 10**400, id="score-10**400")],
     )
     def test_wrong_typed_pair_field_names_file_line_and_key(self, ws, tmp_path, key, value):
         pairs = tmp_path / "pairs.jsonl"
@@ -1672,8 +1674,10 @@ class TestMergeAndStats:
             cli.dataset_stats(pairs)
         annotated = tmp_path / "ann.csv"
         annotated.write_text("question_id,code_position,label\n")
+        merged = tmp_path / "merged.jsonl"
         with pytest.raises(ValueError, match=expected):
-            cli.merge_annotated(pairs, annotated, ws["dump"], tmp_path / "merged.jsonl")
+            cli.merge_annotated(pairs, annotated, ws["dump"], merged)
+        assert merged.read_text() == good.to_json() + "\n"  # the bad line is never written
 
     def test_stats_reads_code_like_instances(self, tmp_path):
         ds = tmp_path / "one.jsonl"

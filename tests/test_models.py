@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,30 @@ class TestInitModel:
         np.testing.assert_array_equal(
             model.word_emb.value[wv.token_to_id["try"]], [0.25] * 5
         )
+
+
+class TestCheckJsonType:
+    """The one finite-number rule: a float default takes any int or float
+    within +-sys.float_info.max, and nothing beyond it, NaN or a bool."""
+
+    MAX = sys.float_info.max
+
+    @pytest.mark.parametrize("value", [MAX, -MAX, 0, 1, 0.5], ids=["max", "-max", "0", "1", "0.5"])
+    def test_float_default_takes_finite_numbers(self, value):
+        models.check_json_type("f.json", "lr", value, 0.1)
+
+    @pytest.mark.parametrize(
+        "value, why",
+        [(float("nan"), "finite"), (float("inf"), "finite"), (float("-inf"), "finite"),
+         (10**309, "finite"), (-10**309, "finite"), (True, "JSON type")],
+        ids=["nan", "inf", "-inf", "10**309", "-10**309", "true"],
+    )
+    def test_float_default_refuses_the_rest(self, value, why):
+        with pytest.raises(ConfigInvalid, match=f"f.json: key 'lr' must .*{why}"):
+            models.check_json_type("f.json", "lr", value, 0.1)
+
+    def test_int_default_takes_ints_beyond_float_range(self):
+        models.check_json_type("f.json", "seed", 10**400, 0)
 
 
 class TestForward:
