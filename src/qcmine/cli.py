@@ -482,7 +482,9 @@ def mine(
     a run closes once its multi-code answers fill a chunk of instances, or
     at once while it holds none, so a single-code pair waits only behind a
     multi-code answer. Each voter runs once over a run's instances, and the
-    run's lines are then written in dump order.
+    run's lines are then written in dump order. Both files are written
+    through ``models.open_output``: they replace ``out_path`` and its sidecar
+    only once the whole dump is read, so a failed run leaves both as they were.
     """
     tokenizer = (config or load_config()).tokenizer
     voters = _load_ensemble(biv_path, text_path, code_path, tokenizer)
@@ -519,9 +521,7 @@ def mine(
                 yield qid, title, code_blocks, extract_instances(title, answer_seq, None, tokenizer)
 
     abstention_path = str(out_path) + ".abstentions.jsonl"
-    with open(out_path, "w", encoding="utf-8") as out, open(
-        abstention_path, "w", encoding="utf-8"
-    ) as abstain_out:
+    with models.open_output(out_path) as out, models.open_output(abstention_path) as abstain_out:
         for run in train_eval.chunked(how_to_answers(), lambda answer: len(answer[3])):
             decisions = ()
             if run[0][3]:  # else the run is one single-code answer
@@ -557,6 +557,7 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
 
     On a (question_id, position) collision the annotated pair wins.
     Positions that do not exist in the dump raise PositionMismatch.
+    ``out_path`` may be ``mined_path``: it is replaced once the merge is done.
     """
     labels = read_annotation_csv(annotated_csv)
     posts: dict[int, tuple[str, BlockSequence]] = {}
@@ -566,7 +567,7 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
     annotated: dict[tuple[int, int], MinedPair] = {}
     for qid, by_pos in sorted(labels.items()):
         if qid not in posts:
-            raise PositionMismatch(f"annotated question {qid} not found in dump")
+            raise PositionMismatch(f"the dump has no usable answer for annotated question {qid}")
         title, seq = posts[qid]
         check_positions(seq, by_pos)
         code_blocks = seq.code_blocks()
@@ -577,7 +578,7 @@ def merge_annotated(mined_path, annotated_csv, dump_path, out_path) -> dict:
                 )
 
     report = {"mined_kept": 0, "mined_replaced": 0, "annotated_added": len(annotated)}
-    with open(out_path, "w", encoding="utf-8") as out:
+    with models.open_output(out_path) as out:
         for pair in read_pairs(mined_path):
             if (pair.question_id, pair.position) in annotated:
                 report["mined_replaced"] += 1
@@ -752,7 +753,7 @@ def ensemble_evaluate(dump_path, labels_csv, biv_path, text_path, code_path, con
 
 def cmd_parse(args, config):
     report = Counter()
-    with open(args.out, "w", encoding="utf-8") as out:
+    with models.open_output(args.out) as out:
         for record, seq in read_answers(args.dump, report):
             out.write(models.JSON_ENCODER.encode({
                 "question_id": record["question_id"], "title": record["title"],
@@ -780,7 +781,7 @@ def cmd_filter_train(args, config):
 def cmd_filter(args, config):
     model = question_filter.QuestionFilterModel.load(args.model)
     report = {"classified": 0, "skipped": 0}
-    with open(args.out, "w", encoding="utf-8") as out:
+    with models.open_output(args.out) as out:
         for record, feats in _question_records(args.dump, report, model.keywords):
             label, prob = question_filter.classify_question(feats, model)
             out.write(models.JSON_ENCODER.encode(

@@ -10,8 +10,11 @@ parts of that structure.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -506,9 +509,34 @@ def vocabulary(obj) -> Vocabulary:
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
+@contextlib.contextmanager
+def open_output(path):
+    """The UTF-8 text file to write ``path`` through: the one opener of every
+    file qcmine writes. It is a hidden file beside ``path`` that replaces it
+    only when the block exits without an exception; on any exception,
+    KeyboardInterrupt included, it is deleted and ``path`` is left as it was.
+    A new file gets mode 0o666 less the umask, a replaced one keeps its mode."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the output, not its temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            yield f
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_model_file(path, fmt: str, parts: dict) -> None:
-    """Write ``{"format": fmt, **parts}``: the one writer of every model file."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Write ``{"format": fmt, **parts}``: the one writer of every model
+    file, through ``open_output``, so ``path`` is replaced whole or not."""
+    with open_output(path) as f:
         f.writelines(JSON_ENCODER.iterencode({"format": fmt, **parts}))
 
 

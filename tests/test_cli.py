@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,12 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
-from qcmine import baselines, cli, question_filter, tokenize, train_eval
+from qcmine import baselines, cli, models, question_filter, tokenize, train_eval
 from qcmine.models import CheckpointMismatch, load_model, predict_label
 from qcmine.nn_core import softmax
-from qcmine.post_parser import extract_instances, parse_answer_post, tokenize_sequence
+from qcmine.post_parser import (
+    PositionMismatch, extract_instances, parse_answer_post, tokenize_sequence,
+)
 from qcmine.tokenize import Tokenizer, default_python_keep_list, normalize_python
 
 
@@ -1566,6 +1569,139 @@ class TestLexiconParts:
         assert connectives and all(isinstance(tok, str) for phrase in connectives for tok in phrase)
 
 
+# Bytes no qcmine writer produces (not UTF-8, no final newline), to show
+# that an output left as it was is left byte for byte.
+SENTINEL = b"\xffsentinel, not qcmine output\r\n\x00"
+REAL_ENCODER = models.JSON_ENCODER
+
+
+class FailingEncoder:
+    """Stands in for ``models.JSON_ENCODER``: encodes as it does, and raises
+    ``exc`` at the second line (``encode``) or the second chunk of a model
+    file (``iterencode``), so the write fails partway."""
+
+    def __init__(self, exc):
+        self.exc, self.calls = exc, 0
+
+    def _count(self):
+        self.calls += 1
+        if self.calls > 1:
+            raise self.exc
+
+    def encode(self, obj):
+        self._count()
+        return REAL_ENCODER.encode(obj)
+
+    def iterencode(self, obj):
+        for chunk in REAL_ENCODER.iterencode(obj):
+            self._count()
+            yield chunk
+
+
+def current_umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+WRITERS = ["mine", "merge", "parse", "filter", "filter-train", "train", "lr"]
+
+
+def writer_argv(name, ws, out):
+    """The argv of the command ``name`` writing ``out`` on the workspace, and
+    the paths of every file it writes."""
+    dump, config = ["--dump", str(ws["dump"])], ["--config", str(ws["config"])]
+    labels = ["--train-labels", str(ws["train"]), "--valid-labels", str(ws["valid"])]
+    argv = {
+        "mine": ["mine", *dump, "--biv", str(ws["biv_hnn"]), "--text", str(ws["text_hnn"]),
+                 "--code", str(ws["code_hnn"]), "--filter-model", str(ws["filter"]), *config],
+        "merge": ["merge", "--mined", str(ws["root"] / "pairs.jsonl"),
+                  "--annotated", str(ws["train"]), *dump],
+        "parse": ["parse", *dump],
+        "filter": ["filter", *dump, "--model", str(ws["filter"]), *config],
+        "filter-train": ["filter-train", *dump, "--labels", str(ws["qlabels"]), *config],
+        "train": ["train", *dump, *labels, "--variant", "biv_hnn", *config],
+        "lr": ["train", *dump, *labels, "--variant", "lr", *config],
+    }[name]
+    outputs = [out, out.with_name(out.name + ".abstentions.jsonl")] if name == "mine" else [out]
+    return [*argv, "--out", str(out)], outputs
+
+
+class TestWholeOutputs:
+    """Every file qcmine writes goes through ``models.open_output``: it
+    appears whole or not at all, and a replaced file keeps its mode. CI
+    reruns this class under ``umask 077``. ``mined`` writes the pairs file
+    that merge reads."""
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_new_output_gets_default_mode(self, ws, mined, tmp_path, capsys, name):
+        argv, outputs = writer_argv(name, ws, tmp_path / "out")
+        cli.main(argv)
+        assert sorted(tmp_path.iterdir()) == sorted(outputs)
+        for out in outputs:
+            assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~current_umask()
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_replaced_output_keeps_its_mode(self, ws, mined, tmp_path, capsys, name, mode):
+        argv, outputs = writer_argv(name, ws, tmp_path / "out")
+        for out in outputs:
+            out.write_bytes(SENTINEL)
+            out.chmod(mode)
+        cli.main(argv)
+        assert sorted(tmp_path.iterdir()) == sorted(outputs)
+        for out in outputs:
+            assert out.read_bytes() != SENTINEL
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()], ids=repr)
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_failed_write_leaves_outputs_untouched(self, ws, mined, tmp_path, monkeypatch, name, exc):
+        argv, outputs = writer_argv(name, ws, tmp_path / "out")
+        for out in outputs:
+            out.write_bytes(SENTINEL)
+        encoder = FailingEncoder(exc)
+        monkeypatch.setattr(models, "JSON_ENCODER", encoder)
+        with pytest.raises(type(exc)):
+            cli.main(argv)
+        assert encoder.calls == 2  # one line or chunk went out first
+        assert sorted(tmp_path.iterdir()) == sorted(outputs)
+        for out in outputs:
+            assert out.read_bytes() == SENTINEL
+
+    def test_unreplaceable_output_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(OSError):
+            with models.open_output(tmp_path / "out") as f:
+                f.write("x")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_uncreatable_output_is_named(self, ws, tmp_path, capsys):
+        out = tmp_path / "missing" / "blocks.jsonl"
+        with pytest.raises(FileNotFoundError) as info:
+            cli.main(["parse", "--dump", str(ws["dump"]), "--out", str(out)])
+        assert info.value.filename == str(out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_merge_may_write_over_its_mined_file(self, ws, mined, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_bytes(mined[0].read_bytes())
+        annotated = tmp_path / "ann.csv"
+        annotated.write_text("question_id,code_position,label\n100,2,1\n")
+        cli.main([
+            "merge", "--mined", str(pairs), "--annotated", str(annotated),
+            "--dump", str(ws["dump"]), "--out", str(pairs),
+        ])
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"mined_kept": 18, "mined_replaced": 0, "annotated_added": 1, "total": 19}
+        lines = pairs.read_bytes().splitlines(keepends=True)
+        assert b"".join(lines[:18]) == mined[0].read_bytes()
+        added = cli.MinedPair.from_json(lines[18])
+        assert (added.question_id, added.position, added.provenance) == (
+            100, 2, cli.Provenance.ANNOTATED)
+        assert sorted(tmp_path.iterdir()) == [annotated, pairs]
+
+
 class TestMergeAndStats:
     def test_merge_and_stats_consistency(self, ws, capsys):
         out = ws["root"] / "pairs_for_merge.jsonl"
@@ -1624,8 +1760,6 @@ class TestMergeAndStats:
         assert report["total"] == 2
 
     def test_merge_position_mismatch(self, ws, tmp_path):
-        from qcmine.post_parser import PositionMismatch
-
         mined = tmp_path / "mined.jsonl"
         mined.write_text("")
         annotated = tmp_path / "ann.csv"
@@ -1675,9 +1809,31 @@ class TestMergeAndStats:
         annotated = tmp_path / "ann.csv"
         annotated.write_text("question_id,code_position,label\n")
         merged = tmp_path / "merged.jsonl"
+        merged.write_bytes(SENTINEL)
         with pytest.raises(ValueError, match=expected):
             cli.merge_annotated(pairs, annotated, ws["dump"], merged)
-        assert merged.read_text() == good.to_json() + "\n"  # the bad line is never written
+        # the refused merge replaces nothing, not even with the good line
+        assert merged.read_bytes() == SENTINEL
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.csv", "merged.jsonl", "pairs.jsonl"]
+
+    @pytest.mark.parametrize("line", [
+        None,
+        json.dumps({"question_id": 555, "title": "missing fields"}),
+        json.dumps(dump_record(555, "How to frob", ["python"], "")),
+    ], ids=["absent", "malformed", "empty-answer"])
+    def test_merge_refuses_annotated_question_without_usable_answer(self, ws, tmp_path, line):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text(ws["dump"].read_text() + (line + "\n" if line else ""))
+        mined = tmp_path / "mined.jsonl"
+        mined.write_text("")
+        annotated = tmp_path / "ann.csv"
+        annotated.write_text("question_id,code_position,label\n555,1,1\n")
+        merged = tmp_path / "merged.jsonl"
+        with pytest.raises(
+            PositionMismatch, match="^the dump has no usable answer for annotated question 555$"
+        ):
+            cli.merge_annotated(mined, annotated, dump, merged)
+        assert not merged.exists()
 
     def test_stats_reads_code_like_instances(self, tmp_path):
         ds = tmp_path / "one.jsonl"
