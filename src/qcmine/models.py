@@ -11,11 +11,13 @@ parts of that structure.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
 import stat
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -274,37 +276,58 @@ def _bigru(table: Node, ids, fwd_spans, bwd_spans, gru: BiGru, grad: bool) -> No
     """[forward state, backward state] of each sequence. Its forward GRU
     reads the rows ``ids[start:stop]`` of ``table`` of its ``fwd_spans``
     row from start to stop; its backward GRU those of its ``bwd_spans`` row
-    from stop back to start."""
-    return concat(
-        gru_final_states(table, ids, fwd_spans, gru.fwd, grad=grad),
-        gru_final_states(table, ids, bwd_spans, gru.bwd, reverse=True, grad=grad),
-    )
+    from stop back to start.
+
+    With ``grad`` (training) the two directions share nothing but the table
+    they read, so they run at once, forward (``nn_core.run_concurrently``)
+    and backward (``nn_core.concat_sweeps``). Inference runs them in turn:
+    the ensemble already runs its voters at once."""
+    if not grad:
+        return concat(
+            gru_final_states(table, ids, fwd_spans, gru.fwd, grad=False),
+            gru_final_states(table, ids, bwd_spans, gru.bwd, reverse=True, grad=False),
+        )
+    return nn_core.concat_sweeps(*nn_core.run_concurrently([
+        functools.partial(gru_final_states, table, ids, fwd_spans, gru.fwd, defer_table_grad=True),
+        functools.partial(
+            gru_final_states, table, ids, bwd_spans, gru.bwd, reverse=True, defer_table_grad=True
+        ),
+    ]))
 
 
-def _token_vectors(model: ModelParameters, groups, vocab, emb: Node, gru: BiGru, grad: bool):
-    """One encoder-vector node per group of token lists, a row per list.
+def _encoder_input(groups, vocab):
+    """(ids, spans, rows) of one token-encoder call over ``groups`` of
+    token lists: the ids of each distinct non-empty list of all groups, one
+    list after another, the spans of those lists, and per group the row of
+    each of its lists (-1 for an empty list)."""
+    keys = [[tuple(tokens) for tokens in group] for group in groups]
+    distinct = list(dict.fromkeys(k for group in keys for k in group if k))
+    row = {k: i for i, k in enumerate(distinct)}
+    ids = np.concatenate([vocab.lookup_all(k) for k in distinct]) if distinct else None
+    rows = [[row[k] if k else -1 for k in group] for group in keys]
+    return ids, _runs([len(k) for k in distinct]), rows
+
+
+def _token_vectors(model: ModelParameters, encoder_input, emb: Node, gru: BiGru, grad: bool):
+    """One encoder-vector node per group of an ``_encoder_input``, a row
+    per token list.
 
     Each distinct non-empty list of all groups is encoded once, straight
     from the rows of ``emb``; empty lists get the learned empty-block
     vector, or zeros in variants without one.
     """
-    keys = [[tuple(tokens) for tokens in group] for group in groups]
-    distinct = list(dict.fromkeys(k for group in keys for k in group if k))
+    ids, runs, rows = encoder_input
     d = 2 * model.config.d_token_gru
-    if distinct:
-        ids = np.concatenate([vocab.lookup_all(k) for k in distinct])
-        runs = _runs([len(k) for k in distinct])
-        ends = _bigru(emb, ids, runs, runs, gru, grad)
-    else:
-        ends = Node(np.zeros((0, d)))
+    ends = _bigru(emb, ids, runs, runs, gru, grad) if len(runs) else Node(np.zeros((0, d)))
     empty = model.empty_block if model.empty_block is not None else Node(np.zeros(d))
-    row = {k: i for i, k in enumerate(distinct)}
-    return [take_rows(ends, [row[k] if k else -1 for k in group], fill=empty) for group in keys]
+    return [take_rows(ends, group, fill=empty) for group in rows]
 
 
-def _block_vectors(model: ModelParameters, instances, grad: bool):
-    """(s_pre, s_post, c) nodes of a batch, B rows each; the text blocks are
-    None for CODE_HNN, which reads no context.
+def _block_inputs(model: ModelParameters, instances):
+    """The ``_encoder_input`` of each token-encoder call of ``_block_vectors``:
+    (words, code, question), where code is None for TEXT_HNN and question
+    is None unless the variant reads the question through an encoder of its
+    own.
 
     Text blocks, titles and the constant <codeblock> sequence share one
     word-encoder call whenever they share its weights, so each distinct one
@@ -321,40 +344,57 @@ def _block_vectors(model: ModelParameters, instances, grad: bool):
         # code masked by the unified CODEBLOCK vector, learned through the
         # text encoder's one-step pass
         groups.append([[CODEBLOCK_TOKEN]] * len(instances))
-    words = _token_vectors(
-        model, groups, model.word_vocab, model.word_emb, model.text_token, grad
-    )
+    words = _encoder_input(groups, model.word_vocab)
+    code = question = None
+    if v is not Variant.TEXT_HNN:
+        code = _encoder_input([[inst.code_tokens for inst in instances]], model.code_vocab)
+    if v in _USES_QUESTION and not shared_question:
+        question = _encoder_input([[inst.question_tokens for inst in instances]], model.word_vocab)
+    return words, code, question
+
+
+def _block_vectors(model: ModelParameters, inputs, grad: bool):
+    """(s_pre, s_post, c) nodes of a batch from its ``_block_inputs``, B
+    rows each; the text blocks are None for CODE_HNN, which reads no
+    context."""
+    v = model.config.variant
+    words_input, code_input, question_input = inputs
+    words = _token_vectors(model, words_input, model.word_emb, model.text_token, grad)
     s_pre, s_post = (None, None) if v is Variant.CODE_HNN else words[:2]
     if v is Variant.TEXT_HNN:
         return s_pre, s_post, words[-1]
-    (c,) = _token_vectors(
-        model, [[inst.code_tokens for inst in instances]],
-        model.code_vocab, model.code_emb, model.code_token, grad,
-    )
+    (c,) = _token_vectors(model, code_input, model.code_emb, model.code_token, grad)
     if v in _USES_QUESTION:
-        if shared_question:
+        if question_input is None:
             question = words[-1]
         else:
             (question,) = _token_vectors(
-                model, [[inst.question_tokens for inst in instances]],
-                model.word_vocab, model.word_emb, model.question_token, grad,
+                model, question_input, model.word_emb, model.question_token, grad
             )
         c = dense_rows(concat(question, c), model.fusion)
     return s_pre, s_post, c
 
 
-def _forward_batch(model: ModelParameters, instances, grad: bool = False):
-    """Logits (B x 2) and code representations z of a batch, as tape nodes.
+@dataclass
+class LookedUp:
+    """A batch of instances whose vocabulary ids one model's forward reads
+    are looked up (``look_up``). ``code_vectors(grad)`` is the rest of the
+    forward up to the code representations z: numpy and the tape only, so
+    it may run on any thread while lookups stay on the caller's."""
 
-    This is the one forward of every variant, for training and inference.
-    Every token-level encoder runs once over the distinct blocks of the
-    batch, and the sequence-level GRUs run batched over instances, so the
-    graph has a few dozen nodes whatever the token lengths. ``grad`` keeps
-    what the GRU backward needs; inference leaves it off.
-    """
+    model: ModelParameters
+    instances: list
+    code_vectors: Callable[[bool], Node]
+
+    def __len__(self):
+        return len(self.instances)
+
+
+def look_up(model: ModelParameters, instances) -> LookedUp:
+    """Check ``instances`` against ``model`` and look up every vocabulary id
+    its forward over them reads, once per distinct token list."""
     _check_inputs(model, instances)
     v = model.config.variant
-    n = len(instances)
     if v is Variant.TEXT_RNN:
         ids = [
             model.word_vocab.lookup_all([*inst.pre_tokens, CODEBLOCK_TOKEN, *inst.post_tokens])
@@ -365,36 +405,64 @@ def _forward_batch(model: ModelParameters, instances, grad: bool = False):
         code_at = runs[:, 0] + [len(inst.pre_tokens) for inst in instances]
         fwd = np.column_stack([runs[:, 0], code_at + 1])
         bwd = np.column_stack([code_at, runs[:, 1]])
-        z = _bigru(model.word_emb, np.concatenate(ids), fwd, bwd, model.text_token, grad)
+        ids = np.concatenate(ids)
+
+        def code_vectors(grad):
+            return _bigru(model.word_emb, ids, fwd, bwd, model.text_token, grad)
+
     elif v is Variant.BIV_RNN:
         # pre_i, code_i, post_i of each instance in turn, as ids into the
-        # word table stacked on the code table; each table is gathered once,
-        # at the distinct ids the batch reads
+        # word table stacked on the code table
         wv, cv, n_words = model.word_vocab, model.code_vocab, model.word_vocab.size
         rows = [
             wv.lookup_all(i.pre_tokens) + [n_words + c for c in cv.lookup_all(i.code_tokens)]
             + wv.lookup_all(i.post_tokens)
             for i in instances
         ]
-        used, order = np.unique(np.concatenate(rows), return_inverse=True)
-        k = np.searchsorted(used, n_words)
-        word_rows = take_rows(model.word_emb, used[:k])
-        x = concat(word_rows, take_rows(model.code_emb, used[k:] - n_words), axis=0)
-        runs = _runs([len(r) for r in rows])
-        z = _bigru(x, order, runs, runs, model.text_token, grad)
+
+        def code_vectors(grad):
+            # each table is gathered once, at the distinct ids the batch reads
+            used, order = np.unique(np.concatenate(rows), return_inverse=True)
+            k = np.searchsorted(used, n_words)
+            word_rows = take_rows(model.word_emb, used[:k])
+            x = concat(word_rows, take_rows(model.code_emb, used[k:] - n_words), axis=0)
+            runs = _runs([len(r) for r in rows])
+            return _bigru(x, order, runs, runs, model.text_token, grad)
+
     else:
-        s_pre, s_post, c = _block_vectors(model, instances, grad)
-        if v is Variant.CODE_HNN:
-            z = c
-        elif v is Variant.BIV_HFF:
-            z = dense_rows(concat(s_pre, c, s_post), model.block_ff)
-        else:
+        inputs = _block_inputs(model, instances)
+        n = len(instances)
+
+        def code_vectors(grad):
+            s_pre, s_post, c = _block_vectors(model, inputs, grad)
+            if v is Variant.CODE_HNN:
+                return c
+            if v is Variant.BIV_HFF:
+                return dense_rows(concat(s_pre, c, s_post), model.block_ff)
             # rows pre_i, c_i, post_i of each instance in turn; the forward GRU
             # reads up to c_i, the backward one back down to it
             blocks = concat(s_pre, c, s_post, axis=0)
             order = np.arange(3 * n).reshape(3, n).T.ravel()
             runs = _runs(np.full(n, 3))
-            z = _bigru(blocks, order, runs - [0, 1], runs + [1, 0], model.block, grad)
+            return _bigru(blocks, order, runs - [0, 1], runs + [1, 0], model.block, grad)
+
+    return LookedUp(model, instances, code_vectors)
+
+
+def _forward_batch(model: ModelParameters, instances, grad: bool = False):
+    """Logits (B x 2) and code representations z of a batch, as tape nodes.
+
+    This is the one forward of every variant, for training and inference.
+    ``instances`` is a list of instances or their ``look_up`` for ``model``.
+    Every token-level encoder runs once over the distinct blocks of the
+    batch, and the sequence-level GRUs run batched over instances, so the
+    graph has a few dozen nodes whatever the token lengths. ``grad`` keeps
+    what the GRU backward needs; inference leaves it off.
+    """
+    batch = instances if isinstance(instances, LookedUp) else look_up(model, instances)
+    if batch.model is not model:
+        raise ValueError("the instances were looked up for another model")
+    z = batch.code_vectors(grad)
     return dense_rows(z, model.output), z
 
 
@@ -535,9 +603,33 @@ def open_output(path):
 
 def write_model_file(path, fmt: str, parts: dict) -> None:
     """Write ``{"format": fmt, **parts}``: the one writer of every model
-    file, through ``open_output``, so ``path`` is replaced whole or not."""
+    file, through ``open_output``, so ``path`` is replaced whole or not.
+
+    A numpy array among the values of ``parts`` or of the dicts in it is
+    written as its ``nn_core.tensor_to_obj``, with its base64 put into the
+    file a slice at a time (``nn_core.tensor_base64``), so no full-size copy
+    of it is made: the encoder writes a string of random text in its place,
+    which the writer replaces as it comes."""
+    arrays = {}
+
+    def placeholders(obj):
+        if isinstance(obj, np.ndarray):
+            text = f"tensor {os.urandom(12).hex()}"
+            arrays[f'"{text}"'] = obj  # the string as the encoder writes it
+            return {"data": text, "shape": list(obj.shape)}
+        if isinstance(obj, dict):
+            return {key: placeholders(value) for key, value in obj.items()}
+        return obj
+
     with open_output(path) as f:
-        f.writelines(JSON_ENCODER.iterencode({"format": fmt, **parts}))
+        for chunk in JSON_ENCODER.iterencode(placeholders({"format": fmt, **parts})):
+            arr = arrays.pop(chunk, None)
+            if arr is None:
+                f.write(chunk)
+            else:
+                f.write('"')
+                f.writelines(nn_core.tensor_base64(arr))
+                f.write('"')
 
 
 def parse_model_file(path):
@@ -549,14 +641,15 @@ def parse_model_file(path):
 
 
 def save_model(model: ModelParameters, path) -> None:
-    """One JSON object; each tensor is ``nn_core.tensor_to_obj``'s base64."""
+    """One JSON object; each tensor is ``nn_core.tensor_to_obj``'s base64,
+    written a slice at a time (``write_model_file``)."""
     write_model_file(path, _CHECKPOINT_FORMAT, {
         "config": model.config.to_dict(),
         "config_hash": _head_hash(model.config, model.preprocessing),
         "preprocessing": model.preprocessing,
         "word_vocab": model.word_vocab.token_to_id,
         "code_vocab": model.code_vocab.token_to_id,
-        "params": {name: nn_core.tensor_to_obj(n.value) for name, n in model.params.items()},
+        "params": model.named_values(),
     })
 
 

@@ -1,18 +1,25 @@
 """Training loop, evaluation metrics, heuristic baselines, and the
-three-model agreement ensemble."""
+three-model agreement ensemble.
+
+Two loops run numpy work on threads, both through
+``nn_core.run_concurrently``: ``train``, which holds BLAS to one thread for
+the whole call while each Bi-GRU trains its two directions at once, and
+``ensemble_batch``, whose voters' forwards run at once after their lookups.
+Validation and single-model evaluation run in turn."""
 
 from __future__ import annotations
 
-import os
+import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import models as models_mod
-from .nn_core import AdamState, adam_update, backward, one_blas_thread, softmax_xent_rows
+from .nn_core import (
+    AdamState, adam_update, backward, one_blas_thread, run_concurrently, softmax_xent_rows,
+)
 from .post_parser import CodeContextInstance
 
 
@@ -165,34 +172,29 @@ def chunked(items, count=lambda item: 1):
         yield run
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def ensemble_batch(biv, text, code, instances) -> list[EnsembleDecision]:
     """``ensemble`` of every instance, with one batched forward per voter.
 
-    The voters share nothing, and their forwards are mostly numpy calls
-    that release the interpreter lock, so they run on up to three worker
-    threads, one per usable CPU. Meanwhile numpy's BLAS is held to one
-    thread (``nn_core.one_blas_thread``): concurrent callers of a
-    multithreaded BLAS contend for its threads and lose more than the
-    threads gain. Where the count cannot be held, one worker runs the
-    voters in turn. A thread changes nothing a forward computes, and the
-    tests find an inference forward's scores the same at one BLAS thread
-    as at two, so they are bit for bit those of the voters run in turn.
-    Results are read in voter order, so a failing voter raises what it
-    would there."""
+    Each voter's vocabulary lookups run on the calling thread
+    (``models.look_up``). The voters share nothing, so their forwards then
+    run at once (``nn_core.run_concurrently``: up to one thread per usable
+    CPU, with numpy's BLAS held to one thread, or in turn where it cannot be
+    held). A thread changes nothing a forward computes, and the tests find
+    an inference forward's scores the same at one BLAS thread as at two, so
+    they are bit for bit those of the voters run in turn. A failing voter
+    raises what the voters in turn would: the first failure in voter order,
+    of a lookup or a forward."""
     if not instances:
         return []
-    voters = (biv, text, code)
-    with one_blas_thread() as held:
-        workers = min(len(voters), _usable_cpus()) if held else 1
-        with ThreadPoolExecutor(workers) as pool:
-            scores = list(pool.map(models_mod.predict_scores, voters, [instances] * len(voters)))
+    forwards = []
+    for voter in (biv, text, code):
+        try:
+            looked_up = models_mod.look_up(voter, instances)
+        except Exception:
+            run_concurrently(forwards)  # an earlier voter's failure comes first
+            raise
+        forwards.append(functools.partial(models_mod.predict_scores, voter, looked_up))
+    scores = run_concurrently(forwards)
     decisions = []
     for triple in zip(*scores):
         triple = tuple(float(s) for s in triple)
@@ -285,6 +287,14 @@ def train(
 
     The best-epoch parameters are restored into ``model`` before returning;
     training stops early after ``patience`` non-improving epochs.
+
+    numpy's BLAS is held to one thread for the whole call
+    (``nn_core.one_blas_thread``). The two directions of each Bi-GRU then
+    train on two threads (``models._bigru``) without contending for BLAS's
+    threads, and no product's result depends on the host's thread count, so
+    a checkpoint is byte for byte the same at any BLAS thread count. Where
+    the count cannot be held, the directions run in turn and a checkpoint
+    is the same per thread count. Validation runs in turn.
     """
     hyper = hyper or TrainConfig()
     if not train_set or not valid_set:
@@ -294,25 +304,26 @@ def train(
 
     rng = np.random.default_rng(hyper.seed)
     adam = AdamState(lr=hyper.lr)
-    best = model.snapshot()
-    best_f1 = -1.0
+    best, best_f1 = None, -1.0  # the first epoch's F1 >= 0 replaces them
     stale = 0
     history: list[EpochStats] = []
-    for epoch in range(1, hyper.max_epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(len(train_set))
-        mean_loss = _epoch_pass(
-            model, train_set, order, hyper.batch_size, adam, hyper.freeze_embeddings
-        )
-        metrics = evaluate_model(model, valid_set)
-        history.append(EpochStats(epoch, mean_loss, metrics, time.perf_counter() - started))
-        if metrics.f1 > best_f1:
-            best_f1 = metrics.f1
-            best = model.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= hyper.patience:
-                break
-    model.restore(best)
+    with one_blas_thread():
+        for epoch in range(1, hyper.max_epochs + 1):
+            started = time.perf_counter()
+            order = rng.permutation(len(train_set))
+            mean_loss = _epoch_pass(
+                model, train_set, order, hyper.batch_size, adam, hyper.freeze_embeddings
+            )
+            metrics = evaluate_model(model, valid_set)
+            history.append(EpochStats(epoch, mean_loss, metrics, time.perf_counter() - started))
+            if metrics.f1 > best_f1:
+                best_f1 = metrics.f1
+                best = model.snapshot()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= hyper.patience:
+                    break
+    if best is not None:
+        model.restore(best)
     return model, history

@@ -436,3 +436,48 @@ def build_workspace(root, language="python"):
         "dump": dump, "train": train_csv, "valid": valid_csv,
         "qlabels": qlabels, "config": config,
     }
+
+
+def build_wide_workspace(root):
+    """A training workspace just large enough that, with BLAS left at its
+    thread count, a one-epoch checkpoint differed between 1 and 2 OpenBLAS
+    threads (OpenBLAS 0.3.31, 2 vCPUs): 20 questions, 16 of them for
+    training in one mini-batch, each answered by two code blocks between
+    three texts of 20 words drawn from 1,500, so the text encoder reads 866
+    distinct words over 1,312 tokens; embeddings of 32 and token GRUs of
+    16. With 15 questions, or 10 words a text, the checkpoints did not
+    differ. Returns a dict of paths as ``build_workspace`` does."""
+    def word(i):  # letters only, so the tokenizer keeps every word
+        letters = ""
+        for _ in range(3):
+            i, r = divmod(i, 26)
+            letters = chr(97 + r) + letters
+        return "w" + letters
+
+    rng = random.Random(0)
+    pool = [word(i) for i in range(1500)]
+
+    def text():
+        return " ".join(rng.choice(pool) for _ in range(20))
+
+    records, rows = [], {"train": [], "valid": []}
+    for q in range(20):
+        answer = (
+            f"<p>{text()}</p><pre><code>print(alpha)\nbeta = compute({q})</code></pre>"
+            f"<p>{text()}</p><pre><code>&gt;&gt;&gt; run({q})\n42</code></pre><p>{text()}</p>"
+        )
+        records.append(dump_record(1000 + q, f"How to {text()}", ["python"], answer))
+        rows["valid" if q % 5 == 4 else "train"] += [(1000 + q, 1, 1), (1000 + q, 2, 0)]
+    paths = {"dump": root / "dump.jsonl", "config": root / "config.json"}
+    paths["dump"].write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    for split, split_rows in rows.items():
+        paths[split] = root / f"{split}.csv"
+        paths[split].write_text(
+            "question_id,code_position,label\n" + "".join(f"{q},{p},{y}\n" for q, p, y in split_rows)
+        )
+    paths["config"].write_text(json.dumps({
+        "language": "python",
+        "model": {"d_embed": 32, "d_token_gru": 16, "d_block": 4, "seed": 0},
+        "train": {"lr": 0.05, "batch_size": 100, "max_epochs": 1, "patience": 1, "seed": 0},
+    }))
+    return paths

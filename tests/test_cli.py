@@ -11,6 +11,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import SINGLE_HTML, SOLUTION_HTML, build_workspace, dump_record
-from qcmine import baselines, cli, models, question_filter, tokenize, train_eval
+from qcmine import baselines, cli, models, nn_core, question_filter, tokenize, train_eval
 from qcmine.models import CheckpointMismatch, load_model, predict_label
-from qcmine.nn_core import softmax
+from qcmine.nn_core import blas_thread_control, softmax
 from qcmine.post_parser import (
     PositionMismatch, extract_instances, parse_answer_post, tokenize_sequence,
 )
@@ -744,6 +745,28 @@ class TestCrossProcess:
         one = self.run(ws, tmp_path / "one", OPENBLAS_NUM_THREADS="1")
         assert one == self.run(ws, tmp_path / "two", OPENBLAS_NUM_THREADS="2")
 
+    def test_training_byte_identical_across_blas_thread_counts(self, tmp_path):
+        """``train`` holds BLAS to one thread, so its checkpoint is the same
+        under any thread count; on the wide workspace it differed between 1
+        and 2 threads before. Where qcmine cannot hold the count, the
+        README promises identity per thread count only."""
+        if blas_thread_control() is None:
+            pytest.skip("numpy links no OpenBLAS whose thread count qcmine can hold")
+        ws = helpers.build_wide_workspace(tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        checkpoints = []
+        for threads, hash_seed in (("1", "0"), ("2", "1")):
+            out = tmp_path / f"threads{threads}.json"
+            argv = ["train", "--dump", str(ws["dump"]), "--train-labels", str(ws["train"]),
+                    "--valid-labels", str(ws["valid"]), "--variant", "biv_hnn",
+                    "--out", str(out), "--config", str(ws["config"])]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "qcmine.cli", *argv], env=env, check=True,
+                           capture_output=True, text=True)
+            checkpoints.append(out.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
 
 class TestThreadedEnsemble:
     @pytest.mark.parametrize("workspace", ["ws", "sql_ws"])
@@ -1297,6 +1320,45 @@ class TestBenchHooks:
         plain = (tmp_path / "plain.json").read_bytes()
         assert (tmp_path / "clock.json").read_bytes() == plain
         assert (tmp_path / "traced.json").read_bytes() == plain
+
+
+    def test_patched_callables_run_on_the_calling_thread(self, ws, tmp_path, monkeypatch):
+        """``spans.Recorder`` keeps one span stack for all threads, so every
+        callable the benchmark wraps must run on the calling thread; worker
+        threads stay inside the GRU kernel. Two usable CPUs, so training's
+        directions and the ensemble's voters do run on a worker where BLAS
+        can be held to one thread."""
+        run = self.load_bench()
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
+        seen, kernel_threads = [], set()
+
+        def on_thread(name):
+            def make(fn):
+                def wrapper(*args, **kwargs):
+                    seen.append((name, threading.get_ident()))
+                    return fn(*args, **kwargs)
+                return wrapper
+            return make
+
+        kernel = models.gru_final_states
+
+        def recorded_kernel(*args, **kwargs):
+            kernel_threads.add(threading.get_ident())
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(models, "gru_final_states", recorded_kernel)
+        patches = run.full_patches(run.tracing.Recorder())
+        patches += run.clock_patches(run.hostclock.HostClock("numpy"))
+        config = cli.load_config(ws["config"])
+        with run.tracing.Recorder().installed([(o, a, on_thread(a)) for o, a, _ in patches]):
+            cli.train_neural(ws["dump"], ws["train"], ws["valid"], config, "biv_hnn",
+                             tmp_path / "biv_hnn.json")
+            cli.mine(ws["dump"], ws["biv_hnn"], ws["text_hnn"], ws["code_hnn"], ws["filter"],
+                     tmp_path / "pairs.jsonl", config)
+        assert {"train", "mine", "lookup_all", "adam_update"} <= {name for name, _ in seen}
+        assert [name for name, ident in seen if ident != threading.get_ident()] == []
+        if blas_thread_control() is not None:
+            assert len(kernel_threads) >= 2  # the calling thread and a worker
 
 
 class TestKeepListConfig:

@@ -1,9 +1,12 @@
 import base64
+import gc
 import hashlib
 import json
 import random
 import re
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +344,46 @@ class TestIndexedEncoders:
         np.testing.assert_allclose(predict_scores(model, insts), before, rtol=0, atol=1e-12)
 
 
+class TestConcurrentDirections:
+    """Training runs the two directions of each Bi-GRU at once, forward and
+    backward. Numeric contract: the loss and every parameter gradient are
+    bit for bit those of the directions run in turn."""
+
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
+    def test_gradients_match_directions_in_turn(
+        self, vocabs, variant, shared, blas_two_threads, monkeypatch
+    ):
+        model = TestIndexedEncoders().model(vocabs, variant, shared)
+        insts = mixed_batch(random.Random(33))[:16]
+        for i, inst in enumerate(insts):
+            inst.label = i % 2
+
+        def grads():
+            model.zero_grad()
+            loss = _slice_backward(model, insts, 1.0 / 40)
+            return loss, {name: g.tobytes() for name, g in model.named_grads().items() if g is not None}
+
+        with monkeypatch.context() as m:
+            m.setattr(nn_core, "blas_thread_control", lambda: None)
+            expected = grads()
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
+        threads, kernel = set(), models.gru_final_states
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(models, "gru_final_states", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert grads() == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) >= 2
+
+
 class TestVariantInvariances:
     def substituted(self, rng, inst, what):
         new = CodeContextInstance(
@@ -571,6 +614,41 @@ class TestCheckpoints:
             }
             expected = json.dumps(obj, sort_keys=True, ensure_ascii=False).encode("utf-8")
             assert path.read_bytes() == expected, variant
+
+    def test_tensors_written_in_slices_match_json_dump(self, tmp_path, monkeypatch):
+        """Slices of 3 and 6 bytes put slice boundaries inside every
+        tensor; arrays in nested dicts are tensors too."""
+        arrays = {"a": np.arange(7.0).reshape(7, 1), "empty": np.zeros((0, 2)), "one": np.ones(1)}
+        parts = {"vocab": {"tensor": 0, "x": 1}, "params": arrays, "n": [1.5, None, "tensor"]}
+        expected = json.dumps(
+            {"format": "f", **parts, "params": {k: nn_core.tensor_to_obj(a) for k, a in arrays.items()}},
+            sort_keys=True, ensure_ascii=False,
+        ).encode("utf-8")
+        for chunk in (3, 6, 3 << 15):
+            monkeypatch.setattr(nn_core, "_ENCODE_CHUNK", chunk)
+            models.write_model_file(tmp_path / "m.json", "f", parts)
+            assert (tmp_path / "m.json").read_bytes() == expected, chunk
+        models.write_model_file(tmp_path / "nested.json", "f", {"params": {"deep": {"w": np.ones(2)}}})
+        assert json.loads((tmp_path / "nested.json").read_text())["params"] == {
+            "deep": {"w": nn_core.tensor_to_obj(np.ones(2))}
+        }
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            models.write_model_file(tmp_path / "bad.json", "f", {"params": {1, 2}})
+
+    def test_save_holds_no_full_size_base64_copy(self, tmp_path):
+        """Saving an 8 MiB tensor once took a traced peak of 21.3 MiB: the
+        base64 bytes and their str, each 4/3 of the tensor."""
+        arr = np.random.default_rng(0).standard_normal(1 << 20)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            models.write_model_file(tmp_path / "big.json", "f", {"params": {"w": arr}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        obj = json.loads((tmp_path / "big.json").read_text())
+        assert nn_core.tensor_from_obj(obj["params"]["w"]).tobytes() == arr.tobytes()
 
     def test_saved_file_is_pinned(self, vocabs, tmp_path):
         """The bytes ``save_model`` writes for a fixed seeded model, with a

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import string
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -29,6 +32,7 @@ from qcmine.nn_core import (
     backward,
     bigru_encode,
     concat,
+    concat_sweeps,
     dense,
     dense_rows,
     embedding_row,
@@ -37,11 +41,13 @@ from qcmine.nn_core import (
     gru_step,
     init_dense,
     init_gru,
+    run_concurrently,
     softmax,
     softmax_rows,
     softmax_xent,
     softmax_xent_rows,
     take_rows,
+    tensor_base64,
     tensor_from_obj,
     tensor_to_obj,
     zero_grad,
@@ -393,6 +399,136 @@ class TestInPlaceKernel:
         assert table.grad.shape == (rows, 8) and table.grad.flags.c_contiguous
         assert np.abs(table.grad[:20]).sum() > 0.0
         assert grown < table.grad.nbytes // 4
+
+
+class TestRunConcurrently:
+    """Independent calls at once, with BLAS held to one thread, results and
+    failures in call order."""
+
+    def test_calls_meet_on_two_threads_with_blas_held(self, blas_two_threads, monkeypatch):
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
+        # the first two calls wait for each other: in turn they would time out
+        barrier = threading.Barrier(2, timeout=10)
+
+        def call(k):
+            if k < 2:
+                barrier.wait()
+            return k, threading.get_ident(), blas_two_threads()
+
+        got = run_concurrently([lambda k=k: call(k) for k in range(3)])
+        assert [k for k, _, _ in got] == [0, 1, 2]
+        assert got[0][1] == threading.get_ident() != got[1][1]
+        assert [count for _, _, count in got] == [1, 1, 1]
+        assert blas_two_threads() == 2
+
+    def test_calling_thread_takes_calls_no_worker_started(self, blas_two_threads, monkeypatch):
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)  # one worker
+        third_ran = threading.Event()
+
+        def second():  # holds the one worker until the third call has run
+            return third_ran.wait(10)
+
+        def third():
+            third_ran.set()
+            return threading.get_ident()
+
+        assert run_concurrently([lambda: 1, second, third]) == [1, True, threading.get_ident()]
+
+    @pytest.mark.parametrize("cause", ["no BLAS control", "one usable CPU"])
+    def test_calls_in_turn_on_the_calling_thread(self, cause, monkeypatch):
+        if cause == "no BLAS control":
+            monkeypatch.setattr(nn_core, "blas_thread_control", lambda: None)
+        else:
+            monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 1)
+        ran = []
+
+        def call(k):
+            ran.append((k, threading.get_ident()))
+            return k * k
+
+        assert run_concurrently([lambda k=k: call(k) for k in range(4)]) == [0, 1, 4, 9]
+        assert ran == [(k, threading.get_ident()) for k in range(4)]
+
+    def test_first_failure_in_call_order_once_every_call_ended(
+        self, blas_two_threads, monkeypatch
+    ):
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 3)
+        later_failed, ended = threading.Event(), []
+
+        def first():
+            assert later_failed.wait(10)
+            raise ValueError("the first call")
+
+        def slow():
+            time.sleep(0.05)
+            ended.append("slow")
+
+        def failing():
+            later_failed.set()
+            raise KeyError("a later call")
+
+        with pytest.raises(ValueError, match="the first call"):
+            run_concurrently([first, slow, failing])
+        assert ended == ["slow"]
+        assert blas_two_threads() == 2
+
+    def test_no_calls_start_no_thread_and_set_no_blas_count(self, monkeypatch):
+        set_calls = []
+        monkeypatch.setattr(nn_core, "blas_thread_control", lambda: (lambda: 2, set_calls.append))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no calls started a thread pool")
+
+        monkeypatch.setattr(nn_core, "ThreadPoolExecutor", no_pool)
+        assert run_concurrently([]) == []
+        assert set_calls == []
+
+
+class TestConcatSweeps:
+    """Two GRU runs whose backward sweeps run at once against the same runs
+    in turn: every gradient bit for bit the same."""
+
+    IDS = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7])
+    SPANS = [(0, 5), (5, 6), (6, 14), (2, 9)]
+
+    def grads(self, concurrent, tables_of):
+        """Gradients of every leaf, from the backward of the two runs joined
+        by ``concat_sweeps`` or by ``concat``; ``tables_of(leaf)`` gives the
+        node each direction reads."""
+        rng = np.random.default_rng(4)
+        leaf = Node(rng.uniform(-1, 1, (10, 3)))
+        fwd, bwd = init_gru(3, 4, rng), init_gru(3, 4, rng)
+        table_f, table_b = tables_of(leaf)
+        runs = [
+            lambda: gru_final_states(table_f, self.IDS, self.SPANS, fwd, defer_table_grad=concurrent),
+            lambda: gru_final_states(
+                table_b, self.IDS, self.SPANS, bwd, reverse=True, defer_table_grad=concurrent
+            ),
+        ]
+        if concurrent:
+            out = concat_sweeps(*run_concurrently(runs))
+        else:
+            out = concat(*(run() for run in runs))
+        weights = rng.uniform(-1, 1, out.value.shape)
+        backward(dense_rows(out, DenseParams(Node(weights[:1]), Node(np.zeros(1)), LINEAR)))
+        leaves = [leaf] + [node for p in (fwd, bwd) for _, node in p.nodes()]
+        return out.value.tobytes(), [node.grad.tobytes() for node in leaves]
+
+    @pytest.mark.parametrize("tables_of", [
+        lambda leaf: (leaf, leaf),  # both read the leaf
+        lambda leaf: (take_rows(leaf, np.arange(10)), take_rows(leaf, np.arange(10))),
+        lambda leaf: (leaf, take_rows(leaf, np.arange(10)[::-1])),
+    ], ids=["shared leaf", "one gather each", "leaf and gather"])
+    def test_matches_sweeps_in_turn(self, tables_of, blas_two_threads, monkeypatch):
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
+        expected = self.grads(False, tables_of)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert self.grads(True, tables_of) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestScatterRows:
@@ -923,6 +1059,16 @@ class TestTensorObj:
             assert base64.b64decode(obj["data"]) == arr.astype("<f8").tobytes()
         back = tensor_from_obj(tensor_to_obj(arr.T))
         np.testing.assert_array_equal(back, arr.T)
+
+    @pytest.mark.parametrize("chunk", [3, 6, 3 << 15])
+    def test_slices_join_into_the_whole_base64(self, chunk, monkeypatch):
+        monkeypatch.setattr(nn_core, "_ENCODE_CHUNK", chunk)
+        for arr in (np.zeros(0), np.arange(1.0), np.arange(7.0), self.SPECIAL.reshape(2, 4).T,
+                    np.random.default_rng(0).standard_normal(3 << 13)):
+            whole = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
+            slices = list(tensor_base64(arr))
+            assert "".join(slices) == whole == tensor_to_obj(arr)["data"]
+            assert all(len(piece) <= 4 * chunk // 3 for piece in slices)
 
     def test_decoded_array_is_writable_c_contiguous_float64(self):
         back = tensor_from_obj(tensor_to_obj(np.ones((3, 2))))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import assert_ensemble_matches_voters_in_turn, make_cue_dataset
 from qcmine import models, nn_core, train_eval
 from qcmine.models import Variant, VariantConfig, VocabMissing, init_model, predict_label
-from qcmine.nn_core import NonFiniteInput, blas_thread_control
+from qcmine.nn_core import NonFiniteInput
 from qcmine.post_parser import extract_instances, parse_answer_post
 from qcmine.train_eval import (
     Decision,
@@ -273,20 +273,6 @@ def voter_trio(variants=(Variant.BIV_HNN, Variant.TEXT_HNN, Variant.CODE_HNN), s
     return trio, insts
 
 
-@pytest.fixture
-def blas_two_threads():
-    """The BLAS thread count's getter, with the count set to 2 for the test
-    so that a count left at 1 shows."""
-    control = blas_thread_control()
-    if control is None:
-        pytest.skip("numpy links no OpenBLAS whose thread count can be set")
-    get, set_ = control
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
-
-
 def recording_predict(monkeypatch, before):
     """Patch ``models.predict_scores`` to record the thread of each call
     and to call ``before`` ahead of the forward; returns the list of
@@ -345,7 +331,7 @@ class TestThreadedEnsemble:
 
     def test_two_cpus_run_the_voters_on_two_threads(self, blas_two_threads, monkeypatch):
         trio, insts = voter_trio()
-        monkeypatch.setattr(train_eval, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
         # the first two voters wait for each other: one worker would time out
         barrier, lock, arrived = threading.Barrier(2, timeout=10), threading.Lock(), []
 
@@ -364,7 +350,7 @@ class TestThreadedEnsemble:
         # one model twice: a forward that wrote to its model would show
         trio, insts = voter_trio()
         trio[1] = trio[0]
-        monkeypatch.setattr(train_eval, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -384,7 +370,7 @@ class TestThreadedEnsemble:
         def no_pool(*args, **kwargs):
             raise AssertionError("an empty batch started a thread pool")
 
-        monkeypatch.setattr(train_eval, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(nn_core, "ThreadPoolExecutor", no_pool)
         assert ensemble_batch(*trio, []) == []
         assert set_calls == []
 
@@ -399,6 +385,46 @@ class TestTrain:
         assert history == []
         for name, node in model.params.items():
             np.testing.assert_array_equal(node.value, before[name])
+
+    def test_one_epoch_takes_one_snapshot(self, monkeypatch):
+        insts, wv, cv = make_cue_dataset(n=6, seed=1)
+        cfg = VariantConfig(variant=Variant.BIV_HNN, d_embed=4, d_token_gru=2, d_block=2, seed=3)
+        model = init_model(cfg, wv, cv)
+        snapshots, snapshot = [], model.snapshot
+
+        def recorded_snapshot():
+            snapshots.append(snapshot())
+            return snapshots[-1]
+
+        monkeypatch.setattr(model, "snapshot", recorded_snapshot)
+        model, history = train(model, insts, insts, TrainConfig(max_epochs=1))
+        assert len(history) == 1 and len(snapshots) == 1
+        for name, node in model.params.items():
+            np.testing.assert_array_equal(node.value, snapshots[0][name])
+
+    def test_blas_held_to_one_thread_through_training_and_restored(
+        self, blas_two_threads, monkeypatch
+    ):
+        insts, wv, cv = make_cue_dataset(n=10, seed=4)
+        cfg = VariantConfig(variant=Variant.BIV_HNN, d_embed=4, d_token_gru=3, d_block=3, seed=2)
+        counts, step, predict = [], train_eval.adam_update, models.predict_scores
+
+        def counted(fn):
+            def wrapper(*args):
+                counts.append(blas_two_threads())
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(train_eval, "adam_update", counted(step))  # training
+        monkeypatch.setattr(models, "predict_scores", counted(predict))  # validation
+        train(init_model(cfg, wv, cv), insts, insts, TrainConfig(batch_size=5, max_epochs=2))
+        assert len(counts) == 6 and set(counts) == {1}
+        assert blas_two_threads() == 2
+        failing = init_model(cfg, wv, cv)
+        failing.word_emb.value[:] = np.nan
+        with pytest.raises(NonFiniteInput):
+            train(failing, insts, insts, TrainConfig(max_epochs=1))
+        assert blas_two_threads() == 2
 
     def test_empty_split_rejected(self):
         insts, wv, cv = make_cue_dataset(n=4, seed=1)
