@@ -11,7 +11,6 @@ parts of that structure.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import os
@@ -27,13 +26,14 @@ from . import nn_core
 from .nn_core import (
     LINEAR,
     TANH,
+    BiGru,
     DenseParams,
     GruParams,
     Node,
     bigru_encode,  # noqa: F401  unused here; bench/run.py traces models.bigru_encode by name
+    bigru_final_states,
     concat,
     dense_rows,
-    gru_final_states,
     softmax_rows,
     take_rows,
 )
@@ -120,12 +120,6 @@ def check_json_type(where, key, value, default) -> None:
         )
     if isinstance(default, float) and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigInvalid(f"{where}: key {key!r} must be a finite number, not {value!r:.80}")
-
-
-@dataclass
-class BiGru:
-    fwd: GruParams
-    bwd: GruParams
 
 
 @dataclass
@@ -272,29 +266,6 @@ def _runs(lengths) -> np.ndarray:
     return np.column_stack([stops - lengths, stops])
 
 
-def _bigru(table: Node, ids, fwd_spans, bwd_spans, gru: BiGru, grad: bool) -> Node:
-    """[forward state, backward state] of each sequence. Its forward GRU
-    reads the rows ``ids[start:stop]`` of ``table`` of its ``fwd_spans``
-    row from start to stop; its backward GRU those of its ``bwd_spans`` row
-    from stop back to start.
-
-    With ``grad`` (training) the two directions share nothing but the table
-    they read, so they run at once, forward (``nn_core.run_concurrently``)
-    and backward (``nn_core.concat_sweeps``). Inference runs them in turn:
-    the ensemble already runs its voters at once."""
-    if not grad:
-        return concat(
-            gru_final_states(table, ids, fwd_spans, gru.fwd, grad=False),
-            gru_final_states(table, ids, bwd_spans, gru.bwd, reverse=True, grad=False),
-        )
-    return nn_core.concat_sweeps(*nn_core.run_concurrently([
-        functools.partial(gru_final_states, table, ids, fwd_spans, gru.fwd, defer_table_grad=True),
-        functools.partial(
-            gru_final_states, table, ids, bwd_spans, gru.bwd, reverse=True, defer_table_grad=True
-        ),
-    ]))
-
-
 def _encoder_input(groups, vocab):
     """(ids, spans, rows) of one token-encoder call over ``groups`` of
     token lists: the ids of each distinct non-empty list of all groups, one
@@ -318,7 +289,9 @@ def _token_vectors(model: ModelParameters, encoder_input, emb: Node, gru: BiGru,
     """
     ids, runs, rows = encoder_input
     d = 2 * model.config.d_token_gru
-    ends = _bigru(emb, ids, runs, runs, gru, grad) if len(runs) else Node(np.zeros((0, d)))
+    ends = Node(np.zeros((0, d)))  # every token list is empty
+    if len(runs):
+        ends = bigru_final_states(emb, ids, runs, runs, gru, grad)
     empty = model.empty_block if model.empty_block is not None else Node(np.zeros(d))
     return [take_rows(ends, group, fill=empty) for group in rows]
 
@@ -408,7 +381,7 @@ def look_up(model: ModelParameters, instances) -> LookedUp:
         ids = np.concatenate(ids)
 
         def code_vectors(grad):
-            return _bigru(model.word_emb, ids, fwd, bwd, model.text_token, grad)
+            return bigru_final_states(model.word_emb, ids, fwd, bwd, model.text_token, grad)
 
     elif v is Variant.BIV_RNN:
         # pre_i, code_i, post_i of each instance in turn, as ids into the
@@ -427,7 +400,7 @@ def look_up(model: ModelParameters, instances) -> LookedUp:
             word_rows = take_rows(model.word_emb, used[:k])
             x = concat(word_rows, take_rows(model.code_emb, used[k:] - n_words), axis=0)
             runs = _runs([len(r) for r in rows])
-            return _bigru(x, order, runs, runs, model.text_token, grad)
+            return bigru_final_states(x, order, runs, runs, model.text_token, grad)
 
     else:
         inputs = _block_inputs(model, instances)
@@ -444,7 +417,8 @@ def look_up(model: ModelParameters, instances) -> LookedUp:
             blocks = concat(s_pre, c, s_post, axis=0)
             order = np.arange(3 * n).reshape(3, n).T.ravel()
             runs = _runs(np.full(n, 3))
-            return _bigru(blocks, order, runs - [0, 1], runs + [1, 0], model.block, grad)
+            fwd, bwd = runs - [0, 1], runs + [1, 0]
+            return bigru_final_states(blocks, order, fwd, bwd, model.block, grad)
 
     return LookedUp(model, instances, code_vectors)
 

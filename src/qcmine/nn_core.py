@@ -26,9 +26,9 @@ state: h = u*h_prev + (1-u)*h_tilde, so u near 1 memorizes the past.
 
 Independent work runs on threads through one helper, ``run_concurrently``,
 which holds numpy's BLAS to one thread meanwhile (``one_blas_thread``) and
-runs the calls in turn where it cannot. ``concat_sweeps`` joins two GRU ops
-whose backward sweeps run at once, as the two directions of a Bi-GRU do in
-training, with their gradients bit for bit those of the sweeps in turn.
+runs the calls in turn where it cannot. ``bigru_final_states`` is a Bi-GRU
+as one node: in training its two directions run at once, forward and
+backward, with gradients bit for bit those of the directions in turn.
 
 Checkpoint tensors are base64 of little-endian float64 bytes
 (``tensor_to_obj``). ``tensor_base64`` encodes it a slice at a time, which
@@ -46,6 +46,7 @@ import functools
 import importlib
 import math
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -258,6 +259,12 @@ def init_gru(d_x: int, d_h: int, rng: np.random.Generator) -> GruParams:
     )
 
 
+@dataclass
+class BiGru:
+    fwd: GruParams
+    bwd: GruParams
+
+
 def gru_step(x, h_prev, p: GruParams) -> Node:
     """One GRU step, fused into a single tape entry.
 
@@ -436,8 +443,7 @@ def _blocked_bptt(g, proj, slot, running, h_prevs, u_ru, u_c):
 
 
 def gru_final_states(
-    table, ids, spans, p: GruParams, reverse: bool = False, grad: bool = True,
-    *, defer_table_grad: bool = False,
+    table, ids, spans, p: GruParams, reverse: bool = False, grad: bool = True
 ) -> Node:
     """Final states of a GRU run over many sequences at once, as one node.
 
@@ -464,16 +470,54 @@ def gru_final_states(
     runs back through time inside the block, and folds the block into the
     bias, state-weight and per-distinct-row gradients (``_scatter_rows``).
     It then forms the input-weight gradient as one matmul and adds the input
-    gradient straight into the table's gradient rows (``_grad``). With
-    ``defer_table_grad`` it adds nothing to the table and returns the
-    function that adds those rows instead, so that ``concat_sweeps`` can run
-    sweeps that read one table at once. Without ``grad`` (inference)
-    nothing is kept and the node has no backward. Gates and states are
-    computed in place (``_gates``), with the operations of the formulas in
-    their order, so both passes are bit for bit the plain formulas.
+    gradient straight into the table's gradient rows (``_grad``). Without
+    ``grad`` (inference) nothing is kept and the node has no backward. Gates
+    and states are computed in place (``_gates``), with the operations of
+    the formulas in their order, so both passes are bit for bit the plain
+    formulas.
     """
     table = as_node(table)
-    tv = table.value
+    states, sweep = _gru_kernel(table.value, ids, spans, p, reverse, grad)
+    node = Node(states, (table, *[leaf for _, leaf in p.nodes()]))
+    if grad:
+        node.backward_fn = lambda g: _add_rows(table, *sweep(g))
+    return node
+
+
+def bigru_final_states(table, ids, fwd_spans, bwd_spans, gru: BiGru, grad: bool = True) -> Node:
+    """[forward | backward] final states of each sequence as one node: the
+    ``gru_final_states`` of ``gru.fwd`` over ``fwd_spans`` beside those of
+    ``gru.bwd`` over ``bwd_spans`` in reverse, both reading ``table``. With
+    ``grad`` the directions, sharing only the table, run at once
+    (``run_concurrently``), and so do their backward sweeps, whose table rows
+    the calling thread adds forward first: every gradient is bit for bit
+    that of the directions in turn. Inference runs them in turn, as the
+    ensemble already runs its voters at once."""
+    table = as_node(table)
+    directions = [(fwd_spans, gru.fwd, False), (bwd_spans, gru.bwd, True)]
+    runs = [functools.partial(_gru_kernel, table.value, ids, *d, grad) for d in directions]
+    states, sweeps = zip(*(run_concurrently(runs) if grad else [run() for run in runs]))
+    leaves = [leaf for p in (gru.fwd, gru.bwd) for _, leaf in p.nodes()]
+    node = Node(np.concatenate(states, axis=-1), (table, *leaves))
+    if grad:
+        def backward_fn(g):
+            pieces = np.split(g, [gru.fwd.d_h], axis=-1)
+            for rows in run_concurrently(map(functools.partial, sweeps, pieces)):
+                _add_rows(table, *rows)
+
+        node.backward_fn = backward_fn
+    return node
+
+
+def _add_rows(node: Node, rows, values) -> None:
+    """Add ``values`` to the distinct ``rows`` of ``node``'s gradient."""
+    _grad(node)[rows] += values
+
+
+def _gru_kernel(tv, ids, spans, p: GruParams, reverse: bool, grad: bool):
+    """(final states, sweep) of ``gru_final_states`` over the table array
+    ``tv``. ``sweep(g)`` (None without ``grad``) adds the parameter
+    gradients and returns the table-gradient rows as (row ids, rows)."""
     ids = np.asarray(ids, dtype=np.intp)
     spans = np.asarray(spans, dtype=np.intp).reshape(-1, 2)
     lengths = spans[:, 1] - spans[:, 0]
@@ -515,11 +559,10 @@ def gru_final_states(
         h_prev += h_tilde
     out = np.empty_like(h)
     out[order] = h
-    node = Node(out, (table, p.w_r, p.w_u, p.w, p.b_r, p.b_u, p.b))
     if not grad:
-        return node
+        return out, None
 
-    def backward_fn(g):
+    def sweep(g):
         w_x, u_ru, u_c = _gate_weights(p)
         # tv[used] is gathered twice: kept through _blocked_bptt, the copy
         # would add U x d_x floats to the backward's peak memory
@@ -533,42 +576,9 @@ def gru_final_states(
             _acc(bp, d_b[gates])
         d_x = d_used @ w_x
         del d_used, d_w_x  # freed before a table gradient is allocated
-        if defer_table_grad:
-            return functools.partial(_add_rows, table, used, d_x)
-        _add_rows(table, used, d_x)
+        return used, d_x
 
-    node.backward_fn = backward_fn
-    return node
-
-
-def _add_rows(node: Node, rows, values) -> None:
-    """Add ``values`` to the distinct ``rows`` of ``node``'s gradient."""
-    _grad(node)[rows] += values
-
-
-def concat_sweeps(*nodes: Node) -> Node:
-    """``concat(*nodes)`` of ``gru_final_states`` nodes made with
-    ``defer_table_grad``, whose backward sweeps run at once
-    (``run_concurrently``). The nodes may read one table, but must share no
-    GRU parameters. Each sweep returns its table-gradient rows rather than
-    adding them, and the rows are added afterwards on the calling thread,
-    in node order: the order in which ``backward`` reaches the nodes of
-    ``concat(*nodes)``. So every gradient is bit for bit that of the sweeps
-    run in turn."""
-    cuts = np.cumsum([n.value.shape[-1] for n in nodes])[:-1]
-    parents = tuple(dict.fromkeys(p for n in nodes for p in n.parents))
-    out = Node(np.concatenate([n.value for n in nodes], axis=-1), parents)
-
-    def backward_fn(g):
-        sweeps = [
-            functools.partial(n.backward_fn, piece)
-            for n, piece in zip(nodes, np.split(g, cuts, axis=-1))
-        ]
-        for add_rows in run_concurrently(sweeps):
-            add_rows()
-
-    out.backward_fn = backward_fn
-    return out
+    return out, sweep
 
 
 # --------------------------------------------------------------------------
@@ -820,25 +830,38 @@ def blas_thread_control():
     return None
 
 
+_blas_hold = threading.Lock()
+_blas_holders = 0  # open one_blas_thread blocks, on any thread
+_blas_before = 0  # the count the first of them found
+
+
 @contextmanager
 def one_blas_thread():
     """Hold numpy's BLAS to one thread for the block, then restore its
     count; yields whether it could. Callers that run numpy on threads of
     their own use it so that their matmuls do not contend for BLAS's
     threads. The count is the whole process's, so the block holds it for
-    every thread, and blocks open at once on two threads may restore each
-    other's count in the wrong order."""
+    every thread. Blocks open at once, on one thread or several, share one
+    hold: the first to enter saves the count and sets 1, and the last to
+    leave restores it."""
+    global _blas_holders, _blas_before
     control = blas_thread_control()
     if control is None:
         yield False
         return
     get, set_ = control
-    before = get()
-    set_(1)
+    with _blas_hold:
+        if not _blas_holders:
+            _blas_before = get()
+            set_(1)
+        _blas_holders += 1
     try:
         yield True
     finally:
-        set_(before)
+        with _blas_hold:
+            _blas_holders -= 1
+            if not _blas_holders:
+                set_(_blas_before)
 
 
 def _usable_cpus() -> int:

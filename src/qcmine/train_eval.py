@@ -289,12 +289,13 @@ def train(
     training stops early after ``patience`` non-improving epochs.
 
     numpy's BLAS is held to one thread for the whole call
-    (``nn_core.one_blas_thread``). The two directions of each Bi-GRU then
-    train on two threads (``models._bigru``) without contending for BLAS's
-    threads, and no product's result depends on the host's thread count, so
-    a checkpoint is byte for byte the same at any BLAS thread count. Where
-    the count cannot be held, the directions run in turn and a checkpoint
-    is the same per thread count. Validation runs in turn.
+    (``nn_core.one_blas_thread``). The two directions of each Bi-GRU
+    (``nn_core.bigru_final_states``) then train on two threads without
+    contending for BLAS's threads, and no product's result depends on the
+    host's thread count, so a checkpoint is byte for byte the same at any
+    BLAS thread count. Where the count cannot be held, the directions run
+    in turn and a checkpoint is the same per thread count. Validation runs
+    in turn.
     """
     hyper = hyper or TrainConfig()
     if not train_set or not valid_set:

@@ -274,9 +274,10 @@ class TestBatchedInference:
             predict_scores(model, insts)
 
 
-def gather_then_project(table, ids, spans, p, **kw):
-    """The GRU kernel fed an already-gathered copy of the rows it reads."""
-    return nn_core.gru_final_states(nn_core.take_rows(table, ids), np.arange(len(ids)), spans, p, **kw)
+def gather_then_project(table, ids, fwd_spans, bwd_spans, gru, grad=True):
+    """The Bi-GRU fed an already-gathered copy of the rows it reads."""
+    gathered = nn_core.take_rows(table, ids)
+    return nn_core.bigru_final_states(gathered, np.arange(len(ids)), fwd_spans, bwd_spans, gru, grad)
 
 
 class TestIndexedEncoders:
@@ -302,7 +303,7 @@ class TestIndexedEncoders:
         scores = predict_scores(model, insts)
         _, z = _forward_batch(model, insts)
         with monkeypatch.context() as m:
-            m.setattr(models, "gru_final_states", gather_then_project)
+            m.setattr(models, "bigru_final_states", gather_then_project)
             ref_scores = predict_scores(model, insts)
             _, ref_z = _forward_batch(model, insts)
         np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
@@ -320,7 +321,7 @@ class TestIndexedEncoders:
         got = model.named_grads()
         model.zero_grad()
         with monkeypatch.context() as m:
-            m.setattr(models, "gru_final_states", gather_then_project)
+            m.setattr(models, "bigru_final_states", gather_then_project)
             ref_loss = _slice_backward(model, insts, 1.0 / 40)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for name, ref in model.named_grads().items():
@@ -367,13 +368,13 @@ class TestConcurrentDirections:
             m.setattr(nn_core, "blas_thread_control", lambda: None)
             expected = grads()
         monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
-        threads, kernel = set(), models.gru_final_states
+        threads, kernel = set(), nn_core._gru_kernel
 
         def recorded(*args, **kwargs):
             threads.add(threading.get_ident())
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(models, "gru_final_states", recorded)
+        monkeypatch.setattr(nn_core, "_gru_kernel", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -382,6 +383,22 @@ class TestConcurrentDirections:
         finally:
             sys.setswitchinterval(interval)
         assert len(threads) >= 2
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_inference_starts_no_thread(self, vocabs, variant, monkeypatch):
+        """Inference runs the directions in turn, so the ensemble's voter
+        threads never start direction threads of their own."""
+        model = init_model(tiny_cfg(variant, seed=6), *vocabs)
+        insts = mixed_batch(random.Random(34))
+        expected = predict_scores(model, insts)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("inference started a thread pool")
+
+        monkeypatch.setattr(nn_core, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(nn_core, "blas_thread_control", lambda: (lambda: 2, lambda n: None))
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
+        assert predict_scores(model, insts).tobytes() == expected.tobytes()
 
 
 class TestVariantInvariances:

@@ -21,6 +21,7 @@ from qcmine.nn_core import (
     LINEAR,
     TANH,
     AdamState,
+    BiGru,
     DenseParams,
     EmptySequence,
     GruParams,
@@ -31,8 +32,8 @@ from qcmine.nn_core import (
     adam_update,
     backward,
     bigru_encode,
+    bigru_final_states,
     concat,
-    concat_sweeps,
     dense,
     dense_rows,
     embedding_row,
@@ -484,51 +485,115 @@ class TestRunConcurrently:
         assert set_calls == []
 
 
-class TestConcatSweeps:
-    """Two GRU runs whose backward sweeps run at once against the same runs
-    in turn: every gradient bit for bit the same."""
+class TestOneBlasThread:
+    """Blocks open at once share one hold of the process's BLAS count."""
+
+    def fake_control(self, monkeypatch):
+        count = [2]
+        monkeypatch.setattr(
+            nn_core, "blas_thread_control", lambda: (lambda: count[0], lambda n: count.__setitem__(0, n))
+        )
+        return count
+
+    def test_overlapping_blocks_on_two_threads(self, monkeypatch):
+        count = self.fake_control(monkeypatch)
+        entered, main_entered = threading.Event(), threading.Event()
+
+        def block():
+            with nn_core.one_blas_thread():
+                entered.set()
+                main_entered.wait(10)
+
+        thread = threading.Thread(target=block)
+        thread.start()
+        assert entered.wait(10)
+        with nn_core.one_blas_thread():
+            main_entered.set()
+            thread.join(10)  # the other thread's block ends inside this one
+            inside = count[0]
+        assert not thread.is_alive()
+        assert (inside, count[0]) == (1, 2)
+
+    def test_nested_blocks_restore_once(self, monkeypatch):
+        count = self.fake_control(monkeypatch)
+        with nn_core.one_blas_thread() as outer:
+            with nn_core.one_blas_thread() as inner:
+                assert (outer, inner, count[0]) == (True, True, 1)
+            assert count[0] == 1
+        assert count[0] == 2
+
+
+class TestBigruFinalStates:
+    """A Bi-GRU as one node, its directions at once, against ``concat`` of
+    the two ``gru_final_states`` run in turn: the value and every gradient
+    bit for bit the same."""
 
     IDS = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7])
     SPANS = [(0, 5), (5, 6), (6, 14), (2, 9)]
+    BWD_SPANS = [(1, 5), (5, 7), (6, 13), (2, 10)]
 
-    def grads(self, concurrent, tables_of):
-        """Gradients of every leaf, from the backward of the two runs joined
-        by ``concat_sweeps`` or by ``concat``; ``tables_of(leaf)`` gives the
-        node each direction reads."""
+    def grads(self, joined, table_of):
+        """The value and the gradients of every leaf, from the backward of
+        the Bi-GRU node or of the two directions joined by ``concat``;
+        ``table_of(leaf)`` gives the node both directions read."""
         rng = np.random.default_rng(4)
         leaf = Node(rng.uniform(-1, 1, (10, 3)))
-        fwd, bwd = init_gru(3, 4, rng), init_gru(3, 4, rng)
-        table_f, table_b = tables_of(leaf)
-        runs = [
-            lambda: gru_final_states(table_f, self.IDS, self.SPANS, fwd, defer_table_grad=concurrent),
-            lambda: gru_final_states(
-                table_b, self.IDS, self.SPANS, bwd, reverse=True, defer_table_grad=concurrent
-            ),
-        ]
-        if concurrent:
-            out = concat_sweeps(*run_concurrently(runs))
+        gru = BiGru(init_gru(3, 4, rng), init_gru(3, 4, rng))
+        table = table_of(leaf)
+        leaves = [node for p in (gru.fwd, gru.bwd) for _, node in p.nodes()]
+        if joined:
+            out = bigru_final_states(table, self.IDS, self.SPANS, self.BWD_SPANS, gru)
+            assert out.parents == (table, *leaves)
         else:
-            out = concat(*(run() for run in runs))
+            out = concat(
+                gru_final_states(table, self.IDS, self.SPANS, gru.fwd),
+                gru_final_states(table, self.IDS, self.BWD_SPANS, gru.bwd, reverse=True),
+            )
         weights = rng.uniform(-1, 1, out.value.shape)
         backward(dense_rows(out, DenseParams(Node(weights[:1]), Node(np.zeros(1)), LINEAR)))
-        leaves = [leaf] + [node for p in (fwd, bwd) for _, node in p.nodes()]
-        return out.value.tobytes(), [node.grad.tobytes() for node in leaves]
+        return out.value.tobytes(), [node.grad.tobytes() for node in [leaf] + leaves]
 
-    @pytest.mark.parametrize("tables_of", [
-        lambda leaf: (leaf, leaf),  # both read the leaf
-        lambda leaf: (take_rows(leaf, np.arange(10)), take_rows(leaf, np.arange(10))),
-        lambda leaf: (leaf, take_rows(leaf, np.arange(10)[::-1])),
-    ], ids=["shared leaf", "one gather each", "leaf and gather"])
-    def test_matches_sweeps_in_turn(self, tables_of, blas_two_threads, monkeypatch):
+    @pytest.mark.parametrize("table_of", [
+        lambda leaf: leaf,
+        lambda leaf: take_rows(leaf, np.arange(10)[::-1]),
+    ], ids=["shared leaf", "gathered table"])
+    def test_matches_directions_in_turn(self, table_of, blas_two_threads, monkeypatch):
         monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
-        expected = self.grads(False, tables_of)
+        expected = self.grads(False, table_of)
+        threads, kernel = set(), nn_core._gru_kernel
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return kernel(*args)
+
+        monkeypatch.setattr(nn_core, "_gru_kernel", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                assert self.grads(True, tables_of) == expected
+                assert self.grads(True, table_of) == expected
         finally:
             sys.setswitchinterval(interval)
+        assert len(threads) >= 2
+
+    def test_inference_runs_the_directions_in_turn(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        table = Node(rng.uniform(-1, 1, (10, 3)))
+        gru = BiGru(init_gru(3, 4, rng), init_gru(3, 4, rng))
+        expected = np.concatenate([
+            gru_final_states(table, self.IDS, self.SPANS, gru.fwd, grad=False).value,
+            gru_final_states(table, self.IDS, self.BWD_SPANS, gru.bwd, reverse=True, grad=False).value,
+        ], axis=-1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("inference started a thread pool")
+
+        monkeypatch.setattr(nn_core, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(nn_core, "blas_thread_control", lambda: (lambda: 2, lambda n: None))
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: 2)
+        out = bigru_final_states(table, self.IDS, self.SPANS, self.BWD_SPANS, gru, grad=False)
+        assert out.value.tobytes() == expected.tobytes()
+        assert out.backward_fn is None
 
 
 class TestScatterRows:
