@@ -10,10 +10,12 @@ parts of that structure.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import json
 import os
+import re
 import stat
 import sys
 from collections.abc import Callable
@@ -606,12 +608,73 @@ def write_model_file(path, fmt: str, parts: dict) -> None:
                 f.write('"')
 
 
+# A "data" key whose value is a string, up to that string's opening quote
+_DATA_STRING = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*"')
+
+
 def parse_model_file(path):
     """The parsed JSON of the model file at ``path``: the one opener of
     every trained file, for ``read_model_file``. A leading UTF-8 byte order
-    mark, which an editor may add, is skipped."""
-    with open(path, encoding="utf-8-sig") as f:
-        return json.load(f)
+    mark, which an editor may add, is skipped.
+
+    The file is read as bytes, and each ``"data"`` string without a
+    backslash is cut out of them before ``json`` parses the rest as UTF-8
+    text: a JSON string with no escape is its raw characters (RFC 8259,
+    section 7), so no copy of a tensor's base64 is made. A checkpoint's
+    tensors, the values of its ``params``, which ``model_from_obj`` decodes
+    all of, get their data as a read-only memoryview of the file's bytes
+    (``nn_core.tensor_from_obj``). Any other cut string is decoded as
+    ``json`` would have, and so reads, or fails, as it would in the text.
+
+    So this reads the files and values that ``json.load`` of the text reads,
+    and refuses the others with a ValueError, with one difference: tensor
+    data that JSON itself refuses (a raw control character, or bytes that
+    are not UTF-8) fails when the tensor is decoded, as a CheckpointMismatch
+    naming it, not here."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    view = memoryview(raw)
+    pieces, strings = [], {}  # placeholder: (start, end) of the string's bytes
+    cut = pos = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    while (key := raw.find(b'"data"', pos)) >= 0:
+        pos = key + 1
+        # after a backslash the key is inside a string, or the file is not JSON
+        match = raw[key - 1:key] != b"\\" and _DATA_STRING.match(raw, key)
+        if not match:
+            continue
+        start = match.end()
+        end = raw.find(b'"', start)
+        if end < 0 or raw.find(b"\\", start, end) >= 0:  # escapes stay for json
+            continue
+        text = f"tensor {os.urandom(12).hex()} {len(strings)}"
+        pieces += [view[cut:start], text.encode("ascii")]
+        strings[text] = (start, end)
+        cut = pos = end
+    pieces.append(view[cut:])
+    cut_out = []
+
+    def found(obj):
+        if type(obj.get("data")) is str and obj["data"] in strings:
+            cut_out.append(obj)
+        return obj
+
+    top = json.loads(b"".join(pieces).decode("utf-8"), object_hook=found)
+    params = top.get("params") if isinstance(top, dict) else None
+    tensors = (
+        {id(obj) for obj in params.values()}
+        if isinstance(params, dict) and top.get("format") == _CHECKPOINT_FORMAT else set()
+    )
+    for obj in cut_out:
+        start, end = strings.pop(obj["data"])
+        obj["data"] = view[start:end] if id(obj) in tensors else _json_string(raw, start, end)
+    for start, end in strings.values():  # a value a later "data" key replaced
+        _json_string(raw, start, end)
+    return top
+
+
+def _json_string(raw: bytes, start: int, end: int) -> str:
+    """``json``'s value of the string whose quotes enclose ``raw[start:end]``."""
+    return json.loads(raw[start - 1:end + 1].decode("utf-8"))
 
 
 def save_model(model: ModelParameters, path) -> None:

@@ -33,9 +33,13 @@ backward, with gradients bit for bit those of the directions in turn.
 Checkpoint tensors are base64 of little-endian float64 bytes
 (``tensor_to_obj``). ``tensor_base64`` encodes it a slice at a time, which
 ``models.write_model_file`` writes out as it goes, and ``tensor_from_obj``
-decodes that text a slice at a time straight into the array it returns. So
-saving a checkpoint holds no base64 copy of a whole tensor, and loading one
-holds the JSON text and its strings but no second full-size copy.
+decodes it a slice at a time straight into the array it returns, from a
+string or from the view of the file's bytes that ``models.parse_model_file``
+hands over. So saving a checkpoint holds no base64 copy of a whole tensor,
+and loading one holds the file's bytes and the arrays but no text copy of
+the base64. A string and its bytes decode alike; the one difference from
+parsing the whole file as text is that tensor data JSON refuses (a raw
+control character, bytes that are not UTF-8) fails at decode, as bad base64.
 """
 
 from __future__ import annotations
@@ -949,19 +953,25 @@ _DECODE_CHUNK = 1 << 16
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
     """The writable, C-contiguous float64 array of a ``tensor_to_obj``
-    object. Raises TypeError on data that is not a string, and ValueError
-    on a shape that is not a list of sizes, bad base64, or a byte count
-    that does not match the shape.
+    object. Raises TypeError on data that is neither a string nor a
+    memoryview of its bytes, and ValueError on a shape that is not a list
+    of sizes, bad base64, or a byte count that does not match the shape.
 
     The data is decoded a slice at a time straight into the array, so no
     full-size copy is made besides the result. It accepts what
     ``base64.b64decode(data, validate=True)`` accepts, and nothing more:
-    every slice but the last holds whole quanta without padding, so it
-    decodes as it would inside the whole string. The length is checked
-    before the array is allocated; ``validate=True`` on Python 3.10 also
-    takes up to two ``=`` past the padded length."""
+    every slice but the last must decode to whole quanta without padding,
+    so it decodes as it would inside the whole string. The length is
+    checked before the array is allocated; ``validate=True`` on Python 3.10
+    also takes up to two ``=`` past the padded length.
+
+    A memoryview is what ``models.parse_model_file`` hands over: the
+    string's bytes in the file, which it decodes alike, so an ASCII string
+    and its bytes give the same array or the same refusal. Bytes that are
+    not base64, such as a control character or UTF-8 of a non-ASCII one,
+    are refused here as bad base64."""
     shape, data = tuple(obj["shape"]), obj["data"]
-    if not isinstance(data, str):
+    if not isinstance(data, (str, memoryview)):
         raise TypeError(f"tensor data must be a base64 string, not {type(data).__name__}")
     if not all(type(d) is int and d >= 0 for d in shape):
         raise ValueError(f"tensor shape {list(shape)!r:.80} is not a list of sizes")
@@ -975,9 +985,11 @@ def tensor_from_obj(obj: dict) -> np.ndarray:
     for start in range(0, size or 1, _DECODE_CHUNK):  # data of no bytes is one slice too
         last = start + _DECODE_CHUNK >= size
         piece = data[start:] if last else data[start:start + _DECODE_CHUNK]
-        if not last and "=" in piece:
-            raise ValueError("base64 padding before the end of the tensor data")
         raw = base64.b64decode(piece, validate=True)
+        # b64decode takes "=" only at the end of what it decodes, and a
+        # padded slice decodes to fewer bytes than whole quanta
+        if not last and len(raw) != _DECODE_CHUNK // 4 * 3:
+            raise ValueError("base64 padding before the end of the tensor data")
         if filled + len(raw) <= nbytes:
             view[filled:filled + len(raw)] = raw
         filled += len(raw)

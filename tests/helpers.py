@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 
-from qcmine import nn_core, train_eval
+from qcmine import models, nn_core, train_eval
 from qcmine.models import (
     _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs, _forward_batch,
     label_of, predict_scores,
@@ -231,6 +231,24 @@ def out_of_place_gru(tv, ids, spans, p, reverse, g):
     d_table = np.zeros_like(tv)
     d_table[used] += d_used @ w_x
     return states, grads + [d_table]
+
+
+# --------------------------------------------------------------------------
+# Reference model file reader
+# --------------------------------------------------------------------------
+
+
+def reference_parse_model_file(path):
+    """``models.parse_model_file`` as ``json.load`` of the whole text, a
+    leading byte order mark skipped: every tensor's base64 a ``str``. The
+    reader that cuts tensors out of the file's bytes is checked against it."""
+    with open(path, encoding="utf-8-sig") as f:
+        return json.load(f)
+
+
+def reference_load_model(path):
+    """``models.load_model`` through ``reference_parse_model_file``."""
+    return models.model_from_obj(reference_parse_model_file(path), path)
 
 
 # --------------------------------------------------------------------------

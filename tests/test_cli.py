@@ -451,13 +451,15 @@ class TestTrainEval:
             checkpoint = tmp_path / "lr.json"
             cli.train_linear_baseline(ws["dump"], ws["train"], config, "logistic", checkpoint)
         parses = []
-        load = json.load
+        parse = models.parse_model_file
 
-        def counting(f, *args, **kwargs):
-            parses.append(f.name)
-            return load(f, *args, **kwargs)
+        def counting(path):
+            parses.append(str(path))
+            return parse(path)
 
-        monkeypatch.setattr(json, "load", counting)
+        # the one reader of model files, under each name eval can reach it by
+        for module in (models, baselines):
+            monkeypatch.setattr(module, "parse_model_file", counting)
         report = cli.evaluate_checkpoint(ws["dump"], ws["valid"], checkpoint, config)
         assert parses.count(str(checkpoint)) == 1
         assert report["instances"] == 8

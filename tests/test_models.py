@@ -1,4 +1,5 @@
 import base64
+import codecs
 import gc
 import hashlib
 import json
@@ -10,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import finite_diff_check, forward
@@ -851,3 +854,230 @@ class TestCheckpoints:
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointMismatch):
             load_model(path)
+
+
+# A "data" member as save_model writes it; group 1 is its string's bytes
+DATA_MEMBER = re.compile(rb'"data": "([^"]*)"')
+
+# Bytes put into a "data" string: base64 padding, control characters, a
+# DEL, UTF-8 and bytes that are not UTF-8 (a lone byte, a surrogate), a
+# quote, backslashes and escapes, and whole base64 quanta
+STRING_BYTES = [
+    b"=", b"\x00", b"\x01", b"\t", b"\n", b"\r", b"\x1f", b"\x7f", "é".encode(), b"\xff",
+    b"\xed\xa0\x80", b'"', b"\\", b"\\n", b"\\u00e9", b"\\/", b"AAAA",
+]
+
+
+def outcome(read, path):
+    """(result, None) of ``read(path)``, or (None, the ValueError it raised)."""
+    try:
+        return read(path), None
+    except ValueError as e:
+        return None, e
+
+
+def as_text(obj):
+    """``obj`` with each memoryview replaced by its UTF-8 text."""
+    if isinstance(obj, memoryview):
+        return str(obj, "utf-8")
+    if isinstance(obj, dict):
+        return {key: as_text(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [as_text(value) for value in obj]
+    return obj
+
+
+def json_refuses(data: memoryview) -> bool:
+    """Whether ``json`` refuses ``data`` as the bytes of a string in a UTF-8
+    text (``json.loads`` of bytes would let an encoded surrogate through)."""
+    try:
+        json.loads('"' + str(data, "utf-8") + '"')
+    except ValueError:
+        return True
+    return False
+
+
+def named_part(e: CheckpointMismatch) -> str:
+    """The file and part a CheckpointMismatch names, without the cause."""
+    return str(e).split(" does not fit")[0]
+
+
+@pytest.fixture(scope="module")
+def reader_base(vocabs, tmp_path_factory):
+    """A small checkpoint, whose preprocessing holds a "data" string too,
+    and the path its edited copies are written to."""
+    model = init_model(tiny_cfg(seed=5), *vocabs)
+    model.preprocessing = {**model.preprocessing, "data": "Zm9vL2Jhcg=="}
+    path = tmp_path_factory.mktemp("reader") / "m.json"
+    save_model(model, path)
+    return path.read_bytes(), path
+
+
+class TestCheckpointReader:
+    """``models.parse_model_file`` cuts each tensor's base64 out of the
+    file's bytes; ``helpers.reference_parse_model_file`` is ``json.load``
+    of the whole text. The two read the same files alike, but for tensor
+    data JSON refuses, which fails at decode instead."""
+
+    @staticmethod
+    def edit_string(data, text):
+        """``text`` with one "data" string edited: a character escaped, or
+        one of STRING_BYTES put in or over one."""
+        spans = [m.span(1) for m in DATA_MEMBER.finditer(text)]
+        if not spans:
+            return text
+        start, end = data.draw(st.sampled_from(spans))
+        at = data.draw(st.integers(start, end))
+        kind = data.draw(st.sampled_from(["insert", "replace", "escape"]))
+        if kind == "escape":
+            char = text[at:min(at + 1, end)]
+            escaped = b"\\/" if char == b"/" else b"".join(b"\\u%04x" % c for c in char)
+            return text[:at] + escaped + text[at + len(char):]
+        return text[:at] + data.draw(st.sampled_from(STRING_BYTES)) + text[at + (kind == "replace"):]
+
+    @staticmethod
+    def edit_file(data, text):
+        """``text`` with one edit of its layout or members."""
+        kind = data.draw(st.sampled_from(
+            ["bom", "crlf", "spaced_key", "config_member", "duplicate_data", "format"]
+        ))
+        members = [m.start() for m in DATA_MEMBER.finditer(text)]
+        if not members:
+            return text
+        if kind == "bom":
+            return codecs.BOM_UTF8 + text
+        if kind == "crlf":
+            return text.replace(b', "', b',\r\n"') + b"\r\n"
+        if kind == "spaced_key":
+            at = data.draw(st.sampled_from(members))
+            return text[:at] + b'"data" \r\n:\t"' + text[at + len(b'"data": "'):]
+        value = data.draw(st.sampled_from([b"", b"Zm9v", b"a\\/b", b"\\u0041", b"\x01", "é".encode()]))
+        if kind == "config_member":  # under "data", or a key that ends in an escaped quote and data
+            key = data.draw(st.sampled_from([b'"data"', b'"x\\"data"']))
+            return text.replace(b'"config": {', b'"config": {' + key + b': "' + value + b'", ', 1)
+        if kind == "duplicate_data":
+            # the first of two "data" keys is dropped, the last is read
+            member = DATA_MEMBER.match(text, data.draw(st.sampled_from(members)))
+            value = data.draw(st.sampled_from([value, member[1]]))
+            if data.draw(st.booleans()):
+                return text[:member.start()] + b'"data": "' + value + b'", ' + text[member.start():]
+            return text[:member.end()] + b', "data": "' + value + b'"' + text[member.end():]
+        return text.replace(b'"qcmine-checkpoint-v2"', b'"qcmine-linear-v2"')
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reads_what_json_load_of_the_text_reads(self, reader_base, data):
+        base, path = reader_base
+        text = base
+        for _ in range(data.draw(st.integers(0, 3))):
+            edit = data.draw(st.sampled_from([self.edit_string, self.edit_file]))
+            text = edit(data, text)
+        if data.draw(st.booleans()):
+            text = text[:data.draw(st.integers(0, len(text) - 1))]  # cut short
+        path.write_bytes(text)
+
+        want, want_err = outcome(helpers.reference_parse_model_file, path)
+        got, got_err = outcome(models.parse_model_file, path)
+        if want_err is None:
+            assert got_err is None
+            assert as_text(got) == want
+        elif got_err is None:
+            # the one difference: a checkpoint tensor's data that JSON refuses
+            assert any(
+                isinstance(t["data"], memoryview) and json_refuses(t["data"])
+                for t in got["params"].values()
+            )
+
+        want, want_err = outcome(helpers.reference_load_model, path)
+        got, got_err = outcome(load_model, path)
+        event(f"reference: {type(want_err).__name__}, reader: {type(got_err).__name__}")
+        if want_err is None:
+            assert got_err is None
+            assert got.config == want.config
+            assert got.preprocessing == want.preprocessing
+            assert got.word_vocab.token_to_id == want.word_vocab.token_to_id
+            assert got.code_vocab.token_to_id == want.code_vocab.token_to_id
+            assert {k: n.value.tobytes() for k, n in got.params.items()} == {
+                k: n.value.tobytes() for k, n in want.params.items()
+            }
+        else:
+            assert got_err is not None
+            if isinstance(want_err, CheckpointMismatch):
+                assert isinstance(got_err, CheckpointMismatch)
+                assert named_part(got_err) == named_part(want_err)
+
+    def test_escaped_tensor_data_loads(self, reader_base, tmp_path):
+        """JSON escapes in tensor data leave the string to ``json``."""
+        base, _ = reader_base
+        path = tmp_path / "m.json"
+        path.write_bytes(DATA_MEMBER.sub(
+            lambda m: m[0].replace(b"/", b"\\/").replace(b"A", b"\\u0041"), base
+        ))
+        assert b"\\/" in path.read_bytes() and b"\\u0041" in path.read_bytes()
+        (tmp_path / "base.json").write_bytes(base)
+        want = load_model(tmp_path / "base.json")
+        got = load_model(path)
+        for name, node in want.params.items():
+            assert got.params[name].value.tobytes() == node.value.tobytes(), name
+
+    def test_tensor_data_json_refuses_fails_at_decode(self, reader_base, tmp_path):
+        """A raw control character in tensor data fails ``json.load`` of
+        the text, and the tensor's decode here, naming it."""
+        base, _ = reader_base
+        path = tmp_path / "m.json"
+        path.write_bytes(base.replace(b'"output.b": {"data": "', b'"output.b": {"data": "\n', 1))
+        with pytest.raises(json.JSONDecodeError):
+            helpers.reference_load_model(path)
+        with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + ".*part 'output.b'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("member, refused", [
+        (b'"data": "\x01", ', True),  # a "data" value a later one replaces
+        (b'"x\\"data": "AAAA", ', False),  # a key that ends in an escaped quote and data
+    ], ids=["replaced_data", "escaped_quote_key"])
+    def test_members_json_reads_alike(self, reader_base, tmp_path, member, refused):
+        """A "data" string no tensor reads is still JSON's to accept or
+        refuse, and one under another key keeps its value."""
+        base, _ = reader_base
+        path = tmp_path / "m.json"
+        path.write_bytes(base.replace(b'"output.b": {', b'"output.b": {' + member, 1))
+        if refused:
+            with pytest.raises(json.JSONDecodeError):
+                helpers.reference_parse_model_file(path)
+            with pytest.raises(json.JSONDecodeError):
+                models.parse_model_file(path)
+        else:
+            assert as_text(models.parse_model_file(path)) == helpers.reference_parse_model_file(path)
+
+    @pytest.mark.parametrize("fmt", ["f", "qcmine-linear-v2"])
+    def test_other_files_get_tensor_strings_checked_by_json(self, tmp_path, fmt):
+        """Only a checkpoint's reader decodes every tensor in ``params``,
+        so another file's "data" strings are checked as JSON when read."""
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"format": "%s", "params": {"w": {"data": "\x01", "shape": [1]}}}' % fmt.encode())
+        with pytest.raises(json.JSONDecodeError):
+            models.parse_model_file(path)
+        path.write_bytes(b'{"format": "%s", "params": {"w": {"data": "AAAA", "shape": [1]}}}' % fmt.encode())
+        assert models.parse_model_file(path) == helpers.reference_parse_model_file(path)
+
+    def test_load_holds_no_second_copy(self, tmp_path):
+        """The traced peak of loading a checkpoint holding an 8 MiB tensor
+        is the file's bytes and the arrays, with no copy of the base64 as
+        text: it was 21.4 MiB when the file was parsed whole as text."""
+        words = build_vocab([[f"w{i}" for i in range(1021)]])
+        model = init_model(tiny_cfg(Variant.TEXT_RNN, d_embed=1024, d_token_gru=1, d_block=1),
+                           words, build_vocab([CODE]))
+        assert model.params["word_embeddings"].value.shape == (1024, 1024)
+        path = tmp_path / "big.json"
+        save_model(model, path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.params["word_embeddings"].value.tobytes() == (
+            model.params["word_embeddings"].value.tobytes()
+        )
+        assert peak <= path.stat().st_size + (8 << 20) + (1 << 20)

@@ -1166,32 +1166,37 @@ class TestTensorObj:
         """Slices of 4 or 8 characters put slice boundaries inside the
         drawn strings. Every shape is refused unless the running
         interpreter's ``b64decode(validate=True)`` accepts the string and
-        its bytes fit the shape, and then the bits are the same."""
+        its bytes fit the shape, and then the bits are the same. The string
+        is given as is, and as a memoryview of its UTF-8 bytes, as
+        ``models.parse_model_file`` hands tensor data over."""
         try:
             want = base64.b64decode(data, validate=True)
         except ValueError:
             want = None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn_core, "_DECODE_CHUNK", chunk)
-            for n in range(len(data) // 8 + 2):
-                try:
-                    got = tensor_from_obj({"shape": [n], "data": data}).tobytes()
-                except ValueError:
-                    got = None
-                assert got == (want if want is not None and len(want) == 8 * n else None), n
+            for given_data in (data, memoryview(data.encode("utf-8"))):
+                for n in range(len(data) // 8 + 2):
+                    try:
+                        got = tensor_from_obj({"shape": [n], "data": given_data}).tobytes()
+                    except ValueError:
+                        got = None
+                    assert got == (want if want is not None and len(want) == 8 * n else None), n
 
     def test_decodes_without_a_full_size_copy(self):
-        """The traced peak of a decode is the array plus a slice's
-        temporaries, not a second full-size copy of the tensor."""
+        """The traced peak of a decode, from the string or from a view of
+        its bytes, is the array plus a slice's temporaries, not a second
+        full-size copy of the tensor."""
         arr = np.random.default_rng(0).standard_normal((1024, 1024))
-        obj = tensor_to_obj(arr)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            back = tensor_from_obj(obj)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert bits(back).tolist() == bits(arr).tolist()
-        assert peak <= arr.nbytes + (1 << 20)
+        text = tensor_to_obj(arr)["data"]
+        for data in (text, memoryview(text.encode("ascii"))):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                back = tensor_from_obj({"shape": list(arr.shape), "data": data})
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert bits(back).tolist() == bits(arr).tolist()
+            assert peak <= arr.nbytes + (1 << 20), type(data)
