@@ -120,15 +120,19 @@ _ABOVE_ZERO = {"lr", "linear_lr"}
 
 def load_config(path=None) -> Config:
     """The Config of DEFAULT_CONFIG updated by the JSON file at ``path``,
-    with the lexicon files it names read. A key the default lacks, a
-    non-object section, a value of another JSON type than its default's
-    (``models.check_json_type``) or out of range (``_CHOICES``, ``_AT_LEAST``,
-    ``_ABOVE_ZERO``), or an unreadable lexicon file raises a ValueError
-    naming the file and the key."""
+    with the lexicon files it names read. A file that is not UTF-8 JSON, a
+    key the default lacks, a non-object section, a value of another JSON
+    type than its default's (``models.check_json_type``) or out of range
+    (``_CHOICES``, ``_AT_LEAST``, ``_ABOVE_ZERO``), or a lexicon file that
+    cannot be read or is not UTF-8 raises a ValueError naming the file and
+    the key."""
     raw = {k: dict(v) if isinstance(v, dict) else v for k, v in DEFAULT_CONFIG.items()}
     if path:
         with open(path, encoding="utf-8-sig") as f:
-            user = json.load(f)
+            try:
+                user = json.load(f)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from None
         for key, value in _known_items(path, user, raw, "the config"):
             if isinstance(raw[key], dict):
                 raw[key].update(_known_items(path, value, raw[key], f"config section {key!r}"))
@@ -136,10 +140,11 @@ def load_config(path=None) -> Config:
                 raw[key] = value
     lexicons = {}  # None where the config names no file
     for key, read in (("python_keep_list", load_keep_list), ("connectives", baselines.load_connectives)):
+        file = raw["tokenize"][key]
         try:
-            lexicons[key] = read(raw["tokenize"][key]) if raw["tokenize"][key] else None
-        except OSError as exc:
-            raise ValueError(f"{path}: {key!r} names a file that cannot be read: {exc}") from None
+            lexicons[key] = read(file) if file else None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {key!r} names {file}, which cannot be read: {exc}") from None
     model, train, connectives = raw["model"], raw["train"], lexicons["connectives"]
     return Config(
         tokenizer=Tokenizer(Language(raw["language"]), lexicons["python_keep_list"]),
@@ -318,19 +323,22 @@ def _csv_rows(path):
     """Yield ("file:line", question id, row) for each row that is not blank.
     The first such row is a header, and skipped, if its first field is not
     an integer; a later one raises a ValueError naming the file, the line
-    and the id."""
+    and the id, and a file that is not UTF-8 one naming the file."""
     with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         rows = (row for row in reader if any(field.strip() for field in row))
-        for n, row in enumerate(rows):
-            where = f"{path}:{reader.line_num}"
-            try:
-                qid = int(row[0])
-            except ValueError:
-                if n == 0:
-                    continue
-                raise ValueError(f"{where}: question id {row[0]!r} is not an integer") from None
-            yield where, qid, row
+        try:
+            for n, row in enumerate(rows):
+                where = f"{path}:{reader.line_num}"
+                try:
+                    qid = int(row[0])
+                except ValueError:
+                    if n == 0:
+                        continue
+                    raise ValueError(f"{where}: question id {row[0]!r} is not an integer") from None
+                yield where, qid, row
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def read_annotation_csv(path) -> dict[int, dict[int, int]]:

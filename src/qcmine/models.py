@@ -18,7 +18,6 @@ import os
 import re
 import stat
 import sys
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -41,7 +40,7 @@ from .nn_core import (
 )
 from .post_parser import CodeContextInstance
 from .tokenize import Tokenizer
-from .vocab_embed import CODEBLOCK_TOKEN, Vocabulary, load_embeddings
+from .vocab_embed import CODEBLOCK_TOKEN, SPECIALS, Vocabulary, load_embeddings
 
 
 class ConfigInvalid(ValueError):
@@ -298,76 +297,72 @@ def _token_vectors(model: ModelParameters, encoder_input, emb: Node, gru: BiGru,
     return [take_rows(ends, group, fill=empty) for group in rows]
 
 
-def _block_inputs(model: ModelParameters, instances):
-    """The ``_encoder_input`` of each token-encoder call of ``_block_vectors``:
-    (words, code, question), where code is None for TEXT_HNN and question
-    is None unless the variant reads the question through an encoder of its
-    own.
+def _look_up_blocks(model: ModelParameters, instances):
+    """``look_up`` of the variants that encode each block with a token
+    Bi-GRU: it looks up the ids of each token-encoder call now and returns
+    ``code_vectors(grad)``, the rest of the forward up to z.
 
     Text blocks, titles and the constant <codeblock> sequence share one
     word-encoder call whenever they share its weights, so each distinct one
-    is encoded once per batch.
-    """
-    v = model.config.variant
-    groups = []
-    if v is not Variant.CODE_HNN:
-        groups += [[inst.pre_tokens for inst in instances], [inst.post_tokens for inst in instances]]
-    shared_question = v in _USES_QUESTION and model.question_token is None
-    if shared_question:
-        groups.append([inst.question_tokens for inst in instances])
+    is encoded once per batch; a question encoder of its own is one more
+    call."""
+    v, n = model.config.variant, len(instances)
+
+    def blocks(*names):  # the token lists of each named block, by name
+        return {name: [getattr(inst, f"{name}_tokens") for inst in instances] for name in names}
+
+    words = blocks() if v is Variant.CODE_HNN else blocks("pre", "post")
+    own_question = v in _USES_QUESTION and model.question_token is not None
+    if v in _USES_QUESTION and not own_question:
+        words.update(blocks("question"))
     if v is Variant.TEXT_HNN:
         # code masked by the unified CODEBLOCK vector, learned through the
         # text encoder's one-step pass
-        groups.append([[CODEBLOCK_TOKEN]] * len(instances))
-    words = _encoder_input(groups, model.word_vocab)
-    code = question = None
+        words["code"] = [[CODEBLOCK_TOKEN]] * n
+    plan = [(words, model.word_vocab, model.word_emb, model.text_token)]
     if v is not Variant.TEXT_HNN:
-        code = _encoder_input([[inst.code_tokens for inst in instances]], model.code_vocab)
-    if v in _USES_QUESTION and not shared_question:
-        question = _encoder_input([[inst.question_tokens for inst in instances]], model.word_vocab)
-    return words, code, question
+        plan.append((blocks("code"), model.code_vocab, model.code_emb, model.code_token))
+    if own_question:
+        plan.append((blocks("question"), model.word_vocab, model.word_emb, model.question_token))
+    calls = [(list(groups), _encoder_input(groups.values(), vocab), emb, gru)
+             for groups, vocab, emb, gru in plan]
+
+    def code_vectors(grad):
+        s = {}  # one node per block, B rows each
+        for names, encoder_input, emb, gru in calls:
+            s.update(zip(names, _token_vectors(model, encoder_input, emb, gru, grad)))
+        c = s["code"]
+        if v in _USES_QUESTION:
+            c = dense_rows(concat(s["question"], c), model.fusion)
+        if v is Variant.CODE_HNN:
+            return c
+        if v is Variant.BIV_HFF:
+            return dense_rows(concat(s["pre"], c, s["post"]), model.block_ff)
+        # rows pre_i, c_i, post_i of each instance in turn; the forward GRU
+        # reads up to c_i, the backward one back down to it
+        x = concat(s["pre"], c, s["post"], axis=0)
+        order = np.arange(3 * n).reshape(3, n).T.ravel()
+        runs = _runs(np.full(n, 3))
+        fwd, bwd = runs - [0, 1], runs + [1, 0]
+        return bigru_final_states(x, order, fwd, bwd, model.block, grad)
+
+    return code_vectors
 
 
-def _block_vectors(model: ModelParameters, inputs, grad: bool):
-    """(s_pre, s_post, c) nodes of a batch from its ``_block_inputs``, B
-    rows each; the text blocks are None for CODE_HNN, which reads no
-    context."""
-    v = model.config.variant
-    words_input, code_input, question_input = inputs
-    words = _token_vectors(model, words_input, model.word_emb, model.text_token, grad)
-    s_pre, s_post = (None, None) if v is Variant.CODE_HNN else words[:2]
-    if v is Variant.TEXT_HNN:
-        return s_pre, s_post, words[-1]
-    (c,) = _token_vectors(model, code_input, model.code_emb, model.code_token, grad)
-    if v in _USES_QUESTION:
-        if question_input is None:
-            question = words[-1]
-        else:
-            (question,) = _token_vectors(
-                model, question_input, model.word_emb, model.question_token, grad
-            )
-        c = dense_rows(concat(question, c), model.fusion)
-    return s_pre, s_post, c
+def look_up(model: ModelParameters, instances):
+    """Check ``instances`` against ``model``, look up every vocabulary id
+    its forward over them reads, once per distinct token list, and return
+    the rest of that forward: ``forward(grad)``, the logits (B x 2) and code
+    representations z of the batch, as tape nodes.
 
-
-@dataclass
-class LookedUp:
-    """A batch of instances whose vocabulary ids one model's forward reads
-    are looked up (``look_up``). ``code_vectors(grad)`` is the rest of the
-    forward up to the code representations z: numpy and the tape only, so
-    it may run on any thread while lookups stay on the caller's."""
-
-    model: ModelParameters
-    instances: list
-    code_vectors: Callable[[bool], Node]
-
-    def __len__(self):
-        return len(self.instances)
-
-
-def look_up(model: ModelParameters, instances) -> LookedUp:
-    """Check ``instances`` against ``model`` and look up every vocabulary id
-    its forward over them reads, once per distinct token list."""
+    This is the one forward of every variant, for training and inference.
+    Every token-level encoder runs once over the distinct blocks of the
+    batch, and the sequence-level GRUs run batched over instances, so the
+    graph has a few dozen nodes whatever the token lengths. ``grad`` keeps
+    what the GRU backward needs; inference leaves it off. The returned
+    forward is numpy and the tape only, so it may run on any thread while
+    lookups stay on the caller's.
+    """
     _check_inputs(model, instances)
     v = model.config.variant
     if v is Variant.TEXT_RNN:
@@ -405,47 +400,25 @@ def look_up(model: ModelParameters, instances) -> LookedUp:
             return bigru_final_states(x, order, runs, runs, model.text_token, grad)
 
     else:
-        inputs = _block_inputs(model, instances)
-        n = len(instances)
+        code_vectors = _look_up_blocks(model, instances)
 
-        def code_vectors(grad):
-            s_pre, s_post, c = _block_vectors(model, inputs, grad)
-            if v is Variant.CODE_HNN:
-                return c
-            if v is Variant.BIV_HFF:
-                return dense_rows(concat(s_pre, c, s_post), model.block_ff)
-            # rows pre_i, c_i, post_i of each instance in turn; the forward GRU
-            # reads up to c_i, the backward one back down to it
-            blocks = concat(s_pre, c, s_post, axis=0)
-            order = np.arange(3 * n).reshape(3, n).T.ravel()
-            runs = _runs(np.full(n, 3))
-            fwd, bwd = runs - [0, 1], runs + [1, 0]
-            return bigru_final_states(blocks, order, fwd, bwd, model.block, grad)
+    def forward(grad: bool):
+        z = code_vectors(grad)
+        return dense_rows(z, model.output), z
 
-    return LookedUp(model, instances, code_vectors)
+    return forward
 
 
-def _forward_batch(model: ModelParameters, instances, grad: bool = False):
-    """Logits (B x 2) and code representations z of a batch, as tape nodes.
-
-    This is the one forward of every variant, for training and inference.
-    ``instances`` is a list of instances or their ``look_up`` for ``model``.
-    Every token-level encoder runs once over the distinct blocks of the
-    batch, and the sequence-level GRUs run batched over instances, so the
-    graph has a few dozen nodes whatever the token lengths. ``grad`` keeps
-    what the GRU backward needs; inference leaves it off.
-    """
-    batch = instances if isinstance(instances, LookedUp) else look_up(model, instances)
-    if batch.model is not model:
-        raise ValueError("the instances were looked up for another model")
-    z = batch.code_vectors(grad)
-    return dense_rows(z, model.output), z
+def scores(forward) -> np.ndarray:
+    """p(solution) of each instance of a ``look_up`` forward, run tape-free."""
+    logits, _ = forward(False)
+    return softmax_rows(logits.value)[:, 1]
 
 
 def forward_graph(model: ModelParameters, inst: CodeContextInstance):
     """The prediction graph of one instance: (logits node of shape (2,),
     code-representation node z)."""
-    logits, z = _forward_batch(model, [inst], grad=True)
+    logits, z = look_up(model, [inst])(True)
     return take_rows(logits, 0), take_rows(z, 0)
 
 
@@ -456,10 +429,7 @@ def predict_scores(model: ModelParameters, instances) -> np.ndarray:
     score from a per-timestep ``gru_step`` graph, and the labels
     (``label_of``) are the same.
     """
-    if not instances:
-        return np.zeros(0)
-    logits, _ = _forward_batch(model, instances)
-    return softmax_rows(logits.value)[:, 1]
+    return scores(look_up(model, instances)) if instances else np.zeros(0)
 
 
 def label_of(score: float) -> int:
@@ -536,13 +506,15 @@ def string_list(obj) -> list[str]:
 
 def vocabulary(obj) -> Vocabulary:
     """The Vocabulary of a JSON object whose ids are distinct non-bool ints
-    covering ``range(len(obj))``, else TypeError or ValueError: a
-    ``read_parts`` builder for vocabulary parts."""
+    covering ``range(len(obj))``, with the specials at their fixed ids, else
+    TypeError or ValueError: a ``read_parts`` builder for vocabulary parts."""
     # n ids that cover range(n) are distinct; but 1, True and 1.0 are one
     # set element, so the types are checked too
     ids = set(json_object(obj).values())
     if not ids.issuperset(range(len(obj))) or not {int}.issuperset(map(type, ids)):
         raise ValueError(f"vocabulary ids are not the distinct integers 0..{len(obj) - 1}")
+    if any(obj.get(token) != i for i, token in enumerate(SPECIALS)):
+        raise ValueError(f"vocabulary specials {SPECIALS} are not at ids 0, 1 and 2")
     return Vocabulary(obj)
 
 

@@ -9,14 +9,15 @@ for ``_scatter_rows``, and zeroed lazily, so rows never read are never written.
 
 The model's graph is built from row-level ops, so a whole mini-batch of
 instances is a handful of nodes: ``take_rows`` (row selections),
-``concat``, ``dense_rows``, ``softmax_xent_rows`` and ``gru_final_states``,
-one node per GRU run over many sequences, which reads its input rows
-straight from an embedding table through token ids. For training that node
-keeps only the GRU's states and recomputes its gates in the backward, so a
-whole mini-batch fits in one graph. Row gradients are scattered with one
-flat 1-D ``np.add.at`` (``_scatter_rows``), and the GRU's gate arithmetic
-runs in place; both do the same IEEE operations in the same order as the
-plain formulas, so results are bit for bit the same. The per-vector ops
+``concat``, ``dense_rows``, ``softmax_xent_rows`` and ``bigru_final_states``,
+one node per Bi-GRU run over many sequences, whose two ``gru_final_states``
+sweeps read their input rows straight from an embedding table through token
+ids. For training the node keeps only the GRUs' states and recomputes their
+gates in the backward, so a whole mini-batch fits in one graph. Row
+gradients are scattered with one flat 1-D ``np.add.at`` (``_scatter_rows``),
+and the GRU's gate arithmetic runs in place; both do the same IEEE
+operations in the same order as the plain formulas, so results are bit for
+bit the same. The per-vector ops
 (``gru_step``, ``bigru_encode``, ``dense``, ``softmax_xent``,
 ``embedding_row``) compute the same formulas one step at a time; the tests
 use them as the reference.

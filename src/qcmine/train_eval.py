@@ -4,8 +4,10 @@ three-model agreement ensemble.
 Two loops run numpy work on threads, both through
 ``nn_core.run_concurrently``: ``train``, which holds BLAS to one thread for
 the whole call while each Bi-GRU trains its two directions at once, and
-``ensemble_batch``, whose voters' forwards run at once after their lookups.
-Validation and single-model evaluation run in turn."""
+``ensemble_batch``, which looks up every voter's vocabulary ids first
+(``models.look_up``) and then runs the voters' forwards at once, each to
+its p(solution) (``models.scores``). Validation and single-model evaluation
+run in turn."""
 
 from __future__ import annotations
 
@@ -176,10 +178,11 @@ def ensemble_batch(biv, text, code, instances) -> list[EnsembleDecision]:
     """``ensemble`` of every instance, with one batched forward per voter.
 
     Each voter's vocabulary lookups run on the calling thread
-    (``models.look_up``). The voters share nothing, so their forwards then
-    run at once (``nn_core.run_concurrently``: up to one thread per usable
-    CPU, with numpy's BLAS held to one thread, or in turn where it cannot be
-    held). A thread changes nothing a forward computes, and the tests find
+    (``models.look_up``), which returns the rest of its forward. The voters
+    share nothing, so those forwards, each to its scores
+    (``models.scores``), then run at once (``nn_core.run_concurrently``: up
+    to one thread per usable CPU, with numpy's BLAS held to one thread, or
+    in turn where it cannot be held). A thread changes nothing a forward computes, and the tests find
     an inference forward's scores the same at one BLAS thread as at two, so
     they are bit for bit those of the voters run in turn. A failing voter
     raises what the voters in turn would: the first failure in voter order,
@@ -189,11 +192,11 @@ def ensemble_batch(biv, text, code, instances) -> list[EnsembleDecision]:
     forwards = []
     for voter in (biv, text, code):
         try:
-            looked_up = models_mod.look_up(voter, instances)
+            forward = models_mod.look_up(voter, instances)
         except Exception:
             run_concurrently(forwards)  # an earlier voter's failure comes first
             raise
-        forwards.append(functools.partial(models_mod.predict_scores, voter, looked_up))
+        forwards.append(functools.partial(models_mod.scores, forward))
     scores = run_concurrently(forwards)
     decisions = []
     for triple in zip(*scores):
@@ -242,7 +245,7 @@ def _slice_backward(model, instances, seed: float) -> float:
     """One batched forward and backward over ``instances``, each loss
     weighted by ``seed``; returns their summed loss. The graph is freed on
     return, before the next mini-batch builds its own."""
-    logits, _ = models_mod._forward_batch(model, instances, grad=True)
+    logits, _ = models_mod.look_up(model, instances)(True)
     _, loss = softmax_xent_rows(logits, [inst.label for inst in instances])
     backward(loss, seed=seed)
     return float(loss.value)

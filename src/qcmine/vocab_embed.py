@@ -23,7 +23,7 @@ PAD_ID = 0
 UNK_ID = 1
 CODEBLOCK_ID = 2
 
-_SPECIALS = (PAD_TOKEN, UNK_TOKEN, CODEBLOCK_TOKEN)
+SPECIALS = (PAD_TOKEN, UNK_TOKEN, CODEBLOCK_TOKEN)  # at ids 0, 1 and 2
 
 
 class EmptyCorpus(ValueError):
@@ -60,10 +60,10 @@ def build_vocab(token_lists, min_count: int = 1) -> Vocabulary:
     if not counts:
         raise EmptyCorpus("no tokens in corpus")
     kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count and tok not in _SPECIALS),
+        (tok for tok, c in counts.items() if c >= min_count and tok not in SPECIALS),
         key=lambda tok: (-counts[tok], tok),
     )
-    return Vocabulary({tok: i for i, tok in enumerate((*_SPECIALS, *kept))})
+    return Vocabulary({tok: i for i, tok in enumerate((*SPECIALS, *kept))})
 
 
 def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:

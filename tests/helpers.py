@@ -10,8 +10,8 @@ import numpy as np
 
 from qcmine import models, nn_core, train_eval
 from qcmine.models import (
-    _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs, _forward_batch,
-    label_of, predict_scores,
+    _HIERARCHICAL, _USES_QUESTION, ConfigInvalid, Variant, _check_inputs, label_of,
+    look_up, predict_scores,
 )
 from qcmine.nn_core import Node, backward, bigru_encode, concat, dense, embedding_row, zero_grad
 from qcmine.post_parser import CodeContextInstance
@@ -56,7 +56,7 @@ def finite_diff_check(loss_fn, nodes, eps=1e-5, floor=1e-6):
 #
 # The model graph of one instance built from the per-vector tape ops: one
 # gru_step node per token and per direction, each block encoded on its own.
-# It computes the same formulas as ``models._forward_batch`` one step at a
+# It computes the same formulas as ``models.look_up``'s forward one step at a
 # time, and serves as the independent oracle for its scores and gradients.
 
 
@@ -140,7 +140,7 @@ def forward_graph(model, inst: CodeContextInstance):
 def forward(model, inst: CodeContextInstance):
     """Solution probabilities [p0, p1] and the code representation z of one
     instance, from the library's batched forward."""
-    logits, z = _forward_batch(model, [inst])
+    logits, z = look_up(model, [inst])(False)
     return nn_core.softmax(logits.value[0]), z.value[0]
 
 

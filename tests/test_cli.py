@@ -237,6 +237,14 @@ class TestQuestionLabelCsv:
         }
 
 
+@pytest.mark.parametrize("read", [cli.read_annotation_csv, cli.read_question_labels_csv])
+def test_label_csv_not_utf8_names_the_file(tmp_path, read):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"question_id,label\n100,howto\xff\n")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": not UTF-8 text"):
+        read(path)
+
+
 class TestByteOrderMark:
     """A leading UTF-8 byte order mark, which a spreadsheet's "CSV UTF-8"
     export writes, is read as no text: each input reads as the same file
@@ -1979,6 +1987,24 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(user))
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("text", [b'{"train": {"lr": 0.1,}}', b'{"language": "sql\xff"}', b""],
+                             ids=["trailing_comma", "not_utf8", "empty"])
+    def test_file_not_utf8_json_refused(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": not a UTF-8 JSON file"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("key", ["python_keep_list", "connectives"])
+    def test_lexicon_not_utf8_refused(self, tmp_path, key):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_bytes(b"print\n\xff\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tokenize": {key: str(lexicon)}}))
+        named = re.escape(str(path)) + f".*{key}.*" + re.escape(str(lexicon))
+        with pytest.raises(ValueError, match=named):
             cli.load_config(path)
 
     @pytest.mark.parametrize("sign", ["", "-"])

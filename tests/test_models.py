@@ -18,7 +18,6 @@ import helpers
 from helpers import finite_diff_check, forward
 from qcmine import models, nn_core
 from qcmine.models import (
-    _forward_batch,
     CheckpointMismatch,
     ConfigInvalid,
     EmptyCode,
@@ -28,6 +27,7 @@ from qcmine.models import (
     init_model,
     label_of,
     load_model,
+    look_up,
     predict_label,
     predict_scores,
     save_model,
@@ -37,7 +37,7 @@ from qcmine.train_eval import _slice_backward
 from qcmine import tokenize
 from qcmine.post_parser import CodeContextInstance
 from qcmine.tokenize import Language, Tokenizer, default_python_keep_list
-from qcmine.vocab_embed import build_vocab
+from qcmine.vocab_embed import Vocabulary, build_vocab
 
 WORDS = ["try", "this", "works", "you", "can", "how", "to", "sort", "output", "is", "shown"]
 CODE = ["VAR", "=", "NUMBER", "print", "(", ")", "STRING", ">>>", "def", ":"]
@@ -277,6 +277,27 @@ class TestBatchedInference:
             predict_scores(model, insts)
 
 
+    @pytest.mark.parametrize("variant,shared", VARIANTS)
+    def test_every_lookup_made_before_the_forward(self, vocabs, variant, shared, monkeypatch):
+        """``look_up`` makes every vocabulary lookup and its forward none, so
+        the forward may run on a voter thread (``ensemble_batch``)."""
+        model = init_model(tiny_cfg(variant, share_text_question_encoder=shared), *vocabs)
+        insts = mixed_batch(random.Random(5))
+        calls, lookup_all = [], Vocabulary.lookup_all
+
+        def counted(vocab, tokens):
+            calls.append(vocab)
+            return lookup_all(vocab, tokens)
+
+        monkeypatch.setattr(Vocabulary, "lookup_all", counted)
+        forward = look_up(model, insts)
+        assert calls and {id(v) for v in calls} <= {id(model.word_vocab), id(model.code_vocab)}
+        calls.clear()
+        for grad in (False, True):
+            forward(grad)
+            assert calls == []
+
+
 def gather_then_project(table, ids, fwd_spans, bwd_spans, gru, grad=True):
     """The Bi-GRU fed an already-gathered copy of the rows it reads."""
     gathered = nn_core.take_rows(table, ids)
@@ -304,11 +325,11 @@ class TestIndexedEncoders:
         model = self.model(vocabs, variant, shared)
         insts = mixed_batch(random.Random(31))  # tokens repeat within and across blocks
         scores = predict_scores(model, insts)
-        _, z = _forward_batch(model, insts)
+        _, z = look_up(model, insts)(False)
         with monkeypatch.context() as m:
             m.setattr(models, "bigru_final_states", gather_then_project)
             ref_scores = predict_scores(model, insts)
-            _, ref_z = _forward_batch(model, insts)
+            _, ref_z = look_up(model, insts)(False)
         np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
         np.testing.assert_allclose(z.value, ref_z.value, rtol=0, atol=1e-12)
         assert [label_of(s) for s in scores] == [label_of(s) for s in ref_scores]
@@ -551,7 +572,7 @@ class TestTrainingGraph:
         ]
 
         def loss_fn():
-            logits, _ = _forward_batch(model, insts, grad=True)
+            logits, _ = look_up(model, insts)(True)
             return softmax_xent_rows(logits, [inst.label for inst in insts])[1]
 
         err = finite_diff_check(loss_fn, list(model.params.values()))
@@ -565,7 +586,7 @@ class TestTrainingGraph:
             insts = self.labeled_slice(2)
             for i, inst in enumerate(insts):
                 inst.code_tokens = [CODE[(i + k) % len(CODE)] for k in range(code_length)]
-            logits, _ = _forward_batch(model, insts, grad=True)
+            logits, _ = look_up(model, insts)(True)
             counts.append(tape_nodes(softmax_xent_rows(logits, [i.label for i in insts])[1]))
         assert counts[0] == counts[1] < 100  # per-step graphs have thousands
 
@@ -576,7 +597,7 @@ class TestTrainingGraph:
         counts = []
         for n in (16, 64):
             insts = [random_instance(rng) for _ in range(n)]
-            logits, _ = _forward_batch(model, insts, grad=True)
+            logits, _ = look_up(model, insts)(True)
             counts.append(tape_nodes(softmax_xent_rows(logits, [i % 2 for i in range(n)])[1]))
         assert counts[0] == counts[1], counts
 
@@ -585,7 +606,7 @@ class TestTrainingGraph:
         inst = self.labeled_slice(3)[0]
         logits, z = forward_graph(model, inst)
         assert logits.value.shape == (2,)
-        batch_logits, batch_z = _forward_batch(model, [inst])
+        batch_logits, batch_z = look_up(model, [inst])(False)
         np.testing.assert_array_equal(logits.value, batch_logits.value[0])
         np.testing.assert_array_equal(z.value, batch_z.value[0])
 
@@ -820,15 +841,23 @@ class TestCheckpoints:
     @pytest.mark.parametrize("part", ["word_vocab", "code_vocab"])
     @pytest.mark.parametrize("token_id, new_id", [
         (3, 10**6), (3, -1), (3, 0), ("last", 0), (3, "3"), (3, 3.0), (3, None), (1, True), (1, 1.0),
+        (1, "swap with 3"),
     ], ids=["out_of_range", "negative", "duplicate", "duplicate_last", "string", "float", "null", "bool",
-            "float_one"])
+            "float_one", "unk_swapped_with_a_word"])
     def test_vocabulary_ids_not_a_range_refused(self, vocabs, tmp_path, part, token_id, new_id):
         """An id the embedding tables cannot index is refused on load, not
-        met as an IndexError once a dump is being mined."""
+        met as an IndexError once a dump is being mined; so are specials
+        moved off their fixed ids, which every unknown token and the zero
+        padding row read."""
         def edit(obj):
             vocab = obj[part]
             old = len(vocab) - 1 if token_id == "last" else token_id
-            vocab[next(t for t, i in vocab.items() if i == old)] = new_id
+            token = next(t for t, i in vocab.items() if i == old)
+            if new_id == "swap with 3":
+                vocab[next(t for t, i in vocab.items() if i == 3)] = old
+                vocab[token] = 3
+            else:
+                vocab[token] = new_id
 
         path = self.edited(vocabs, tmp_path, edit)
         with pytest.raises(CheckpointMismatch, match=re.escape(str(path)) + f".*part '{part}'"):

@@ -274,18 +274,18 @@ def voter_trio(variants=(Variant.BIV_HNN, Variant.TEXT_HNN, Variant.CODE_HNN), s
 
 
 def recording_predict(monkeypatch, before):
-    """Patch ``models.predict_scores`` to record the thread of each call
-    and to call ``before`` ahead of the forward; returns the list of
-    thread idents."""
+    """Patch ``models.scores``, a voter's forward in ``ensemble_batch``, to
+    record the thread of each call and to call ``before`` ahead of the
+    forward; returns the list of thread idents."""
     idents = []
-    predict = models.predict_scores
+    scores = models.scores
 
-    def recorded(model, instances):
+    def recorded(forward):
         idents.append(threading.get_ident())
         before()
-        return predict(model, instances)
+        return scores(forward)
 
-    monkeypatch.setattr(models, "predict_scores", recorded)
+    monkeypatch.setattr(models, "scores", recorded)
     return idents
 
 
@@ -344,7 +344,8 @@ class TestThreadedEnsemble:
 
         idents = recording_predict(monkeypatch, meet)
         assert_ensemble_matches_voters_in_turn(trio, insts)
-        assert len(set(idents)) >= 2
+        # the ensemble's three calls; the voters in turn add this thread's
+        assert len(idents) == 6 and len(set(idents[:3])) >= 2
 
     def test_more_workers_than_cpus_and_short_switch_interval(self, monkeypatch):
         # one model twice: a forward that wrote to its model would show
