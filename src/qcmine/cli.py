@@ -323,7 +323,9 @@ def _csv_rows(path):
     """Yield ("file:line", question id, row) for each row that is not blank.
     The first such row is a header, and skipped, if its first field is not
     an integer; a later one raises a ValueError naming the file, the line
-    and the id, and a file that is not UTF-8 one naming the file."""
+    and the id, a file that is not UTF-8 one naming the file, and a row csv
+    cannot read, such as a field over its size limit, one naming the file
+    and the line."""
     with open(path, encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f)
         rows = (row for row in reader if any(field.strip() for field in row))
@@ -339,6 +341,8 @@ def _csv_rows(path):
                 yield where, qid, row
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_annotation_csv(path) -> dict[int, dict[int, int]]:

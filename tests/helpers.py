@@ -3,10 +3,12 @@ generation, and synthetic datasets."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 
 import numpy as np
+import pytest
 
 from qcmine import models, nn_core, train_eval
 from qcmine.models import (
@@ -249,6 +251,23 @@ def reference_parse_model_file(path):
 def reference_load_model(path):
     """``models.load_model`` through ``reference_parse_model_file``."""
     return models.model_from_obj(reference_parse_model_file(path), path)
+
+
+# The ways nn_core.tensor_from_obj decodes a view of a file's bytes
+DECODERS = ("openssl", "binascii")
+
+
+@contextlib.contextmanager
+def decoding_with(decoder: str):
+    """A block in which ``nn_core.tensor_from_obj`` decodes views of bytes
+    through OpenSSL's decoder ("openssl", skipped where none is found), or
+    through ``binascii`` alone, with the resolver patched to None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if decoder == "binascii":
+            mp.setattr(nn_core, "_base64_decoder", lambda: None)
+        elif nn_core._base64_decoder() is None:
+            pytest.skip("no OpenSSL base64 decoder found")
+        yield
 
 
 # --------------------------------------------------------------------------

@@ -245,6 +245,14 @@ def test_label_csv_not_utf8_names_the_file(tmp_path, read):
         read(path)
 
 
+@pytest.mark.parametrize("read", [cli.read_annotation_csv, cli.read_question_labels_csv])
+def test_label_csv_field_over_the_csv_limit_names_the_line(tmp_path, read):
+    path = tmp_path / "labels.csv"
+    path.write_text("question_id,label\n101," + "x" * 140_000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ":2: field larger than field limit"):
+        read(path)
+
+
 class TestByteOrderMark:
     """A leading UTF-8 byte order mark, which a spreadsheet's "CSV UTF-8"
     export writes, is read as no text: each input reads as the same file

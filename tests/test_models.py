@@ -773,6 +773,27 @@ class TestCheckpoints:
             load_model(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("decoder", helpers.DECODERS)
+    @pytest.mark.parametrize("damage", [
+        lambda d: d[:len(d) // 2] + "=" + d[len(d) // 2 + 1:],  # "=", which OpenSSL reads as zero bits
+        lambda d: " " + d[1:],  # a leading space, which OpenSSL skips
+    ], ids=["padding_inside", "leading_space"])
+    def test_damaged_tensor_data_refused(self, vocabs, tmp_path, damage, decoder):
+        """A same-length edit of the largest tensor's data, as its view of
+        the file's bytes decodes through either decoder."""
+        largest = []
+
+        def edit(obj):
+            largest.append(max(obj["params"], key=lambda name: len(obj["params"][name]["data"])))
+            t = obj["params"][largest[0]]
+            t["data"] = damage(t["data"])
+
+        path = self.edited(vocabs, tmp_path, edit)
+        with helpers.decoding_with(decoder), pytest.raises(
+            CheckpointMismatch, match=re.escape(str(path)) + f".*part '{re.escape(largest[0])}'"
+        ):
+            load_model(path)
+
     @pytest.mark.parametrize("tensor", [
         {"shape": [2], "data": [0.0, 1.0]},
         {"shape": [2], "data": 7},

@@ -1,5 +1,7 @@
 import base64
+import ctypes
 import gc
+import importlib
 import json
 import math
 import os
@@ -9,13 +11,14 @@ import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import STEP_BLOCK_RULES, finite_diff_check, out_of_place_gru
+from helpers import DECODERS, STEP_BLOCK_RULES, decoding_with, finite_diff_check, out_of_place_gru
 from qcmine import nn_core
 from qcmine.nn_core import (
     LINEAR,
@@ -1083,8 +1086,9 @@ def bits(arr):
     return np.ascontiguousarray(arr).view(np.uint64)
 
 
-# The base64 alphabet, its padding, and characters it refuses
-B64_EDITS = string.ascii_letters + string.digits + "+/" + "=\n!é"
+# The base64 alphabet, its padding, and characters it refuses, among them
+# the whitespace, CR and "-" that OpenSSL's decoder trims at either end
+B64_EDITS = string.ascii_letters + string.digits + "+/" + "=\n!é \t\r-\x00"
 
 
 @st.composite
@@ -1159,22 +1163,37 @@ class TestTensorObj:
         with pytest.raises(TypeError):
             tensor_from_obj({"shape": [1], "data": data})
 
+    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("chunk", [4, 8])
     @settings(max_examples=400, deadline=None)
     @given(data=base64_like())
-    def test_accepts_exactly_what_b64decode_accepts(self, chunk, data):
+    # "=" inside otherwise valid data, which OpenSSL reads as zero bits
+    @example(data="O3=Ycpihjg1=")
+    @example(data="AAAAAAA=AAAAAAAAAAAAAA==")
+    # whitespace and CR/LF at either end of the data or of a slice, which
+    # OpenSSL trims; a whole quantum of it leaves a multiple of 4 behind
+    @example(data=" AAAAAAAAAA=")
+    @example(data="\r\nAAAAAAAAA=")
+    @example(data="AAAAAAAAAAA=\r\n")
+    @example(data="AAAAAAAAAAAA ")
+    @example(data="AAAAAAA AAAA")
+    @example(data="AAAAAAA\nAAAA")
+    @example(data="AAAAAAAA    AAAAAAAAAA==")
+    @example(data="AAAAAAAAAAAA\r\n\r\nAAAAAA==")
+    def test_accepts_exactly_what_b64decode_accepts(self, decoder, chunk, data):
         """Slices of 4 or 8 characters put slice boundaries inside the
-        drawn strings. Every shape is refused unless the running
-        interpreter's ``b64decode(validate=True)`` accepts the string and
-        its bytes fit the shape, and then the bits are the same. The string
-        is given as is, and as a memoryview of its UTF-8 bytes, as
-        ``models.parse_model_file`` hands tensor data over."""
+        drawn strings, for both decoders of a memoryview. Every shape is
+        refused unless the running interpreter's ``b64decode(validate=True)``
+        accepts the string and its bytes fit the shape, and then the bits
+        are the same. The string is given as is, and as a memoryview of its
+        UTF-8 bytes, as ``models.parse_model_file`` hands tensor data over."""
         try:
             want = base64.b64decode(data, validate=True)
         except ValueError:
             want = None
-        with pytest.MonkeyPatch.context() as mp:
+        with decoding_with(decoder), pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn_core, "_DECODE_CHUNK", chunk)
+            mp.setattr(nn_core, "_OPENSSL_CHUNK", chunk)
             for given_data in (data, memoryview(data.encode("utf-8"))):
                 for n in range(len(data) // 8 + 2):
                     try:
@@ -1183,20 +1202,84 @@ class TestTensorObj:
                         got = None
                     assert got == (want if want is not None and len(want) == 8 * n else None), n
 
-    def test_decodes_without_a_full_size_copy(self):
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_decodes_without_a_full_size_copy(self, decoder):
         """The traced peak of a decode, from the string or from a view of
         its bytes, is the array plus a slice's temporaries, not a second
         full-size copy of the tensor."""
         arr = np.random.default_rng(0).standard_normal((1024, 1024))
         text = tensor_to_obj(arr)["data"]
-        for data in (text, memoryview(text.encode("ascii"))):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                back = tensor_from_obj({"shape": list(arr.shape), "data": data})
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert bits(back).tolist() == bits(arr).tolist()
-            assert peak <= arr.nbytes + (1 << 20), type(data)
+        with decoding_with(decoder):
+            for data in (text, memoryview(text.encode("ascii"))):
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    back = tensor_from_obj({"shape": list(arr.shape), "data": data})
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                assert bits(back).tolist() == bits(arr).tolist()
+                assert peak <= arr.nbytes + (1 << 20), type(data)
+
+    def test_a_view_decodes_every_quantum_but_the_last_through_the_decoder(self, monkeypatch):
+        """In slices of ``_OPENSSL_CHUNK`` characters; the last quantum,
+        and the whole of a string, go to ``b64decode``."""
+        calls, decode = [], stand_in_decoder()
+
+        def counted(out, src, n):
+            calls.append(n)
+            return decode(out, src, n)
+
+        monkeypatch.setattr(nn_core, "_base64_decoder", lambda: counted)
+        monkeypatch.setattr(nn_core, "_OPENSSL_CHUNK", 8)
+        arr = np.arange(5.0)  # 40 bytes: 56 base64 characters, the last quantum padded
+        text = tensor_to_obj(arr)["data"]
+        back = tensor_from_obj({"shape": [5], "data": memoryview(text.encode("ascii"))})
+        assert bits(back).tolist() == bits(arr).tolist()
+        assert calls == [8] * 6 + [4]
+        calls.clear()
+        assert bits(tensor_from_obj({"shape": [5], "data": text})).tolist() == bits(arr).tolist()
+        assert calls == []
+
+
+class TestBase64Decoder:
+    """``_base64_decoder``, the resolver of OpenSSL's decoder, and the
+    self-check it runs before trusting it."""
+
+    def test_self_check_trusts_a_decoder_like_b64decode(self):
+        assert nn_core._decodes_like_b64decode(stand_in_decoder())
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(b" ", b"A"),
+        lambda text: text.replace(b"z", b"y"),
+    ], ids=["takes_a_space_inside_a_quantum", "decodes_one_byte_wrongly"])
+    def test_self_check_distrusts_a_decoder_unlike_b64decode(self, edit):
+        assert not nn_core._decodes_like_b64decode(stand_in_decoder(edit))
+
+    @pytest.mark.parametrize("patch", [
+        ("importlib", SimpleNamespace(import_module=lambda name: importlib.import_module(f"{name}_missing"))),
+        ("_decodes_like_b64decode", lambda decode: False),
+    ], ids=["no_hashlib", "not_trusted"])
+    def test_no_decoder_without_hashlib_or_trust(self, monkeypatch, patch):
+        monkeypatch.setattr(nn_core, *patch)
+        nn_core._base64_decoder.cache_clear()
+        try:
+            assert nn_core._base64_decoder() is None
+        finally:
+            monkeypatch.undo()
+            nn_core._base64_decoder.cache_clear()
+
+
+def stand_in_decoder(edit=lambda text: text):
+    """A decoder called as ``EVP_DecodeBlock`` is, which decodes
+    ``edit(text)`` through ``b64decode(validate=True)``: -1 where that
+    refuses it, else the count of bytes it writes."""
+    def decode(out, src, n):
+        try:
+            raw = base64.b64decode(edit(ctypes.string_at(src, n)), validate=True)
+        except ValueError:
+            return -1
+        ctypes.memmove(out, raw, len(raw))
+        return len(raw)
+    return decode
