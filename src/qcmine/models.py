@@ -14,6 +14,7 @@ import codecs
 import contextlib
 import hashlib
 import json
+import mmap
 import os
 import re
 import stat
@@ -589,14 +590,19 @@ def parse_model_file(path):
     every trained file, for ``read_model_file``. A leading UTF-8 byte order
     mark, which an editor may add, is skipped.
 
-    The file is read as bytes, and each ``"data"`` string without a
-    backslash is cut out of them before ``json`` parses the rest as UTF-8
-    text: a JSON string with no escape is its raw characters (RFC 8259,
-    section 7), so no copy of a tensor's base64 is made. A checkpoint's
-    tensors, the values of its ``params``, which ``model_from_obj`` decodes
-    all of, get their data as a read-only memoryview of the file's bytes
-    (``nn_core.tensor_from_obj``). Any other cut string is decoded as
-    ``json`` would have, and so reads, or fails, as it would in the text.
+    The file is mapped read-only, not read (``_file_bytes``; one that
+    cannot be mapped, such as a pipe, is read), and each ``"data"`` string
+    without a backslash is cut out of its bytes before ``json`` parses the
+    rest as UTF-8 text: a JSON string with no escape is its raw characters
+    (RFC 8259, section 7), so no copy of a tensor's base64 is made. A
+    checkpoint's tensors, the values of its ``params``, which
+    ``model_from_obj`` decodes all of, get their data as a read-only
+    memoryview of the mapping (``nn_core.tensor_from_obj``), which is
+    unmapped once the last view is released. Any other cut string is
+    decoded as ``json`` would have, and so reads, or fails, as it would in
+    the text. A file truncated in place by another process while it is
+    parsed kills the process with SIGBUS; qcmine's own writers replace a
+    file by renaming a new one onto it (``open_output``), so never do that.
 
     So this reads the files and values that ``json.load`` of the text reads,
     and refuses the others with a ValueError, with one difference: tensor
@@ -604,10 +610,10 @@ def parse_model_file(path):
     are not UTF-8) fails when the tensor is decoded, as a CheckpointMismatch
     naming it, not here."""
     with open(path, "rb") as f:
-        raw = f.read()
+        raw = _file_bytes(f)
     view = memoryview(raw)
     pieces, strings = [], {}  # placeholder: (start, end) of the string's bytes
-    cut = pos = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    cut = pos = len(codecs.BOM_UTF8) if raw[:3] == codecs.BOM_UTF8 else 0
     while (key := raw.find(b'"data"', pos)) >= 0:
         pos = key + 1
         # after a backslash the key is inside a string, or the file is not JSON
@@ -644,7 +650,20 @@ def parse_model_file(path):
     return top
 
 
-def _json_string(raw: bytes, start: int, end: int) -> str:
+def _file_bytes(f):
+    """The bytes of the open binary file ``f``: a read-only mapping of it,
+    or, where it cannot be mapped, what ``f.read()`` returns. A file whose
+    size reads 0 is read: mmap refuses an empty file, and a pipe or a
+    ``/proc`` file reads 0 while it holds bytes."""
+    if os.fstat(f.fileno()).st_size:
+        try:
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except OSError:  # a file system or device that cannot be mapped
+            pass
+    return f.read()
+
+
+def _json_string(raw, start: int, end: int) -> str:
     """``json``'s value of the string whose quotes enclose ``raw[start:end]``."""
     return json.loads(raw[start - 1:end + 1].decode("utf-8"))
 

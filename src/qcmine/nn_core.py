@@ -959,6 +959,11 @@ _DECODE_CHUNK = 1 << 16
 # enough that a slice's length fits a C int.
 _OPENSSL_CHUNK = 1 << 24
 
+# Base64 characters per CPU below which a tensor's decode is not shared:
+# a tensor of fewer than twice this is one call on the calling thread, so
+# only the largest tables pay for a pool (about 100 us a call).
+_SPLIT_DECODE = 1 << 20
+
 _B64_ALPHABET = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 
 
@@ -1005,7 +1010,15 @@ def _decode_quanta(decode, src: memoryview, dst: np.ndarray) -> None:
     through ``decode`` (``_base64_decoder``), as ``b64decode(validate=True)``
     would: ``=`` is refused before it is read as zero bits, and each call
     must decode exactly 3 bytes per 4 characters, which refuses a byte
-    outside the alphabet and the whitespace OpenSSL trims at either end."""
+    outside the alphabet and the whitespace OpenSSL trims at either end.
+
+    The characters are cut into slices of whole quanta, at most
+    ``_OPENSSL_CHUNK`` each: one per usable CPU, but no more than one per
+    ``_SPLIT_DECODE`` characters. Cut between CPUs, they are decoded at
+    once (``run_concurrently``), since a ctypes call releases the
+    interpreter lock and the slices write disjoint bytes of ``dst``;
+    otherwise in turn. A bad slice raises the same ValueError wherever it
+    lies."""
     chars = np.frombuffer(src, np.uint8)  # holds the source's buffer across the calls
     if (len(chars) % 4 or dst.dtype != np.uint8 or dst.shape != (len(chars) // 4 * 3,)
             or not (dst.flags.c_contiguous and dst.flags.writeable)):
@@ -1013,10 +1026,20 @@ def _decode_quanta(decode, src: memoryview, dst: np.ndarray) -> None:
     for start in range(0, len(chars), _DECODE_CHUNK):
         if b"=" in chars[start:start + _DECODE_CHUNK].tobytes():
             raise ValueError("base64 padding before the end of the tensor data")
-    for start in range(0, len(chars), _OPENSSL_CHUNK):
-        piece = chars[start:start + _OPENSSL_CHUNK]
+    parts = max(1, min(_usable_cpus(), len(chars) // _SPLIT_DECODE))
+    step = min(4 * max(1, -(-len(chars) // (4 * parts))), _OPENSSL_CHUNK)
+
+    def decode_slice(start):
+        piece = chars[start:start + step]
         if decode(dst[start // 4 * 3:].ctypes.data, piece.ctypes.data, len(piece)) != len(piece) // 4 * 3:
             raise ValueError("bad base64 in the tensor data")
+
+    calls = [functools.partial(decode_slice, start) for start in range(0, len(chars), step)]
+    if parts > 1:
+        run_concurrently(calls)
+    else:
+        for call in calls:
+            call()
 
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
@@ -1038,10 +1061,11 @@ def tensor_from_obj(obj: dict) -> np.ndarray:
     are refused here as bad base64.
 
     Where OpenSSL's decoder is found (``_base64_decoder``), every quantum
-    of a memoryview's data but the last is decoded by it in one call per
-    16 Mi characters (``_decode_quanta``), about four times as fast as
-    ``binascii``. The rest, the last quantum with any padding, and the
-    whole of a string or of data where no decoder is found, is decoded by
+    of a memoryview's data but the last is decoded by it, about four times
+    as fast as ``binascii`` on one CPU, and a large tensor's slices on
+    every usable CPU at once (``_decode_quanta``). The rest, the last
+    quantum with any padding, and the whole of a string or of data where
+    no decoder is found, is decoded by
     ``b64decode(validate=True)`` a 64 Ki-character slice at a time: every
     slice but the last must decode to whole quanta without padding, so it
     decodes as it would inside the whole string."""

@@ -74,6 +74,12 @@ def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:
     ``path=None`` random-initializes everything. The PAD row is always zero.
     A row of another length, or with a value that is not a finite number,
     raises a ValueError (DimensionMismatch for the length) naming file:line.
+
+    For ``d`` other than 1, a first line of two fields is word2vec's and
+    fastText's ``<count> <dim>`` header, since no row of ``d`` values has
+    two fields: it is skipped if ``count`` is a decimal integer and ``dim``
+    is ``d``, and refused with a DimensionMismatch naming file:1 otherwise.
+    For ``d`` = 1 such a line is a row.
     """
     vectors: dict[str, np.ndarray] = {}
     if path is not None:
@@ -81,6 +87,12 @@ def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:
             for line_no, line in enumerate(f, 1):
                 parts = line.rstrip("\n").split()
                 if not parts:
+                    continue
+                if line_no == 1 and d != 1 and len(parts) == 2:
+                    if not (parts[0].isdecimal() and parts[1] == str(d)):
+                        raise DimensionMismatch(
+                            f"{path}:1: expected a '<count> {d}' header, got {' '.join(parts)!r}"
+                        )
                     continue
                 token, values = parts[0], parts[1:]
                 if len(values) != d:

@@ -1242,6 +1242,52 @@ class TestTensorObj:
         assert bits(tensor_from_obj({"shape": [5], "data": text})).tolist() == bits(arr).tolist()
         assert calls == []
 
+    @staticmethod
+    def split(monkeypatch, cpus):
+        """The call counts of ``run_concurrently`` once ``_decode_quanta``
+        cuts a tensor's data into 64-character slices shared between
+        ``cpus`` CPUs."""
+        pooled = []
+
+        def counted(calls):
+            calls = list(calls)
+            pooled.append(len(calls))
+            return run_concurrently(calls)
+
+        monkeypatch.setattr(nn_core, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn_core, "_SPLIT_DECODE", 8)
+        monkeypatch.setattr(nn_core, "_OPENSSL_CHUNK", 64)
+        monkeypatch.setattr(nn_core, "run_concurrently", counted)
+        return pooled
+
+    # 100 floats are 1,068 characters, whose first 1,064 OpenSSL decodes in
+    # 17 slices: the first and last character of the first slice, of a
+    # middle one and of the last
+    BAD_AT = [0, 63, 64 * 8, 64 * 8 + 63, 1024, 1063]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_split_decode_is_bit_identical(self, monkeypatch, cpus):
+        arr = np.random.default_rng(0).standard_normal(100)
+        text = tensor_to_obj(arr)["data"]
+        with decoding_with("openssl"):
+            pooled = self.split(monkeypatch, cpus)
+            back = tensor_from_obj({"shape": [100], "data": memoryview(text.encode("ascii"))})
+        assert back.tobytes() == base64.b64decode(text)
+        assert pooled == ([] if cpus == 1 else [17])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("at", BAD_AT)
+    @pytest.mark.parametrize("char", [b"!", b" ", b"\n", b"\x00"])
+    def test_split_decode_refuses_a_bad_byte_in_any_slice(self, monkeypatch, cpus, at, char):
+        """A byte outside the alphabet, or whitespace at either end of a
+        slice, which OpenSSL would trim, is refused wherever it lies."""
+        text = bytearray(tensor_to_obj(np.arange(100.0))["data"].encode("ascii"))
+        text[at:at + 1] = char
+        with decoding_with("openssl"):
+            self.split(monkeypatch, cpus)
+            with pytest.raises(ValueError, match="bad base64 in the tensor data"):
+                tensor_from_obj({"shape": [100], "data": memoryview(bytes(text))})
+
 
 class TestBase64Decoder:
     """``_base64_decoder``, the resolver of OpenSSL's decoder, and the

@@ -96,6 +96,38 @@ class TestLoadEmbeddings:
         with pytest.raises(DimensionMismatch):
             load_embeddings(path, vocab, d=2, seed=0)
 
+    def test_word2vec_header_skipped(self, tmp_path):
+        """word2vec and fastText text files open with ``<count> <dim>``."""
+        vocab = build_vocab([["a", "b"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("2 3\na 1.0 2.0 3.0\nb -1.0 0.5 0.0\n")
+        emb = load_embeddings(path, vocab, d=3, seed=0)
+        np.testing.assert_array_equal(emb[vocab.token_to_id["a"]], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(emb[vocab.token_to_id["b"]], [-1.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("header", ["2 5", "x 3", "2 3.0"])
+    def test_header_of_another_dimension_names_file_line_and_header(self, tmp_path, header):
+        vocab = build_vocab([["a"]])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{header}\na 1.0 2.0 3.0\n")
+        with pytest.raises(DimensionMismatch, match=rf"vec\.txt:1: .*'{header}'"):
+            load_embeddings(path, vocab, d=3, seed=0)
+
+    def test_two_fields_are_a_row_of_one_dimension(self, tmp_path):
+        vocab = build_vocab([["a", "2"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("2 1\na 0.5\n")
+        emb = load_embeddings(path, vocab, d=1, seed=0)
+        assert emb[vocab.token_to_id["2"]].tolist() == [1.0]
+        assert emb[vocab.token_to_id["a"]].tolist() == [0.5]
+
+    def test_two_fields_after_the_first_line_are_a_row(self, tmp_path):
+        vocab = build_vocab([["a"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1.0 2.0 3.0\n2 3\n")
+        with pytest.raises(DimensionMismatch, match=r"vec\.txt:2: expected 3 values, got 1"):
+            load_embeddings(path, vocab, d=3, seed=0)
+
     @pytest.mark.parametrize("value", ["x", "nan", "inf", "-Infinity", "1e400"])
     def test_value_not_a_finite_number_names_file_and_line(self, tmp_path, value):
         vocab = build_vocab([["a", "b"]])
