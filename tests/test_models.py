@@ -1135,13 +1135,13 @@ class TestCheckpointReader:
         assert peak <= (8 << 20) + (1 << 20)
 
     @staticmethod
-    def saved(tmp_path, name="m.json"):
+    def saved(tmp_path):
         """The path of a saved checkpoint whose word table, about 700 KB of
         base64, is larger than a pipe's buffer."""
         words = build_vocab([[f"w{i}" for i in range(1021)]])
         model = init_model(tiny_cfg(Variant.TEXT_RNN, d_embed=64, d_token_gru=1, d_block=1),
                            words, build_vocab([CODE]))
-        path = tmp_path / name
+        path = tmp_path / "m.json"
         save_model(model, path)
         return path
 
