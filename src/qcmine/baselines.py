@@ -160,8 +160,16 @@ def _logistic(score: float) -> float:
 
 def _dot(weights: np.ndarray, index: dict[str, int], features: dict[str, float]) -> float:
     """The weighted sum over the features ``index`` names, in the features'
-    order; other names are ignored."""
-    return sum(weights[index[name]] * v for name, v in features.items() if name in index)
+    order; other names are ignored. Python floats are multiplied and added
+    left to right, the same IEEE products and sums as numpy scalars give,
+    without a scalar object per term; not ``sum()``, which Python 3.12
+    made compensated for floats."""
+    item = weights.item
+    total = 0.0
+    for name, v in features.items():
+        if name in index:
+            total += item(index[name]) * v
+    return total
 
 
 def train_linear(

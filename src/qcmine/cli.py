@@ -184,6 +184,7 @@ def _known_items(path, given, known: dict, where: str):
 # --------------------------------------------------------------------------
 
 _REQUIRED_FIELDS = ("question_id", "title", "tags", "accepted_answer_html")
+_REQUIRED_KEYS = frozenset(_REQUIRED_FIELDS)
 
 
 def _type_error(record: dict) -> str | None:
@@ -196,8 +197,11 @@ def _type_error(record: dict) -> str | None:
         if not isinstance(record[name], str):
             return f"{name} must be a string"
     tags = record["tags"]
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+    if not isinstance(tags, list):
         return "tags must be a list of strings"
+    for t in tags:
+        if not isinstance(t, str):
+            return "tags must be a list of strings"
     body = record.get("question_body_html", "")
     if not isinstance(body, (str, type(None))):
         return "question_body_html must be a string or null"
@@ -269,8 +273,8 @@ def read_dump(path, ids=None):
             if not isinstance(record, dict):
                 yield None, DumpParseError(f"line {line_no}: record is not a JSON object")
                 continue
-            missing = [k for k in _REQUIRED_FIELDS if k not in record]
-            if missing:
+            if not record.keys() >= _REQUIRED_KEYS:
+                missing = [k for k in _REQUIRED_FIELDS if k not in record]
                 yield None, DumpParseError(f"line {line_no}: missing fields {missing}")
                 continue
             problem = _type_error(record)
@@ -315,7 +319,8 @@ def read_answers(path, report, skip=None, prose=True, ids=None):
 
 def domain_matches(tags, language: Language) -> bool:
     if language is Language.PYTHON:
-        return any("python" in t.lower() for t in tags)
+        # no tag's lowercase spans the "\n" between two, and "python" holds none
+        return "python" in "\n".join(tags).lower()
     return any(t.lower() in ("sql", "database", "oracle") for t in tags)
 
 
@@ -501,6 +506,7 @@ def mine(
     tokenizer = (config or load_config()).tokenizer
     voters = _load_ensemble(biv_path, text_path, code_path, tokenizer)
     qfilter = question_filter.QuestionFilterModel.load(filter_model_path)
+    keywords = qfilter.weighed_keywords()
 
     report = dict.fromkeys([
         "records", "parse_errors", "domain_skipped", "non_howto", "no_code",
@@ -520,7 +526,7 @@ def mine(
                 continue
             qid, title = record["question_id"], record["title"]
             question_seq = _parse_or_empty(record.get("question_body_html"), qid)
-            feats = question_filter.featurize_question(title, question_seq, answer_seq, qfilter.keywords)
+            feats = question_filter.featurize_question(title, question_seq, answer_seq, keywords)
             label, _ = question_filter.classify_question(feats, qfilter)
             if label is not question_filter.QuestionLabel.HOW_TO:
                 report["non_howto"] += 1
@@ -794,7 +800,7 @@ def cmd_filter(args, config):
     model = question_filter.QuestionFilterModel.load(args.model)
     report = {"classified": 0, "skipped": 0}
     with models.open_output(args.out) as out:
-        for record, feats in _question_records(args.dump, report, model.keywords):
+        for record, feats in _question_records(args.dump, report, model.weighed_keywords()):
             label, prob = question_filter.classify_question(feats, model)
             out.write(models.JSON_ENCODER.encode(
                 {"question_id": record["question_id"], "label": label.value, "probability": prob}

@@ -38,8 +38,8 @@ decodes it straight into the array it returns, from a string or from the
 view of the file's bytes that ``models.parse_model_file`` hands over. A
 view's quanta but the last go through OpenSSL's ``EVP_DecodeBlock``
 (``_base64_decoder``, which finds it through ``hashlib``'s extension module
-and probes it once), with ``=`` refused before the call, since OpenSSL
-reads it as zero bits; the rest decodes through ``binascii``. So saving a
+and probes it once), with ``=`` refused in each slice's call before the
+decode, since OpenSSL reads it as zero bits; the rest decodes through ``binascii``. So saving a
 checkpoint holds no base64 copy of a whole tensor, and loading one holds
 the file's bytes and the arrays but no text copy of the base64. A string
 and its bytes decode alike; the one difference from parsing the whole file
@@ -967,19 +967,35 @@ _SPLIT_DECODE = 1 << 20
 _B64_ALPHABET = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 
 
+def _hashlib_symbol(name: str):
+    """The C function ``name`` looked up through ``_hashlib``, the extension
+    module behind ``hashlib``, whose symbol lookup also searches the
+    libcrypto and C library it links, so no library path is guessed; or
+    None. A CPython built without OpenSSL has no such module, and one whose
+    module handle does not search its imports finds no symbol."""
+    try:
+        return getattr(ctypes.CDLL(importlib.import_module("_hashlib").__file__), name)
+    except (ImportError, OSError, AttributeError):  # no _hashlib, no __file__, no symbol
+        return None
+
+
+@functools.cache
+def _memchr():
+    """The C library's ``memchr(s, c, n)`` (``_hashlib_symbol``), or None.
+    Called through ctypes, it releases the interpreter lock."""
+    find = _hashlib_symbol("memchr")
+    if find is not None:
+        find.argtypes, find.restype = (ctypes.c_void_p, ctypes.c_int, ctypes.c_size_t), ctypes.c_void_p
+    return find
+
+
 @functools.cache
 def _base64_decoder():
-    """OpenSSL's ``EVP_DecodeBlock(out, in, n)``, or None where it is not
-    found or not trusted (``_decodes_like_b64decode``).
-
-    It is looked up through ``_hashlib``, the extension module behind
-    ``hashlib``, whose symbol lookup also searches the libcrypto it links,
-    so no library path is guessed. A CPython built without OpenSSL has no
-    such module, and one whose module handle does not search its imports
-    finds no symbol: both return None."""
-    try:
-        decode = ctypes.CDLL(importlib.import_module("_hashlib").__file__).EVP_DecodeBlock
-    except (ImportError, OSError, AttributeError):  # no _hashlib, no __file__, no symbol
+    """OpenSSL's ``EVP_DecodeBlock(out, in, n)`` (``_hashlib_symbol``), or
+    None where it is not found or not trusted (``_decodes_like_b64decode``),
+    or where no ``_memchr`` is found to refuse ``=`` before it."""
+    decode = _hashlib_symbol("EVP_DecodeBlock")
+    if decode is None or _memchr() is None:
         return None
     decode.argtypes, decode.restype = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int), ctypes.c_int
     return decode if _decodes_like_b64decode(decode) else None
@@ -1008,8 +1024,9 @@ def _decodes_like_b64decode(decode) -> bool:
 def _decode_quanta(decode, src: memoryview, dst: np.ndarray) -> None:
     """Decode ``src``, base64 of whole quanta, into ``dst``, its bytes,
     through ``decode`` (``_base64_decoder``), as ``b64decode(validate=True)``
-    would: ``=`` is refused before it is read as zero bits, and each call
-    must decode exactly 3 bytes per 4 characters, which refuses a byte
+    would: in each slice's call, ``=`` is refused (``_memchr``, on the
+    characters in place) before it is read as zero bits, and the decode
+    must give exactly 3 bytes per 4 characters, which refuses a byte
     outside the alphabet and the whitespace OpenSSL trims at either end.
 
     The characters are cut into slices of whole quanta, at most
@@ -1023,14 +1040,14 @@ def _decode_quanta(decode, src: memoryview, dst: np.ndarray) -> None:
     if (len(chars) % 4 or dst.dtype != np.uint8 or dst.shape != (len(chars) // 4 * 3,)
             or not (dst.flags.c_contiguous and dst.flags.writeable)):
         raise ValueError(f"{len(chars)} base64 characters do not fill {dst.nbytes} bytes")
-    for start in range(0, len(chars), _DECODE_CHUNK):
-        if b"=" in chars[start:start + _DECODE_CHUNK].tobytes():
-            raise ValueError("base64 padding before the end of the tensor data")
     parts = max(1, min(_usable_cpus(), len(chars) // _SPLIT_DECODE))
     step = min(4 * max(1, -(-len(chars) // (4 * parts))), _OPENSSL_CHUNK)
+    find = _memchr()
 
     def decode_slice(start):
         piece = chars[start:start + step]
+        if find(piece.ctypes.data, ord("="), len(piece)) is not None:
+            raise ValueError("base64 padding before the end of the tensor data")
         if decode(dst[start // 4 * 3:].ctypes.data, piece.ctypes.data, len(piece)) != len(piece) // 4 * 3:
             raise ValueError("bad base64 in the tensor data")
 

@@ -121,7 +121,9 @@ def _segment(tokens, scanned: bool, prose: bool = True) -> list[Block] | None:
 
     for text, end, start, slash in tokens:
         if text:
-            if skip_depth:
+            # without prose, a run outside <pre> is read only until some
+            # visible text is seen
+            if skip_depth or not (pre_depth or prose or not visible):
                 continue
             if scanned and "&" in text:
                 text = unescape(text)

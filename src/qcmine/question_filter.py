@@ -48,7 +48,9 @@ def featurize_question(
 ) -> QuestionFeatures:
     """Deterministic hand features. The keywords are lowercase and matched
     in the lowercased title; titles and code blocks are counted in
-    word/punct tokens."""
+    word/punct tokens. ``keywords`` may be a subset of a filter's lexicon,
+    such as ``QuestionFilterModel.weighed_keywords()``: only the flags of
+    the keywords given are set."""
     if keywords is None:
         keywords = default_keywords()
     lowered = title.lower()
@@ -84,6 +86,14 @@ class QuestionFilterModel:
 
     def save(self, path):
         write_model_file(path, _FORMAT, {"linear": self.linear.to_dict(), "keywords": self.keywords})
+
+    def weighed_keywords(self) -> list[str]:
+        """The keywords, in ``keywords`` order, whose ``kw:`` feature the
+        linear model weighs. ``baselines.predict_linear`` ignores every
+        other feature, so a question featurized with these alone gets the
+        same label and probability, bit for bit."""
+        index = self.linear.index
+        return [kw for kw in self.keywords if f"kw:{kw}" in index]
 
     @classmethod
     def load(cls, path) -> "QuestionFilterModel":

@@ -70,7 +70,8 @@ def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:
     """The embedding table (vocab.size x d, float64) of a vocabulary.
 
     Rows found in the vector file (whitespace-separated "token v1 .. vd")
-    are used as-is; missing tokens draw uniform(-0.05, 0.05) from the seed.
+    are used as-is; missing tokens draw uniform(-0.05, 0.05) from the seed,
+    all in one call, row after row in the vocabulary's order.
     ``path=None`` random-initializes everything. The PAD row is always zero.
     A row of another length, or with a value that is not a finite number,
     raises a ValueError (DimensionMismatch for the length) naming file:line.
@@ -106,11 +107,16 @@ def load_embeddings(path, vocab: Vocabulary, d: int, seed: int) -> np.ndarray:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: not a finite number: {exc}") from None
 
-    rng = np.random.default_rng(seed)
     table = np.zeros((vocab.size, d), dtype=np.float64)
+    missing = []  # ids in the vocabulary's order, which is id order for build_vocab's
     for token, idx in vocab.token_to_id.items():
         if idx == PAD_ID:
             continue
         row = vectors.get(token)
-        table[idx] = row if row is not None else rng.uniform(-0.05, 0.05, d)
+        if row is None:
+            missing.append(idx)
+        else:
+            table[idx] = row
+    # one draw: the same numbers, row after row, as one draw of d per row
+    table[missing] = np.random.default_rng(seed).uniform(-0.05, 0.05, (len(missing), d))
     return table

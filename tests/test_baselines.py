@@ -1,8 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcmine import baselines
 from qcmine.baselines import (
     HINGE_SVM,
     LOGISTIC,
@@ -176,6 +180,35 @@ class TestPredictLinear:
             for _ in range(30):
                 feats = {f"f{i}": float(v) for i, v in enumerate(rng.uniform(-2, 2, 6))}
                 assert predict_linear(base, feats)[0] == predict_linear(scaled, feats)[0]
+
+    @staticmethod
+    def scalar_dot(weights, index, features):
+        """The weighted sum as numpy scalars, added left to right."""
+        total = 0
+        for name, v in features.items():
+            if name in index:
+                total = total + weights[index[name]] * v
+        return total
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+        named=st.lists(st.tuples(st.integers(0, 16), st.floats(-1e6, 1e6)), max_size=20),
+    )
+    def test_dot_is_the_numpy_scalar_sum_bit_for_bit(self, n, seed, scale, named):
+        """Python floats give the bits of the numpy-scalar products summed
+        in the features' order, with names the index lacks (``f12`` and up,
+        and any past ``n``) in between."""
+        rng = np.random.default_rng(seed)
+        weights = rng.standard_normal(n) * scale
+        index = {f"f{i}": at for i, at in enumerate(rng.permutation(n).tolist())}
+        features = {f"f{i}": v for i, v in named}
+        got = baselines._dot(weights, index, features)
+        want = self.scalar_dot(weights, index, features)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_logistic_score_in_open_interval(self):
         model = LinearModel(LOGISTIC, weights=np.array([50.0]), bias=0.0, index={"a": 0})

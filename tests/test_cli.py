@@ -3,6 +3,7 @@ import contextlib
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from qcmine import baselines, cli, models, nn_core, question_filter, tokenize, t
 from qcmine.models import CheckpointMismatch, load_model, predict_label
 from qcmine.nn_core import blas_thread_control, softmax
 from qcmine.post_parser import (
-    PositionMismatch, extract_instances, parse_answer_post, tokenize_sequence,
+    BlockSequence, PositionMismatch, extract_instances, parse_answer_post, tokenize_sequence,
 )
 from qcmine.tokenize import Tokenizer, default_python_keep_list, normalize_python
 
@@ -355,6 +356,120 @@ class TestFilter:
         by_qid = {r["question_id"]: r["label"] for r in rows}
         assert by_qid[100] == "howto"
         assert by_qid[300] == "other"
+
+
+def filters_of(paths):
+    """The workspace's trained filter, whose index lacks the keywords no
+    training title holds, and one whose keyword list leaves out a keyword
+    that its index names."""
+    trained = question_filter.QuestionFilterModel.load(paths["filter"])
+    weighed = trained.weighed_keywords()
+    assert weighed and len(weighed) < len(trained.keywords)
+    unlisted = question_filter.QuestionFilterModel(
+        trained.linear, [kw for kw in trained.keywords if kw != weighed[0]],
+    )
+    return trained, unlisted
+
+
+def decision(model, title, body, answer, keywords):
+    """The filter's label and the bits of its probability."""
+    feats = question_filter.featurize_question(title, body, answer, keywords)
+    label, prob = question_filter.classify_question(feats, model)
+    return label, prob.hex()
+
+
+# Title pieces: every keyword, some in capitals, and characters whose
+# lowercase is longer or context-dependent
+TITLE_PIECES = st.one_of(
+    st.sampled_from(question_filter.default_keywords()),
+    st.sampled_from(question_filter.default_keywords()).map(str.upper),
+    st.sampled_from(["\u212a", "\u0130", "\u03a3", "\n", "?"]),
+    st.text(max_size=6),
+)
+
+
+class TestWeighedKeywords:
+    """A filter that featurizes with only the keywords its model weighs,
+    as ``mine`` and ``filter`` do, decides every question as with all of
+    its keywords, bit for bit."""
+
+    @pytest.mark.parametrize("workspace", ["ws", "sql_ws"])
+    def test_workspace_questions_decide_alike(self, request, workspace):
+        paths = request.getfixturevalue(workspace)
+        records = [record for record, err in cli.read_dump(paths["dump"]) if err is None]
+        assert records
+        for model in filters_of(paths):
+            weighed = model.weighed_keywords()
+            assert all(f"kw:{kw}" in model.linear.index for kw in weighed)
+            for record in records:
+                body, answer = (cli._parse_or_empty(record.get(key), record["question_id"])
+                                for key in ("question_body_html", "accepted_answer_html"))
+                assert (decision(model, record["title"], body, answer, weighed)
+                        == decision(model, record["title"], body, answer, model.keywords))
+
+    @pytest.mark.parametrize("workspace", ["ws", "sql_ws"])
+    def test_fuzzed_titles_decide_alike(self, request, workspace):
+        paths = request.getfixturevalue(workspace)
+        filters = filters_of(paths)
+        _, single, *_ = helpers._DOMAINS[cli.load_config(paths["config"]).tokenizer.language.value]
+        body, answer = BlockSequence(1, []), parse_answer_post(single, 1)
+
+        @settings(max_examples=200, deadline=None)
+        @given(title=st.lists(TITLE_PIECES, max_size=8).map(" ".join))
+        def check(title):
+            for model in filters:
+                assert (decision(model, title, body, answer, model.weighed_keywords())
+                        == decision(model, title, body, answer, model.keywords))
+
+        check()
+
+    @pytest.mark.parametrize("workspace", ["ws", "sql_ws"])
+    def test_filter_output_matches_all_keywords(self, request, workspace, tmp_path):
+        """``filter``'s lines are those of a run that featurizes every keyword."""
+        paths = request.getfixturevalue(workspace)
+        out, reference = tmp_path / "weighed.jsonl", tmp_path / "all.jsonl"
+        argv = ["filter", "--dump", str(paths["dump"]), "--model", str(paths["filter"])]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main([*argv, "--out", str(out)])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(question_filter.QuestionFilterModel, "weighed_keywords",
+                           lambda self: self.keywords)
+                cli.main([*argv, "--out", str(reference)])
+        assert out.read_bytes() == reference.read_bytes()
+
+
+# Tags whose lowercase is longer (U+0130), maps to ASCII (U+212A KELVIN
+# SIGN) or depends on what follows (a final capital sigma), next to "\n",
+# which joins the tags
+TAG_TEXT = st.text(st.one_of(
+    st.sampled_from(["\n", "\u212a", "\u0130", "\u03a3", *"PYTHONpython"]),
+    st.characters(exclude_categories=["Cs"]),
+), max_size=10)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tags=st.lists(st.one_of(TAG_TEXT, TAG_TEXT.map(lambda t: t + "\u03a3")), max_size=5))
+@example(tags=["pyt", "hon"])
+@example(tags=["pyt\nhon", "PYTHON\u03a3"])
+@example(tags=["\u0130python\u03a3", "x"])
+def test_python_domain_is_a_lowercased_tag_holding_python(tags):
+    assert cli.domain_matches(tags, cli.Language.PYTHON) == any("python" in t.lower() for t in tags)
+
+
+@pytest.mark.parametrize("dropped", [
+    fields for n in range(1, 5) for fields in itertools.combinations(cli._REQUIRED_FIELDS, n)
+], ids="-".join)
+def test_missing_fields_named_in_field_order(tmp_path, dropped):
+    """The refusal names the missing fields in ``_REQUIRED_FIELDS`` order,
+    whatever the order of the record's keys."""
+    record = dict(reversed(dump_record(1, "How to frob", ["python"], SINGLE_HTML).items()))
+    for name in dropped:
+        del record[name]
+    path = tmp_path / "dump.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    [(none, err)] = list(cli.read_dump(path))
+    want = [name for name in cli._REQUIRED_FIELDS if name in dropped]
+    assert none is None and str(err) == f"line 1: missing fields {want}"
 
 
 class TestTrainEval:

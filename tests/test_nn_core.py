@@ -1288,6 +1288,19 @@ class TestTensorObj:
             with pytest.raises(ValueError, match="bad base64 in the tensor data"):
                 tensor_from_obj({"shape": [100], "data": memoryview(bytes(text))})
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("at", BAD_AT)
+    def test_split_decode_refuses_padding_in_any_slice(self, monkeypatch, cpus, at):
+        """``=``, which OpenSSL would read as zero bits, is refused in the
+        first, a middle and the last slice, at either end of each."""
+        text = bytearray(tensor_to_obj(np.arange(100.0))["data"].encode("ascii"))
+        text[at:at + 1] = b"="
+        with decoding_with("openssl"):
+            pooled = self.split(monkeypatch, cpus)
+            with pytest.raises(ValueError, match="base64 padding before the end of the tensor data"):
+                tensor_from_obj({"shape": [100], "data": memoryview(bytes(text))})
+        assert pooled == ([] if cpus == 1 else [17])
+
 
 class TestBase64Decoder:
     """``_base64_decoder``, the resolver of OpenSSL's decoder, and the

@@ -148,3 +148,33 @@ class TestLoadEmbeddings:
         t1 = load_embeddings(None, vocab, d=3, seed=11)
         t2 = load_embeddings(None, vocab, d=3, seed=11)
         np.testing.assert_array_equal(t1, t2)
+
+    @staticmethod
+    def per_row_table(path_rows: dict, vocab, d: int, seed: int) -> np.ndarray:
+        """The table as drawn one row of ``d`` at a time, in the vocabulary's
+        order, each row the file has taken from ``path_rows`` instead."""
+        rng = np.random.default_rng(seed)
+        table = np.zeros((vocab.size, d))
+        for token, idx in vocab.token_to_id.items():
+            if idx != PAD_ID:
+                row = path_rows.get(token)
+                table[idx] = row if row is not None else rng.uniform(-0.05, 0.05, d)
+        return table
+
+    @pytest.mark.parametrize("order", ["ids", "shuffled"])
+    def test_one_draw_gives_the_per_row_draws(self, tmp_path, order):
+        """Missing rows, drawn in one call, are bit for bit the rows drawn
+        one at a time, between rows that come from the vector file; for a
+        vocabulary whose tokens are not in id order too."""
+        vocab = build_vocab([[f"w{i}" for i in range(40)]])
+        if order == "shuffled":
+            items = list(vocab.token_to_id.items())
+            np.random.default_rng(1).shuffle(items)
+            vocab = type(vocab)(dict(items))
+        rows = {f"w{i}": [i + 0.25, -i - 0.5, 2.0 * i] for i in range(0, 40, 3)}
+        path = tmp_path / "vec.txt"
+        path.write_text("".join(f"{tok} {' '.join(map(repr, row))}\n" for tok, row in rows.items()))
+        got = load_embeddings(path, vocab, d=3, seed=5)
+        want = self.per_row_table(rows, vocab, 3, 5)
+        assert got.tobytes() == want.tobytes()
+        assert got[vocab.token_to_id["w3"]].tolist() == rows["w3"]
